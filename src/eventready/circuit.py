@@ -9,8 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
-from .elements import ElementError, ElementSpec, lower_element
+from .elements import ElementError, ElementSpec, compose, lower_element
 from .fock import (
+    UNITARY_TOL,
     ModeTransform,
     PhotonSpec,
     PureState,
@@ -19,8 +20,6 @@ from .fock import (
     superpose,
 )
 from .modes import ModeRegistry
-
-UNITARY_TOL = 1e-12
 
 
 class CircuitError(ValueError):
@@ -158,9 +157,13 @@ def compile_circuit(config) -> Circuit:
 
 
 def run(circuit: Circuit, upto: int | None = None) -> PureState:
-    """Prepare the sources and apply each transform in order."""
+    """Prepare the sources and evolve them through the first `upto` steps.
+
+    The steps are composed into one mode unitary, which is applied once;
+    with no steps the prepared input is returned as is.
+    """
     state = circuit.prepared_input()
     steps = circuit.steps if upto is None else circuit.steps[:upto]
-    for _, transform in steps:
-        state = apply_mode_unitary(state, transform)
-    return state
+    if not steps:
+        return state
+    return apply_mode_unitary(state, compose(t for _, t in steps))

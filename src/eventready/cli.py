@@ -60,6 +60,16 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print("eventready: error: one of --preset or --config is required", file=sys.stderr)
         return 1
+    if args.config:
+        # A config run does no sampling, and --scan output is always CSV.
+        for given, message in (
+            (args.shots is not None, "--shots cannot be used with --config"),
+            (args.seed is not None, "--seed cannot be used with --config"),
+            (args.fmt == "csv" and not args.scan, "--format csv needs --scan when used with --config"),
+        ):
+            if given:
+                print(f"eventready: error: {message}", file=sys.stderr)
+                return 1
     try:
         if args.config:
             config = parse_config(args.config)

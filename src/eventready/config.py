@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -111,15 +112,6 @@ CONFIG_SCHEMA = {
                 "fringe_period_um": {"type": "number", "exclusiveMinimum": 0},
             },
         },
-        "sampling": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "shots": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-                "mode": {"enum": ["multinomial", "poisson"]},
-            },
-        },
     },
     "$defs": {
         "complexish": {
@@ -213,7 +205,6 @@ class ExperimentConfig:
     kept: tuple | None = None
     analyzers: dict | None = None
     model: dict = field(default_factory=dict)
-    sampling: dict = field(default_factory=dict)
     bins: int = 4
     photon_budget: int = 4
     convention: str = "perm"
@@ -234,7 +225,6 @@ class ExperimentConfig:
             kept=tuple(raw["kept"]) if raw.get("kept") else None,
             analyzers=copy.deepcopy(raw.get("analyzers")),
             model=copy.deepcopy(raw.get("model", {})),
-            sampling=copy.deepcopy(raw.get("sampling", {})),
             bins=int(raw.get("bins", 4)),
             photon_budget=int(raw.get("photon_budget", 4)),
             convention=raw.get("convention", "perm"),
@@ -262,8 +252,6 @@ class ExperimentConfig:
             out["analyzers"] = copy.deepcopy(self.analyzers)
         if self.model:
             out["model"] = copy.deepcopy(self.model)
-        if self.sampling:
-            out["sampling"] = copy.deepcopy(self.sampling)
         if self.bins != 4:
             out["bins"] = self.bins
         if self.photon_budget != 4:
@@ -317,13 +305,27 @@ def _cross_reference_violations(raw: dict):
     return problems
 
 
+def _non_finite_violations(value, path: str = "$"):
+    """NaN and infinities, which JSON parsing and the schema's "number" accept."""
+    if isinstance(value, float):
+        return [] if math.isfinite(value) else [f"{path}: non-finite number"]
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return []
+    return [p for key, item in items for p in _non_finite_violations(item, f"{path}.{key}")]
+
+
 def validate_config_dict(raw: dict):
-    """Every schema violation plus cross-reference problems, as strings."""
+    """Every schema violation, non-finite number and cross-reference problem, as strings."""
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = []
     for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
         path = "$." + ".".join(str(p) for p in err.absolute_path) if err.absolute_path else "$"
         problems.append(f"{path}: {err.message}")
+    problems.extend(_non_finite_violations(raw))
     if not problems:
         problems.extend(_cross_reference_violations(raw))
     return problems

@@ -277,24 +277,16 @@ def lower_element(
     raise ElementError(f"unknown element kind {kind!r}")
 
 
-def _lift_to_common(t: ModeTransform, modes: tuple) -> np.ndarray:
-    idx = {m: i for i, m in enumerate(modes)}
-    n = len(modes)
-    out = np.eye(n, dtype=complex)
-    rows = [idx[m] for m in t.modes]
-    for a, ra in enumerate(rows):
-        for b, rb in enumerate(rows):
-            out[ra, rb] = t.matrix[a, b]
-    return out
-
-
 def compose(transforms) -> ModeTransform:
     """Single ModeTransform equal to applying the sequence in order."""
     transforms = list(transforms)
     if not transforms:
         raise ElementError("compose needs at least one transform")
     modes = tuple(sorted({m for t in transforms for m in t.modes}))
+    pos = {m: i for i, m in enumerate(modes)}
     total = np.eye(len(modes), dtype=complex)
     for t in transforms:
-        total = _lift_to_common(t, modes) @ total
+        # A transform acts only on the rows of its own modes.
+        rows = [pos[m] for m in t.modes]
+        total[rows] = t.matrix @ total[rows]
     return ModeTransform(modes, total, name="composite")

@@ -2,18 +2,19 @@
 
 States are stored as a sparse map from occupation vectors (one count per
 registered mode) to complex amplitudes.  Occupation kets are normalized,
-so a term with counts n has the operator form  prod_j (a_j^dag)^{n_j} / sqrt(n_j!)
-acting on vacuum.  Mode unitaries act by substituting each creation
-operator with its image and expanding the product multinomially; the
-sqrt(n!) factors are carried explicitly so that the permanent formula
-<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!) holds verbatim.
+so a term with counts n is the creator monomial  prod_j (a_j^dag)^{n_j} / sqrt(n_j!)
+acting on vacuum.  One primitive, _apply_creation, builds every state:
+it applies a linear combination of creators to a sparse ket map.  Source
+photons are prepared with it, and a mode unitary U evolves a ket by
+mapping each creator a_j^dag to its column image sum_i U[i, j] a_i^dag,
+which reproduces the permanent formula
+<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -255,35 +256,14 @@ class ModeTransform:
         return float(np.max(np.abs(m.conj().T @ m - np.eye(len(self.modes)))))
 
 
-def _column_power_expansion(col_entries, n: int) -> dict:
-    """Expand (sum_k c_k a_k^dag)^n into {counts-per-target: coefficient}.
-
-    col_entries is a list of (target index position, coefficient); only
-    nonzero entries should be passed.  Returned keys are tuples of counts
-    aligned with col_entries order.
-    """
-    k = len(col_entries)
-    out = {}
-    for combo in combinations_with_replacement(range(k), n):
-        counts = [0] * k
-        for slot in combo:
-            counts[slot] += 1
-        coeff = math.factorial(n)
-        for c in counts:
-            coeff //= math.factorial(c)
-        value = complex(coeff)
-        for slot in range(k):
-            if counts[slot]:
-                value *= col_entries[slot][1] ** counts[slot]
-        out[tuple(counts)] = value
-    return out
-
-
 def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
     """Exact evolution of a sparse state under a mode unitary.
 
-    Amplitudes on modes outside t.modes are untouched; the output norm
-    equals the input norm.
+    Each ket is a creator monomial.  Its counts n_j on t.modes are zeroed
+    to give a template ket, its amplitude is divided by prod sqrt(n_j!),
+    and the column image {registry index: U[i, j]} of each local creator
+    is applied n_j times with _apply_creation.  Modes outside t.modes are
+    untouched; the output norm equals the input norm.
     """
     registry = state.registry
     if t.unitarity_deviation() > UNITARY_TOL:
@@ -292,50 +272,24 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
             f"(deviation {t.unitarity_deviation():.3e})"
         )
     idxs = [registry.index(m) for m in t.modes]
-    matrix = t.matrix
-    # Nonzero entries per column, as (local row position, coefficient).
-    col_support = []
-    for j in range(len(idxs)):
-        entries = [(i, matrix[i, j]) for i in range(len(idxs)) if matrix[i, j] != 0]
-        col_support.append(entries)
+    images = [
+        {idxs[i]: c for i, c in enumerate(column) if c != 0}
+        for column in t.matrix.T.tolist()
+    ]
 
     out_terms = {}
     for occ, amp in state.terms.items():
-        local_ns = [occ[i] for i in idxs]
-        total_local = sum(local_ns)
-        if total_local == 0:
-            out_terms[occ] = out_terms.get(occ, 0.0j) + amp
-            continue
-        base = amp
-        for n in local_ns:
-            base /= math.sqrt(math.factorial(n))
-        # Monomials over local positions: {local counts tuple: coefficient}.
-        monos = {tuple([0] * len(idxs)): base}
-        for j, nj in enumerate(local_ns):
-            if nj == 0:
-                continue
-            expansion = _column_power_expansion(col_support[j], nj)
-            nxt = {}
-            for counts, coeff in monos.items():
-                for sub_counts, sub_coeff in expansion.items():
-                    merged = list(counts)
-                    for (pos, _), c in zip(col_support[j], sub_counts):
-                        merged[pos] += c
-                    key = tuple(merged)
-                    nxt[key] = nxt.get(key, 0.0j) + coeff * sub_coeff
-            monos = nxt
         template = list(occ)
         for i in idxs:
-            template[i] = 0
-        for counts, coeff in monos.items():
-            new_occ = list(template)
-            factor = coeff
-            for pos, c in enumerate(counts):
-                if c:
-                    new_occ[idxs[pos]] = c
-                    factor *= math.sqrt(math.factorial(c))
-            key = tuple(new_occ)
-            out_terms[key] = out_terms.get(key, 0.0j) + factor
+            if occ[i]:
+                template[i] = 0
+                amp /= math.sqrt(math.factorial(occ[i]))
+        terms = {tuple(template): amp}
+        for i, image in zip(idxs, images):
+            for _ in range(occ[i]):
+                terms = _apply_creation(registry, terms, image)
+        for key, a in terms.items():
+            out_terms[key] = out_terms.get(key, 0.0j) + a
     out = PureState(registry, out_terms).pruned()
     if abs(out.norm() - state.norm()) > NORM_TOL:
         raise FockError(

@@ -95,14 +95,6 @@ class ModeRegistry:
             ModeId(spatial, p, b) for p in sorted(pols) for b in bin_set
         )
 
-    def with_labels(self, extra_labels) -> "ModeRegistry":
-        """New registry with additional spatial labels (same bins/budget)."""
-        return ModeRegistry(
-            tuple(self.spatial_labels) + tuple(extra_labels),
-            bins=self.bins,
-            photon_budget=self.photon_budget,
-        )
-
     def __repr__(self):
         return (
             f"ModeRegistry({len(self.spatial_labels)} labels x 2 pol x "

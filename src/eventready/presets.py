@@ -509,7 +509,8 @@ def run_herald_table(config: ExperimentConfig, params: dict):
         key = tuple(counts[name] for name in order)
         table[key] = table.get(key, 0.0) + prob
     rows = []
-    for key in sorted(table, key=lambda k: (-table[k], k)):
+    # Rounded so that probabilities equal up to float noise tie and sort by pattern.
+    for key in sorted(table, key=lambda k: (-round(table[k], 12), k)):
         prob = table[key]
         if prob < 1e-15:
             continue
@@ -828,11 +829,10 @@ def run_preset(
     if convention:
         params["convention"] = convention
     config = build_preset_config(name, params)
-    sampling = dict(config.sampling)
     if seed is None:
-        seed = sampling.get("seed", 2024)
+        seed = 2024
     if shots is None:
-        shots = sampling.get("shots", _default_shots(name))
+        shots = _default_shots(name)
 
     curve = None
     if name == "eq1-check":

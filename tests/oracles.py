@@ -3,7 +3,7 @@
 Everything here evolves states through the permanent formula
 <m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!), with the permanent
 evaluated as an explicit sum over permutations.  None of the package's
-multinomial-expansion machinery is used.
+evolution code (creation-operator mapping in eventready.fock) is used.
 """
 
 from __future__ import annotations

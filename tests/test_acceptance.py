@@ -292,7 +292,7 @@ def test_c09_correlation_curves_regeneration():
 
 
 def test_c10_oracle_equivalence():
-    with criterion(10, "multinomial evolution matches the permanent formula"):
+    with criterion(10, "creation-operator evolution matches the permanent formula"):
         rng = np.random.default_rng(2718)
         reg = ModeRegistry(["m0", "m1", "m2", "m3"], bins=1)
         assert reg.size == 8

@@ -140,6 +140,29 @@ class TestRun:
         # Brute-force expansion: |HV> terms bunch, |HH>/|VV> terms split.
         assert p_coincidence == pytest.approx(0.5, abs=1e-12)
 
+    def test_prefix_runs_apply_one_composite_through_the_module_name(self, monkeypatch):
+        import eventready.circuit as circuit_module
+
+        circuit = compiled(fusion_scheme_config())
+        calls = []
+        original = circuit_module.apply_mode_unitary
+
+        def counting(state, t):
+            calls.append(t)
+            return original(state, t)
+
+        monkeypatch.setattr(circuit_module, "apply_mode_unitary", counting)
+        assert run(circuit, upto=0).sorted_terms() == circuit.prepared_input().sorted_terms()
+        assert calls == []
+        stepped = circuit.prepared_input()
+        for k, (_, t) in enumerate(circuit.steps, start=1):
+            stepped = original(stepped, t)
+            state = run(circuit, upto=k)
+            assert set(state.terms) == set(stepped.terms)
+            for occ, amp in stepped.terms.items():
+                assert state.amplitude(occ) == pytest.approx(amp, abs=1e-12)
+        assert len(calls) == len(circuit.steps)
+
     def test_full_run_matches_permanent_evolution_oracle(self):
         circuit = compiled(fusion_scheme_config())
         state = run(circuit)

@@ -91,6 +91,22 @@ class TestParseConfig:
             raw = json.loads((folder / name).read_text())
             assert validate_config_dict(raw) == [], name
 
+    def test_sampling_block_is_rejected(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["sampling"] = {"shots": 100, "seed": 1, "mode": "poisson"}
+        problems = validate_config_dict(raw)
+        assert len(problems) == 1
+        assert problems[0].startswith("$: ") and "'sampling'" in problems[0]
+
+    def test_non_finite_numbers_reported_with_paths(self):
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["elements"] = [{"kind": "phase", "port": "A1", "phi": float("-inf")}]
+        raw["sources"]["branches"][0]["photons"][0]["overlap"] = [1.0, float("nan")]
+        assert validate_config_dict(raw) == [
+            "$.sources.branches.0.photons.0.overlap.1: non-finite number",
+            "$.elements.0.phi: non-finite number",
+        ]
+
     def test_schema_is_published(self):
         schema = json.loads(schema_json())
         assert schema["properties"]["schema_version"]["const"] == 1

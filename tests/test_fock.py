@@ -1,7 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventready import (
     FockError,
@@ -11,6 +14,7 @@ from eventready import (
     PhotonSpec,
     apply_mode_unitary,
     basis_state,
+    compose,
     inner_product,
     partial_trace_to_polarization,
     prepare_product_state,
@@ -18,7 +22,9 @@ from eventready import (
 )
 
 from oracles import (
+    embed_transform,
     evolve_occupation_via_permanent,
+    evolve_state_via_permanent,
     prepare_photons_via_permanent,
     random_unitary,
 )
@@ -178,6 +184,46 @@ class TestApplyModeUnitary:
             assert set(out.terms) == set(expected)
             for o, amp in expected.items():
                 assert out.amplitude(o) == pytest.approx(amp, abs=1e-10)
+
+
+@st.composite
+def unitary_sequences(draw):
+    """A small registry, 1-4 photons (possibly bunched) and 1-4 unitaries on mode subsets."""
+    labels = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    reg = ModeRegistry(labels, bins=draw(st.integers(1, 2)))
+    mode = st.sampled_from(reg.modes)
+    photons = draw(st.lists(mode, min_size=1, max_size=4))
+    subsets = draw(st.lists(st.lists(mode, min_size=1, unique=True), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transforms = [
+        ModeTransform(tuple(modes), random_unitary(len(modes), rng), name=f"u{k}")
+        for k, modes in enumerate(subsets)
+    ]
+    return basis_state(reg, Counter(photons)), transforms
+
+
+class TestApplyProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(unitary_sequences())
+    def test_sequential_composite_and_permanent_agree(self, case):
+        state, transforms = case
+        reg = state.registry
+        sequential = state
+        for t in transforms:
+            sequential = apply_mode_unitary(sequential, t)
+        composite = compose(transforms)
+        once = apply_mode_unitary(state, composite)
+        u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
+        oracle = {
+            o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14
+        }
+        assert set(sequential.terms) == set(once.terms) == set(oracle)
+        for occ, amp in oracle.items():
+            assert abs(sequential.terms[occ] - amp) < 1e-12
+            assert abs(once.terms[occ] - amp) < 1e-12
+        for out in (sequential, once):
+            assert abs(out.norm() - 1.0) < 1e-12
+            assert out.total_photons() == state.total_photons()
 
 
 class TestInnerProduct:

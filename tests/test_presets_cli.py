@@ -244,6 +244,56 @@ class TestCli:
         assert lines[0] == "# schema_version=1"
         assert len(lines) == 2 + 5
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("elements.0.delta_um", math.inf),
+            ("elements.0.delta_um", math.nan),
+            ("sources.branches.0.photons.0.pol_angle_deg", math.nan),
+        ],
+    )
+    def test_non_finite_number_names_its_path(self, tmp_path, capsys, path, value):
+        from eventready.presets import fusion_delay_config
+
+        raw = fusion_delay_config()
+        *parents, leaf = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[leaf] = value
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert "NaN" in cfg_path.read_text() or "Infinity" in cfg_path.read_text()
+        assert main(["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"$.{path}: non-finite number" in err
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--shots", "100"], "--shots"),
+            (["--seed", "7"], "--seed"),
+            (["--format", "csv"], "--format csv"),
+        ],
+    )
+    def test_config_run_rejects_flags_it_would_ignore(self, tmp_path, capsys, flags, named):
+        from eventready.presets import hom_config
+
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), *flags, "--out", str(tmp_path)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "observables.json").exists()
+
+    def test_scan_accepts_format_csv(self, tmp_path, capsys):
+        from eventready.presets import hom_config
+
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        argv = ["--config", str(cfg_path), "--scan", "sources.branches.0.photons.1.overlap=0:1:0.5"]
+        assert main([*argv, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("param,")
+
     def test_print_schema(self, capsys):
         assert main(["--print-schema"]) == 0
         assert '"schema_version"' in capsys.readouterr().out
