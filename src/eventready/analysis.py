@@ -406,11 +406,10 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
     }
 
 
-def sample_counts(distribution, shots: int, seed: int, mode: str = "multinomial"):
-    """Deterministic count sampling for a list of (pattern, probability).
+def sample_counts(distribution, shots: int, seed: int):
+    """Deterministic multinomial count sampling for a list of (pattern, probability).
 
-    multinomial mode conserves the total; poisson mode draws independent
-    per-pattern counts with mean shots * p (rate-style data).
+    The counts always sum to shots.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -419,15 +418,11 @@ def sample_counts(distribution, shots: int, seed: int, mode: str = "multinomial"
     if probs.size and (probs < -1e-12).any():
         raise ValueError("negative probability in distribution")
     total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9 and mode == "multinomial":
+    if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1")
     rng = np.random.default_rng(seed)
     if shots == 0:
         counts = np.zeros(len(patterns), dtype=int)
-    elif mode == "multinomial":
-        counts = rng.multinomial(shots, probs / total)
-    elif mode == "poisson":
-        counts = rng.poisson(shots * probs)
     else:
-        raise ValueError(f"unknown sampling mode {mode!r}")
+        counts = rng.multinomial(shots, probs / total)
     return list(zip(patterns, counts.tolist()))

@@ -14,7 +14,9 @@ from .config import ConfigError, ExperimentConfig, parse_config, schema_json
 from .presets import (
     PRESET_NAMES,
     PresetError,
+    csv_text,
     evaluate_config,
+    json_text,
     run_preset,
     scan,
     write_csv,
@@ -83,20 +85,14 @@ def main(argv=None) -> int:
                     print("eventready: error: --scan needs PATH=START:STOP:STEP", file=sys.stderr)
                     return 1
                 rows = scan(config, path, range_spec)
-                columns = list(rows[0].keys())
-                for row in rows[1:]:
-                    columns.extend(k for k in row if k not in columns)
+                columns = list(dict.fromkeys(key for row in rows for key in row))
                 if args.out:
                     args.out.mkdir(parents=True, exist_ok=True)
                     target = args.out / "scan.csv"
                     write_csv(target, columns, rows)
                     print(f"wrote {target}")
                 else:
-                    from .presets import _format_cell
-
-                    print(",".join(columns))
-                    for row in rows:
-                        print(",".join(_format_cell(row.get(c, "")) for c in columns))
+                    sys.stdout.write(csv_text(columns, rows))
                 return 0
             observables = evaluate_config(config)
             if args.out:
@@ -108,10 +104,8 @@ def main(argv=None) -> int:
                 for key, value in observables.items():
                     print(f"{key} = {value}")
             return 0
-        overrides = {}
         result = run_preset(
             args.preset,
-            overrides=overrides,
             out_dir=args.out,
             seed=args.seed,
             shots=args.shots,
@@ -119,7 +113,7 @@ def main(argv=None) -> int:
             fmt=args.fmt,
         )
         if args.out is None:
-            write_json_stdout(result.report)
+            sys.stdout.write(json_text(result.report))
         else:
             for path in result.files:
                 print(f"wrote {path}")
@@ -133,12 +127,6 @@ def main(argv=None) -> int:
     except (PresetError, OSError, ValueError) as exc:
         print(f"eventready: error: {exc}", file=sys.stderr)
         return 1
-
-
-def write_json_stdout(report: dict):
-    import json
-
-    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def entry():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,18 +33,9 @@ from .analysis import (
 )
 from .circuit import compile_circuit, run
 from .config import SCHEMA_VERSION, ExperimentConfig
+from .distinguishability import OverlapModel
 from .fock import FockError, PureState, basis_state, inner_product, superpose
 from .modes import H, V, ModeId
-
-PRESET_NAMES = (
-    "eq1-check",
-    "bell-decomposition",
-    "herald-table",
-    "hom-scan",
-    "fusion-delay-scan",
-    "polarization-correlation",
-    "chsh",
-)
 
 SUCCESS_PROBABILITY_NOTE = (
     "Exhaustive enumeration of the one-photon-per-detector coincidence "
@@ -228,31 +220,23 @@ def fusion_delay_config(peak_visibility=1.0, delta_um=0.0) -> dict:
 
 
 def build_preset_config(name: str, params: dict) -> ExperimentConfig:
-    if name == "eq1-check" or name == "bell-decomposition":
-        raw = two_pbs_config(params.get("convention", "perm"))
-    elif name == "herald-table":
-        raw = fusion_scheme_config(
-            math.sqrt(params.get("fusion_overlap_sq", 1.0)),
-            params.get("convention", "perm"),
-        )
-    elif name == "hom-scan":
-        raw = hom_config(math.sqrt(params.get("operating_overlap_sq", 0.94)))
-    elif name == "fusion-delay-scan":
-        raw = fusion_delay_config(params.get("peak_visibility", 1.0))
-    elif name == "polarization-correlation":
-        vis = params.get("visibility", 0.89)
-        raw = polarizer_variant_config(
-            fusion_overlap=math.sqrt(vis),
-            convention=params.get("convention", "perm"),
-            analyzer_walkoff=math.sqrt(vis),
-        )
-    elif name == "chsh":
-        raw = polarizer_variant_config(
-            fusion_overlap=math.sqrt(params.get("fusion_overlap_sq", 1.0)),
-            convention=params.get("convention", "perm"),
-        )
-    else:
+    """The validated config of one preset with its parameters overridden.
+
+    Every preset takes `convention` besides the keys of its defaults;
+    any other key raises PresetError.
+    """
+    if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    preset = PRESETS[name]
+    for key in params:
+        if key != "convention" and key not in preset.defaults:
+            raise PresetError(
+                f"preset {name!r} has no parameter {key!r}; "
+                f"choose from {sorted([*preset.defaults, 'convention'])}"
+            )
+    raw = preset.build({**preset.defaults, **params})
+    if "convention" in params:
+        raw["convention"] = params["convention"]
     return ExperimentConfig.from_dict(raw)
 
 
@@ -346,28 +330,41 @@ def parse_range(spec: str):
     return [start + i * step for i in range(n)]
 
 
+def _path_key(node, part: str, path: str, leaf: bool = False):
+    """The dict key or list index that one part of a scan path names."""
+    if isinstance(node, dict) and (leaf or part in node):
+        return part
+    if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+        return int(part)
+    raise PresetError(f"scan path {path!r}: no field {part!r}")
+
+
 def _set_by_path(raw: dict, path: str, value):
-    parts = path.split(".")
+    *parents, leaf = path.split(".")
     node = raw
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif part in node:
-            node = node[part]
-        else:
-            raise PresetError(f"scan path {path!r}: no field {part!r}")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        i = int(leaf)
-        if not isinstance(node[i], (int, float)):
-            raise PresetError(f"scan path {path!r} does not address a numeric field")
-        node[i] = value
-    else:
-        # An absent leaf is allowed: optional numeric fields (e.g. a photon's
-        # overlap) default away when 1.0; schema validation rejects junk keys.
-        if leaf in node and (not isinstance(node[leaf], (int, float)) or isinstance(node[leaf], bool)):
-            raise PresetError(f"scan path {path!r} does not address a numeric field")
-        node[leaf] = value
+    for part in parents:
+        node = node[_path_key(node, part, path)]
+    key = _path_key(node, leaf, path, leaf=True)
+    # An absent leaf is allowed: optional numeric fields (e.g. a photon's
+    # overlap) default away when 1.0; schema validation rejects junk keys.
+    current = node.get(key, 0.0) if isinstance(node, dict) else node[key]
+    if not isinstance(current, (int, float)) or isinstance(current, bool):
+        raise PresetError(f"scan path {path!r} does not address a numeric field")
+    node[key] = value
+
+
+def _scan_points(config: ExperimentConfig, path: str, range_spec: str):
+    """Yield (value, validated point config) for each value of scan()'s grid."""
+    values = parse_range(range_spec)
+    paths = [p.strip() for p in path.split(",") if p.strip()]
+    if not paths:
+        raise PresetError("scan needs at least one parameter path")
+    # from_dict copies what it keeps, so one raw dict serves every point.
+    raw = config.to_dict()
+    for value in values:
+        for p in paths:
+            _set_by_path(raw, p, value)
+        yield value, ExperimentConfig.from_dict(raw)
 
 
 def scan(config: ExperimentConfig, path: str, range_spec: str):
@@ -376,21 +373,25 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     Several comma-separated paths move together through the same values,
     e.g. both photons of a delayed pair sharing one overlap.
     """
-    values = parse_range(range_spec)
-    paths = [p.strip() for p in path.split(",") if p.strip()]
-    if not paths:
-        raise PresetError("scan needs at least one parameter path")
-    rows = []
-    for value in values:
-        raw = config.to_dict()
-        for p in paths:
-            _set_by_path(raw, p, value)
-        point = ExperimentConfig.from_dict(raw)
-        obs = evaluate_config(point)
-        row = {"param": value}
-        row.update(obs)
-        rows.append(row)
-    return rows
+    return [
+        {"param": value, **evaluate_config(point)}
+        for value, point in _scan_points(config, path, range_spec)
+    ]
+
+
+def _group_counts(state: PureState, groups: dict, order) -> dict:
+    """{photon count per detector group, in `order`: probability}."""
+    read = tuple(m for name in order for m in groups[name])
+    modes = sorted(set(read))  # the order of outcome_distribution's patterns
+    position = {m: order.index(name) for name in order for m in groups[name]}
+    table: dict = {}
+    for pattern, prob in outcome_distribution(state, read):
+        counts = [0] * len(order)
+        for m, c in zip(modes, pattern):
+            counts[position[m]] += c
+        key = tuple(counts)
+        table[key] = table.get(key, 0.0) + prob
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +423,7 @@ def _pair_product(registry, state1: PureState, state2: PureState) -> PureState:
     return PureState(registry, terms)
 
 
-def run_eq1_check(config: ExperimentConfig, params: dict):
+def run_eq1_check(config: ExperimentConfig, params: dict, seed: int, shots: int):
     circuit = compile_circuit(config)
     state = run(circuit)
     expected = 0.25
@@ -449,7 +450,7 @@ def run_eq1_check(config: ExperimentConfig, params: dict):
     return report, None, passed
 
 
-def run_bell_decomposition(config: ExperimentConfig, params: dict):
+def run_bell_decomposition(config: ExperimentConfig, params: dict, seed: int, shots: int):
     circuit = compile_circuit(config)
     state = run(circuit)
     registry = circuit.registry
@@ -488,26 +489,14 @@ def run_bell_decomposition(config: ExperimentConfig, params: dict):
     return report, None, passed
 
 
-def run_herald_table(config: ExperimentConfig, params: dict):
+def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: int):
     circuit = compile_circuit(config)
     state = run(circuit)
     registry = circuit.registry
     groups = _detector_groups(registry, config.detectors)
     order = ["D1h", "D1v", "D2h", "D2v"]
     read = tuple(m for name in order for m in groups[name])
-    dist = outcome_distribution(state, read)
-    read_sorted = tuple(sorted(set(read)))
-    group_of = {}
-    for name in order:
-        for m in groups[name]:
-            group_of[m] = name
-    table: dict = {}
-    for pattern, prob in dist:
-        counts = dict.fromkeys(order, 0)
-        for m, c in zip(read_sorted, pattern):
-            counts[group_of[m]] += c
-        key = tuple(counts[name] for name in order)
-        table[key] = table.get(key, 0.0) + prob
+    table = _group_counts(state, groups, order)
     rows = []
     # Rounded so that probabilities equal up to float noise tie and sort by pattern.
     for key in sorted(table, key=lambda k: (-round(table[k], 12), k)):
@@ -551,9 +540,8 @@ def run_herald_table(config: ExperimentConfig, params: dict):
     return report, None, True
 
 
-def run_hom_scan(config: ExperimentConfig, params: dict):
-    grid = params.get("scan", "0:1:0.05")
-    rows = scan(config, "sources.branches.0.photons.1.overlap", grid)
+def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
+    rows = scan(config, "sources.branches.0.photons.1.overlap", params["scan"])
     curve = [
         {
             "overlap": r["param"],
@@ -563,12 +551,11 @@ def run_hom_scan(config: ExperimentConfig, params: dict):
         for r in rows
     ]
     baseline = curve[0]["coincidence_probability"]
-    op_sq = params.get("operating_overlap_sq", 0.94)
     operating = evaluate_config(config)["p_coincidence"]
     report = {
         "scan_parameter": "source overlap of the second photon",
         "baseline_coincidence": baseline,
-        "operating_overlap_sq": op_sq,
+        "operating_overlap_sq": params["operating_overlap_sq"],
         "operating_coincidence": operating,
         "dip_visibility": 1.0 - operating / baseline if baseline else float("nan"),
         "points": len(curve),
@@ -578,59 +565,39 @@ def run_hom_scan(config: ExperimentConfig, params: dict):
 
 
 def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    grid = params.get("delta_range", "-600:600:1")
-    model = dict(config.model) if config.model else {}
-    fringe_period = model.get("fringe_period_um", 0.788)
-    coherence = model.get("coherence_length_um", 200.0)
-    values = parse_range(grid)
-    circuitless = config.to_dict()
+    model = OverlapModel(**config.model)
+    # Both photons of the delayed pair acquire the fringe phase.
+    effective_period = model.fringe_period_um / 2.0
+    points = _scan_points(config, "elements.0.delta_um", params["delta_range"])
     curve = []
-    for i, delta in enumerate(values):
-        raw = json.loads(json.dumps(circuitless))
-        _set_by_path(raw, "elements.0.delta_um", delta)
-        point = ExperimentConfig.from_dict(raw)
+    for i, (delta, point) in enumerate(points):
         circuit = compile_circuit(point)
-        state = run(circuit)
         groups = _detector_groups(circuit.registry, point.detectors)
-        read = tuple(m for g in ("D1", "D2") for m in groups[g])
-        dist = outcome_distribution(state, read)
-        read_sorted = tuple(sorted(set(read)))
-        d1 = set(groups["D1"])
-        p_coinc = 0.0
-        agg: dict = {}
-        for pattern, prob in dist:
-            n1 = sum(c for m, c in zip(read_sorted, pattern) if m in d1)
-            n2 = sum(pattern) - n1
-            agg[(n1, n2)] = agg.get((n1, n2), 0.0) + prob
-            if n1 == 1 and n2 == 1:
-                p_coinc += prob
-        row = {"delta_um": delta, "p_coincidence": p_coinc}
+        counts = _group_counts(run(circuit), groups, ("D1", "D2"))
+        row = {"delta_um": delta, "p_coincidence": counts.get((1, 1), 0.0)}
         if shots:
-            counted = dict(
-                sample_counts(sorted(agg.items()), shots, seed + i)
-            )
-            n = counted.get((1, 1), 0)
+            n = dict(sample_counts(sorted(counts.items()), shots, seed + i)).get((1, 1), 0)
             row["counts_coincidence"] = n
             row["error_coincidence"] = math.sqrt(max(1, n))
             row["shots"] = shots
         curve.append(row)
     deltas = [r["delta_um"] for r in curve]
     fit_analytic = fit_delay_fringe(
-        deltas, [r["p_coincidence"] for r in curve], fringe_period / 2.0
+        deltas, [r["p_coincidence"] for r in curve], effective_period
     )
     report = {
         "scan_parameter": "delay delta_um on the movable input",
-        "configured_peak_visibility": params.get("peak_visibility", 1.0),
-        "coherence_length_um": coherence,
-        "fringe_period_um": fringe_period,
-        "effective_fringe_period_um": fringe_period / 2.0,
+        "configured_peak_visibility": params["peak_visibility"],
+        "coherence_length_um": model.coherence_length_um,
+        "fringe_period_um": model.fringe_period_um,
+        "effective_fringe_period_um": effective_period,
         "fit_analytic": fit_analytic,
         "points": len(curve),
     }
     columns = ["delta_um", "p_coincidence"]
     if shots:
         fit_sampled = fit_delay_fringe(
-            deltas, [r["counts_coincidence"] for r in curve], fringe_period / 2.0
+            deltas, [r["counts_coincidence"] for r in curve], effective_period
         )
         report["fit_sampled"] = fit_sampled
         report["shots_per_point"] = shots
@@ -645,8 +612,7 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
     groups = _detector_groups(circuit.registry, config.detectors)
     requirements, read = _herald_request(groups, config.heralds[0])
     p_herald, rho = heralded_polarization_dm(state, requirements, read, config.kept)
-    step = params.get("theta_step_deg", 10.0)
-    thetas = parse_range(f"0:180:{step}")
+    thetas = parse_range(f"0:180:{params['theta_step_deg']}")
     curve = []
     analytic_curves = []
     sampled_curves = []
@@ -721,14 +687,14 @@ def run_chsh(config: ExperimentConfig, params: dict, seed: int, shots: int):
     groups = _detector_groups(circuit.registry, config.detectors)
     requirements, read = _herald_request(groups, config.heralds[0])
     p_herald, rho = heralded_polarization_dm(state, requirements, read, config.kept)
-    a, a_p, b, b_p = params.get("settings", (0.0, 45.0, 22.5, 67.5))
+    a, a_p, b, b_p = params["settings"]
     report_obj = chsh_S(rho, a, a_p, b, b_p, shots=shots or None, seed=seed)
     report = report_obj.to_dict()
     report["herald_probability"] = p_herald
     report["fidelity_phi_plus"] = fidelity(rho, BELL_STATES["phi_plus"])
     report["concurrence"] = concurrence(rho)
-    report["fusion_overlap_sq"] = params.get("fusion_overlap_sq", 1.0)
-    reference = params.get("reference")
+    report["fusion_overlap_sq"] = params["fusion_overlap_sq"]
+    reference = params["reference"]
     if reference:
         comparison = {}
         for key, value in reference.get("E", {}).items():
@@ -738,6 +704,62 @@ def run_chsh(config: ExperimentConfig, params: dict, seed: int, shots: int):
             comparison["S_delta"] = report["S"] - reference["S"]
         report["reference_comparison"] = comparison
     return report, None, True
+
+
+# ---------------------------------------------------------------------------
+# Preset table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Preset:
+    """build maps the full parameter dict to a raw config; run maps
+    (config, params, seed, shots) to (report, (columns, rows) or None,
+    passed).  defaults names every parameter the preset takes, besides
+    `convention`."""
+
+    build: Callable[[dict], dict]
+    run: Callable
+    defaults: dict
+    shots: int = 0
+
+
+PRESETS = {
+    "eq1-check": _Preset(lambda p: two_pbs_config(), run_eq1_check, {}),
+    "bell-decomposition": _Preset(lambda p: two_pbs_config(), run_bell_decomposition, {}),
+    "herald-table": _Preset(
+        lambda p: fusion_scheme_config(math.sqrt(p["fusion_overlap_sq"])),
+        run_herald_table,
+        {"fusion_overlap_sq": 1.0},
+    ),
+    "hom-scan": _Preset(
+        lambda p: hom_config(math.sqrt(p["operating_overlap_sq"])),
+        run_hom_scan,
+        {"operating_overlap_sq": 0.94, "scan": "0:1:0.05"},
+    ),
+    "fusion-delay-scan": _Preset(
+        lambda p: fusion_delay_config(p["peak_visibility"]),
+        run_fusion_delay_scan,
+        {"peak_visibility": 1.0, "delta_range": "-600:600:1"},
+        shots=10_000,
+    ),
+    "polarization-correlation": _Preset(
+        lambda p: polarizer_variant_config(
+            fusion_overlap=math.sqrt(p["visibility"]),
+            analyzer_walkoff=math.sqrt(p["visibility"]),
+        ),
+        run_polarization_correlation,
+        {"visibility": 0.89, "theta_step_deg": 10.0},
+        shots=10_000,
+    ),
+    "chsh": _Preset(
+        lambda p: polarizer_variant_config(math.sqrt(p["fusion_overlap_sq"])),
+        run_chsh,
+        {"fusion_overlap_sq": 1.0, "settings": (0.0, 45.0, 22.5, 67.5), "reference": None},
+    ),
+}
+
+PRESET_NAMES = tuple(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -772,12 +794,15 @@ def _flatten_value(value) -> str:
     return _format_cell(value)
 
 
+def csv_text(columns, rows) -> str:
+    """A versioned CSV: the schema line, the column header, one line per row."""
+    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
+    lines += [",".join(_format_cell(row.get(c, "")) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path: Path, columns, rows):
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(row.get(c, "")) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text(csv_text(columns, rows), encoding="utf-8")
 
 
 def _json_default(value):
@@ -794,11 +819,12 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
+def json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+
+
 def write_json(path: Path, payload: dict):
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n",
-        encoding="utf-8",
-    )
+    path.write_text(json_text(payload), encoding="utf-8")
 
 
 @dataclass
@@ -823,32 +849,16 @@ def run_preset(
     Exit code 0 on success, 2 when a check-style preset misses its
     threshold; errors raise (the CLI maps them to exit code 1).
     """
-    if name not in PRESET_NAMES:
-        raise PresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
     params = dict(overrides or {})
     if convention:
         params["convention"] = convention
     config = build_preset_config(name, params)
+    preset = PRESETS[name]
     if seed is None:
         seed = 2024
     if shots is None:
-        shots = _default_shots(name)
-
-    curve = None
-    if name == "eq1-check":
-        report, curve, ok = run_eq1_check(config, params)
-    elif name == "bell-decomposition":
-        report, curve, ok = run_bell_decomposition(config, params)
-    elif name == "herald-table":
-        report, curve, ok = run_herald_table(config, params)
-    elif name == "hom-scan":
-        report, curve, ok = run_hom_scan(config, params)
-    elif name == "fusion-delay-scan":
-        report, curve, ok = run_fusion_delay_scan(config, params, seed, shots)
-    elif name == "polarization-correlation":
-        report, curve, ok = run_polarization_correlation(config, params, seed, shots)
-    else:
-        report, curve, ok = run_chsh(config, params, seed, shots)
+        shots = preset.shots
+    report, curve, ok = preset.run(config, {**preset.defaults, **params}, seed, shots)
 
     exit_code = 0 if ok else 2
     files = []
@@ -886,11 +896,3 @@ def run_preset(
         write_json(manifest_path, manifest)
         files.append(str(manifest_path))
     return PresetResult(name, report, files, exit_code)
-
-
-def _default_shots(name: str) -> int:
-    if name == "fusion-delay-scan":
-        return 10_000
-    if name == "polarization-correlation":
-        return 10_000
-    return 0

@@ -335,10 +335,6 @@ class TestSampleCounts:
         assert sample_counts(d, 1000, seed=42) == sample_counts(d, 1000, seed=42)
         assert sample_counts(d, 1000, seed=42) != sample_counts(d, 1000, seed=43)
 
-    def test_poisson_mode(self):
-        counts = dict(sample_counts([("a", 0.5), ("b", 0.5)], 10_000, seed=3, mode="poisson"))
-        assert abs(counts["a"] - 5000) < 5 * math.sqrt(5000)
-
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError, match="sum"):
             sample_counts([("a", 0.4), ("b", 0.4)], 10, seed=1)

@@ -4,7 +4,7 @@ import pytest
 
 from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
 from eventready.config import validate_config_dict
-from eventready.presets import fusion_scheme_config
+from eventready.presets import PRESETS, build_preset_config, fusion_scheme_config
 
 
 MINIMAL = {
@@ -71,15 +71,26 @@ class TestParseConfig:
         assert config.to_dict() == again.to_dict()
         assert config.config_hash() == again.config_hash()
 
-    def test_shipped_fig1_file_matches_builtin(self):
+    @pytest.mark.parametrize(
+        "filename, preset",
+        [
+            ("eq1_check.json", "eq1-check"),
+            ("fig1_ideal.json", "herald-table"),
+            ("hom_scan.json", "hom-scan"),
+            ("fusion_delay_scan.json", "fusion-delay-scan"),
+            ("polarization_correlation.json", "polarization-correlation"),
+            ("chsh_ideal.json", "chsh"),
+        ],
+    )
+    def test_shipped_file_matches_builtin(self, filename, preset):
         from importlib import resources
 
-        data = resources.files("eventready") / "presets_data" / "fig1_ideal.json"
+        data = resources.files("eventready") / "presets_data" / filename
         raw = json.loads(data.read_text())
-        assert raw == fusion_scheme_config()
+        entry = PRESETS[preset]
+        assert raw == entry.build(entry.defaults)
         parsed = ExperimentConfig.from_dict(raw)
-        builtin = ExperimentConfig.from_dict(fusion_scheme_config())
-        assert parsed.to_dict() == builtin.to_dict()
+        assert parsed.config_hash() == build_preset_config(preset, {}).config_hash()
 
     def test_every_shipped_file_validates(self):
         from importlib import resources

@@ -1,7 +1,11 @@
+import ast
+import importlib
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,16 +58,37 @@ class TestScan:
         assert fids[-1] == pytest.approx(1.0, abs=1e-12)
         assert all(a <= b + 1e-12 for a, b in zip(fids, fids[1:]))
 
-    def test_non_numeric_path_rejected(self):
-        config = build_preset_config("chsh", {})
-        with pytest.raises(PresetError, match="numeric"):
-            scan(config, "name", "0:1:0.5")
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ("name", "does not address a numeric field"),
+            ("sources.branches.5.photons.0.overlap", "no field '5'"),
+            ("sources.branches.x.photons.0.overlap", "no field 'x'"),
+            ("elements.0.kind.x", "no field 'x'"),
+        ],
+        ids=["string-leaf", "index-out-of-range", "non-integer-index", "field-of-a-string"],
+    )
+    def test_non_numeric_path_rejected(self, tmp_path, capsys, path, message):
+        from eventready.presets import hom_config
+
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), "--scan", f"{path}=0:1:0.5"]) == 1
+        assert f"eventready: error: scan path {path!r}" in capsys.readouterr().err
+        with pytest.raises(PresetError, match=message):
+            scan(ExperimentConfig.from_dict(hom_config()), path, "0:1:0.5")
 
 
 class TestPresets:
     def test_unknown_preset_rejected(self):
         with pytest.raises(PresetError, match="unknown preset"):
             run_preset("warp-drive")
+
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(PresetError, match="no parameter 'visiblity'"):
+            run_preset("polarization-correlation", overrides={"visiblity": 0.9})
+        with pytest.raises(PresetError, match="no parameter 'scan'"):
+            build_preset_config("chsh", {"scan": "0:1:0.5"})
 
     def test_eq1_check_passes_and_emits(self, tmp_path):
         result = run_preset("eq1-check", out_dir=tmp_path)
@@ -218,7 +243,7 @@ class TestCli:
         raw = two_pbs_config()
         raw["elements"].append({"kind": "hwp", "port": "A1", "angle_deg": 22.5})
         config = ExperimentConfig.from_dict(raw)
-        report, _, ok = run_eq1_check(config, {})
+        report, _, ok = run_eq1_check(config, {}, 0, 0)
         assert not ok
 
     def test_missing_selector_is_error(self, capsys):
@@ -292,7 +317,9 @@ class TestCli:
         cfg_path.write_text(json.dumps(hom_config()))
         argv = ["--config", str(cfg_path), "--scan", "sources.branches.0.photons.1.overlap=0:1:0.5"]
         assert main([*argv, "--format", "csv"]) == 0
-        assert capsys.readouterr().out.splitlines()[0].startswith("param,")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "# schema_version=1"
+        assert lines[1].startswith("param,")
 
     def test_print_schema(self, capsys):
         assert main(["--print-schema"]) == 0
@@ -306,11 +333,20 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_convention_flag_round_trip(self, tmp_path):
-        code = main(["--preset", "eq1-check", "--convention", "i-reflect", "--out", str(tmp_path)])
-        assert code == 0
-        manifest = json.loads((tmp_path / "eq1-check.manifest.json").read_text())
-        assert manifest["convention"] == "i-reflect"
+    @pytest.mark.parametrize(
+        "preset, key",
+        [("eq1-check", "amplitudes"), ("hom-scan", "operating_coincidence")],
+        ids=["eq1-check", "hom-scan"],
+    )
+    def test_convention_flag_round_trip(self, tmp_path, preset, key):
+        values = {}
+        for convention in ("perm", "i-reflect"):
+            out = tmp_path / convention
+            assert main(["--preset", preset, "--convention", convention, "--out", str(out)]) == 0
+            manifest = json.loads((out / f"{preset}.manifest.json").read_text())
+            assert manifest["convention"] == convention
+            values[convention] = json.loads((out / f"{preset}.report.json").read_text())[key]
+        assert values["i-reflect"] != values["perm"]
 
     def test_csv_report_format(self, tmp_path):
         code = main(["--preset", "chsh", "--out", str(tmp_path), "--format", "csv"])
@@ -321,3 +357,25 @@ class TestCli:
         rows = dict(line.split(",", 1) for line in lines[2:])
         assert float(rows["S"]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
         assert "E.ab" in rows
+
+
+def test_demo_and_readme_imports_resolve():
+    """Every `from eventready... import NAME` in the demos and the README's
+    python blocks names something the package has; nothing is run."""
+    root = Path(__file__).resolve().parent.parent
+    sources = {p.name: p.read_text() for p in sorted((root / "demos").glob("*.py"))}
+    readme = (root / "README.md").read_text()
+    for i, block in enumerate(re.findall(r"```python\n(.*?)```", readme, re.S)):
+        sources[f"README.md python block {i}"] = block
+    assert len(sources) >= 8
+    missing = []
+    for where, code in sources.items():
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "eventready":
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{where}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+    assert missing == []
