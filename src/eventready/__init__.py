@@ -12,7 +12,6 @@ from ._version import __version__
 from .analysis import (
     BELL_STATES,
     ChshReport,
-    HeraldPattern,
     analyzer_probabilities,
     chsh_S,
     concurrence,
@@ -21,7 +20,6 @@ from .analysis import (
     fit_delay_fringe,
     fit_sinusoid,
     group_herald_outcomes,
-    herald,
     heralded_polarization_dm,
     joint_visibility,
     outcome_distribution,
@@ -37,7 +35,6 @@ from .distinguishability import (
     overlap_from_delay,
 )
 from .elements import (
-    ElementSpec,
     beamsplitter,
     bin_mixer,
     compose,
@@ -77,11 +74,9 @@ __all__ = [
     "ChshReport",
     "Circuit",
     "ConfigError",
-    "ElementSpec",
     "ExperimentConfig",
     "FockError",
     "H",
-    "HeraldPattern",
     "ModeId",
     "ModeRegistry",
     "ModeTransform",
@@ -111,7 +106,6 @@ __all__ = [
     "fit_delay_fringe",
     "fit_sinusoid",
     "group_herald_outcomes",
-    "herald",
     "heralded_polarization_dm",
     "hwp",
     "inner_product",

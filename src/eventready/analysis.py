@@ -1,11 +1,9 @@
 """Detection outcomes, heralding, two-qubit figures of merit, sampling.
 
-Detector patterns come in two granularities.  A HeraldPattern pins the
-exact occupation of individual modes and so conditions onto a pure state.
-Physical detectors do not resolve temporal bins, so group-level heralds
-(count per spatial-label/polarization group) are handled by enumerating
-the consistent exact patterns and summing their conditional density
-matrices.
+Physical detectors do not resolve temporal bins, so a herald requires a
+count per detector group (a spatial label, optionally one polarization).
+Each exact pattern on the read modes that is consistent with those counts
+conditions onto a pure state; the herald's density matrix sums them.
 """
 
 from __future__ import annotations
@@ -36,29 +34,6 @@ class HeraldError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class HeraldPattern:
-    """Exact photon-count requirement on detector modes.
-
-    requirements maps ModeId -> exact count; every mode of read_out that
-    is not listed is required to hold zero photons.
-    """
-
-    requirements: tuple  # of (ModeId, int)
-    read_out: tuple  # of ModeId
-
-    @staticmethod
-    def make(requirements: dict, read_out) -> "HeraldPattern":
-        reqs = tuple(sorted(requirements.items()))
-        read = tuple(sorted(set(read_out) | set(requirements)))
-        counts = [c for _, c in reqs]
-        if any(c < 0 for c in counts):
-            raise HeraldError("herald counts must be non-negative")
-        if not any(c > 0 for c in counts):
-            raise HeraldError("herald needs at least one strictly positive count")
-        return HeraldPattern(reqs, read)
-
-
 def outcome_distribution(state: PureState, detector_modes):
     """Marginal probabilities of exact count patterns on detector modes.
 
@@ -74,71 +49,47 @@ def outcome_distribution(state: PureState, detector_modes):
     return sorted(probs.items())
 
 
-def herald(state: PureState, pattern: HeraldPattern):
-    """Project onto one exact detector pattern and strip the detected modes.
-
-    Returns (probability, conditional state on the kept modes).  The
-    conditional state keeps the full registry; detector modes read zero.
-    """
-    registry = state.registry
-    required = {registry.index(m): c for m, c in pattern.requirements}
-    for m in pattern.read_out:
-        i = registry.index(m)
-        required.setdefault(i, 0)
-    kept_terms = {}
-    prob = 0.0
-    for occ, amp in state.terms.items():
-        if all(occ[i] == c for i, c in required.items()):
-            prob += abs(amp) ** 2
-            stripped = list(occ)
-            for i in required:
-                stripped[i] = 0
-            key = tuple(stripped)
-            kept_terms[key] = kept_terms.get(key, 0.0j) + amp
-    if prob <= 0.0:
-        raise HeraldError("herald impossible: pattern has zero probability")
-    scale = 1.0 / math.sqrt(prob)
-    conditional = PureState(registry, {o: a * scale for o, a in kept_terms.items()})
-    return prob, conditional
-
-
 def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
     """All exact patterns consistent with bin-blind group counts.
 
     group_requirements maps a group name to (modes tuple, exact count).
-    read_out lists every mode being read; modes not inside any required
-    group must be empty.  Returns a list of (probability, conditional
-    PureState) over the matching exact patterns.
+    The modes of read_out and of every required group are read; read
+    modes outside the groups must be empty.  Returns (probability,
+    conditional PureState with the read modes emptied) for each matching
+    exact pattern, sorted by pattern.
     """
     registry = state.registry
-    read = tuple(sorted(set(read_out)))
-    read_idx = [registry.index(m) for m in read]
-    grouped_modes = set()
-    for modes, _ in group_requirements.values():
-        grouped_modes.update(modes)
-    zero_idx = [registry.index(m) for m in read if m not in grouped_modes]
+    read = set(read_out).union(*(modes for modes, _ in group_requirements.values()))
+    read_idx = [registry.index(m) for m in sorted(read)]
+    groups = [
+        ([registry.index(m) for m in modes], count)
+        for modes, count in group_requirements.values()
+    ]
+    grouped = {i for idxs, _ in groups for i in idxs}
+    zero_idx = [i for i in read_idx if i not in grouped]
 
-    patterns = set()
-    for occ in state.terms:
-        if any(occ[i] != 0 for i in zero_idx):
+    probs: dict = {}
+    buckets: dict = {}
+    for occ, amp in state.terms.items():
+        if any(occ[i] for i in zero_idx):
             continue
-        ok = True
-        for modes, count in group_requirements.values():
-            if sum(occ[registry.index(m)] for m in modes) != count:
-                ok = False
-                break
-        if ok:
-            patterns.add(tuple(occ[i] for i in read_idx))
-
-    outcomes = []
-    for pat in sorted(patterns):
-        if not any(pat):
+        if any(sum(occ[i] for i in idxs) != count for idxs, count in groups):
             continue
-        hp = HeraldPattern.make({m: c for m, c in zip(read, pat) if c > 0}, read)
-        prob, cond = herald(state, hp)
-        outcomes.append((prob, cond))
-    if not outcomes:
+        pattern = tuple(occ[i] for i in read_idx)
+        if not any(pattern):
+            continue
+        emptied = list(occ)
+        for i in read_idx:
+            emptied[i] = 0
+        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
+        buckets.setdefault(pattern, {})[tuple(emptied)] = amp
+    if not buckets:
         raise HeraldError("herald impossible: no exact pattern matches the group counts")
+    outcomes = []
+    for pattern in sorted(buckets):
+        scale = 1.0 / math.sqrt(probs[pattern])
+        terms = {occ: amp * scale for occ, amp in buckets[pattern].items()}
+        outcomes.append((probs[pattern], PureState(registry, terms)))
     return outcomes
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
-from .elements import ElementError, ElementSpec, compose, lower_element
+from .elements import ElementError, _complex, compose, element_ports, lower_element
 from .fock import (
     UNITARY_TOL,
     ModeTransform,
@@ -67,19 +67,16 @@ class Circuit:
         return superpose(states, [b.amplitude for b in self.branches])
 
 
-def _photon_from_source(registry: ModeRegistry, src: dict) -> PhotonSpec:
+def _photon_from_source(src: dict) -> PhotonSpec:
     spatial = src["spatial"]
     if "pol_amps" in src:
-        ph, pv = (complex(*c) if isinstance(c, (list, tuple)) else complex(c) for c in src["pol_amps"])
-        pol = (ph, pv)
+        pol = tuple(_complex(c) for c in src["pol_amps"])
     else:
         pol = PhotonSpec.from_angle(spatial, float(src.get("pol_angle_deg", 45.0))).pol_amps
     if "bins" in src:
-        bins = tuple(
-            complex(*b) if isinstance(b, (list, tuple)) else complex(b) for b in src["bins"]
-        )
+        bins = tuple(_complex(b) for b in src["bins"])
     else:
-        bins = bins_for_reference_overlap(complex(src.get("overlap", 1.0)))
+        bins = bins_for_reference_overlap(_complex(src.get("overlap", 1.0)))
     return PhotonSpec(spatial, pol, bins)
 
 
@@ -97,54 +94,39 @@ def compile_circuit(config) -> Circuit:
     model = OverlapModel(**config.model) if config.model else OverlapModel()
 
     seen_losses = set()
-    specs = []
-    for i, el in enumerate(config.elements):
-        spec = ElementSpec(
-            kind=el["kind"],
-            ports=tuple(el.get("ports") or ([el["port"]] if "port" in el else [])),
-            angle_deg=el.get("angle_deg"),
-            phi=el.get("phi"),
-            transmissivity=el.get("transmissivity"),
-            delta_um=el.get("delta_um"),
-            overlap=el.get("overlap"),
-            pol=el.get("pol"),
-            loss=el.get("loss"),
-            bin_map={int(k): int(v) for k, v in el["bin_map"].items()} if el.get("bin_map") else None,
-        )
-        for port in spec.ports:
-            if not registry.has_spatial(port):
-                raise CircuitError(f"elements[{i}]: unbound spatial label {port!r}")
-        if spec.kind == "polarizer":
-            if spec.loss in seen_losses:
-                raise CircuitError(f"elements[{i}]: duplicate loss label {spec.loss!r}")
-            if spec.loss is not None and not registry.has_spatial(spec.loss):
-                raise CircuitError(f"elements[{i}]: unbound loss label {spec.loss!r}")
-            seen_losses.add(spec.loss)
-        specs.append(spec)
-
     steps = []
-    for i, spec in enumerate(specs):
+    for i, el in enumerate(config.elements):
+        path = f"$.elements.{i}"
+        for port in element_ports(el):
+            if not registry.has_spatial(port):
+                raise CircuitError(f"{path}: unbound spatial label {port!r}")
+        loss = el.get("loss")
+        if loss is not None:
+            if loss in seen_losses:
+                raise CircuitError(f"{path}.loss: duplicate loss label {loss!r}")
+            if not registry.has_spatial(loss):
+                raise CircuitError(f"{path}.loss: unbound loss label {loss!r}")
+            seen_losses.add(loss)
         try:
-            transforms = lower_element(spec, registry, model=model, convention=config.convention)
+            transforms = lower_element(el, registry, model=model, convention=config.convention)
         except ElementError as exc:
-            raise CircuitError(f"elements[{i}]: {exc}") from exc
+            raise CircuitError(f"{path}: {exc}") from exc
         for t in transforms:
             report = check_unitarity(t)
             if not report.ok:
-                raise CircuitError(f"elements[{i}]: non-unitary lowering: {report}")
-            steps.append((t.name or spec.kind, t))
+                raise CircuitError(f"{path}: non-unitary lowering: {report}")
+            steps.append((t.name or el["kind"], t))
 
     branches = []
-    for br in config.source_branches:
-        photons = tuple(_photon_from_source(registry, s) for s in br["photons"])
-        for p in photons:
-            if p.spatial in seen_losses:
+    for b, br in enumerate(config.source_branches):
+        photons = tuple(_photon_from_source(s) for s in br["photons"])
+        for p, photon in enumerate(photons):
+            if photon.spatial in seen_losses:
                 raise CircuitError(
-                    f"source photon on {p.spatial!r}: loss labels must start in vacuum"
+                    f"$.sources.branches.{b}.photons.{p}.spatial: "
+                    f"loss label {photon.spatial!r} must start in vacuum"
                 )
-        amp = br.get("amplitude", 1.0)
-        amp = complex(*amp) if isinstance(amp, (list, tuple)) else complex(amp)
-        branches.append(SourceBranch(amp, photons))
+        branches.append(SourceBranch(_complex(br.get("amplitude", 1.0)), photons))
     if not branches:
         raise CircuitError("config declares no source photons")
 

@@ -17,6 +17,7 @@ from .presets import (
     csv_text,
     evaluate_config,
     json_text,
+    report_table,
     run_preset,
     scan,
     write_csv,
@@ -113,7 +114,10 @@ def main(argv=None) -> int:
             fmt=args.fmt,
         )
         if args.out is None:
-            sys.stdout.write(json_text(result.report))
+            if args.fmt == "csv":
+                sys.stdout.write(csv_text(*report_table(result.report)))
+            else:
+                sys.stdout.write(json_text(result.report))
         else:
             for path in result.files:
                 print(f"wrote {path}")

@@ -1,9 +1,11 @@
 """Experiment configuration: JSON schema, parsing, cross-reference checks.
 
 A config is a plain JSON document.  Validation reports every schema
-violation at once, not just the first, and then checks label
-cross-references (element ports, detector groups, herald names, kept
-arms) against the declared spatial labels.
+violation at once, not just the first.  It then checks each element
+against its kind's entry in `elements.ELEMENT_KINDS`, rejects photon
+fields that would override each other, and checks label cross-references
+(element ports, detector groups, herald names, kept arms) against the
+declared spatial labels.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import jsonschema
+
+from .elements import ELEMENT_KINDS, element_ports
 
 SCHEMA_VERSION = 1
 
@@ -150,18 +154,7 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": [
-                        "pbs",
-                        "rpbs",
-                        "hwp",
-                        "polarizer",
-                        "phase",
-                        "beamsplitter",
-                        "delay",
-                        "bin_mixer",
-                    ]
-                },
+                "kind": {"enum": list(ELEMENT_KINDS)},
                 "port": {"type": "string"},
                 "ports": {
                     "type": "array",
@@ -267,26 +260,44 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _element_violations(path: str, el: dict):
+    """Unread fields, missing fields and port problems of one element, from its kind's entry."""
+    name = el["kind"]
+    kind = ELEMENT_KINDS[name]
+    fields = ("kind", "port", "ports", *kind.required, *kind.optional)
+    problems = [f"{path}.{key}: not a field of {name}" for key in el if key not in fields]
+    problems += [f"{path}.{key}: {name} needs {key}" for key in kind.required if key not in el]
+    if "port" in el and "ports" in el:
+        problems.append(f"{path}: set port or ports, not both")
+    ports = element_ports(el)
+    if len(ports) != kind.ports or len(set(ports)) != kind.ports:
+        needs = ("one port", "two distinct ports")[kind.ports - 1]
+        where = "ports" if "ports" in el else "port"
+        problems.append(f"{path}.{where}: {name} needs {needs}, got {ports}")
+    return problems
+
+
 def _cross_reference_violations(raw: dict):
+    """Checks that need a schema-valid config: field combinations and labels."""
     labels = set(raw.get("spatial_labels", []))
     problems = []
     for b, branch in enumerate(raw.get("sources", {}).get("branches", [])):
         for p, photon in enumerate(branch.get("photons", [])):
+            path = f"$.sources.branches.{b}.photons.{p}"
+            for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
+                if first in photon and second in photon:
+                    problems.append(f"{path}: set {first} or {second}, not both")
             s = photon.get("spatial")
             if s not in labels:
-                problems.append(
-                    f"$.sources.branches[{b}].photons[{p}].spatial: dangling label {s!r}"
-                )
+                problems.append(f"{path}.spatial: dangling label {s!r}")
     for i, el in enumerate(raw.get("elements", [])):
-        ports = el.get("ports") or ([el["port"]] if "port" in el else [])
-        if not ports:
-            problems.append(f"$.elements[{i}]: element binds no port")
-        for port in ports:
+        problems.extend(_element_violations(f"$.elements.{i}", el))
+        for port in element_ports(el):
             if port not in labels:
-                problems.append(f"$.elements[{i}]: dangling label {port!r}")
+                problems.append(f"$.elements.{i}: dangling label {port!r}")
         loss = el.get("loss")
         if loss is not None and loss not in labels:
-            problems.append(f"$.elements[{i}].loss: dangling label {loss!r}")
+            problems.append(f"$.elements.{i}.loss: dangling label {loss!r}")
     detector_names = set()
     for name, det in raw.get("detectors", {}).items():
         detector_names.add(name)
@@ -295,10 +306,10 @@ def _cross_reference_violations(raw: dict):
     for i, herald_spec in enumerate(raw.get("heralds", [])):
         for key in herald_spec.get("require", {}):
             if key not in detector_names:
-                problems.append(f"$.heralds[{i}].require: unknown detector {key!r}")
+                problems.append(f"$.heralds.{i}.require: unknown detector {key!r}")
         for key in herald_spec.get("zero", []):
             if key not in detector_names:
-                problems.append(f"$.heralds[{i}].zero: unknown detector {key!r}")
+                problems.append(f"$.heralds.{i}.zero: unknown detector {key!r}")
     for arm in raw.get("kept", []) or []:
         if arm not in labels:
             problems.append(f"$.kept: dangling label {arm!r}")

@@ -18,7 +18,8 @@ Polarization conventions, fixed across the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,20 +34,9 @@ class ElementError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ElementSpec:
-    """Declarative description of one element, as found in config files."""
-
-    kind: str
-    ports: tuple
-    angle_deg: float | None = None
-    phi: float | None = None
-    transmissivity: float | None = None
-    delta_um: float | None = None
-    overlap: complex | None = None
-    pol: str | None = None
-    loss: str | None = None
-    bin_map: dict | None = None
+def _complex(value) -> complex:
+    """A config's complex number: a plain number or an [re, im] pair."""
+    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
 
 
 def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2) -> ModeTransform:
@@ -229,52 +219,86 @@ def delay(
     return ModeTransform(t.modes, t.matrix, name=f"delay({s},{delta_um}um)")
 
 
+def _bin_args(el: dict) -> dict:
+    """The pol and bin_map keywords of delay and bin_mixer, from a config element."""
+    bin_map = el.get("bin_map")
+    return {
+        "pol": el.get("pol"),
+        "bin_map": {int(k): int(v) for k, v in bin_map.items()} if bin_map else None,
+    }
+
+
+class ElementKind(NamedTuple):
+    """Port count, fields and lowering of one config element kind.
+
+    lower(registry, ports, el, model, convention) returns the kind's
+    ModeTransform sequence for the config element dict el.
+    """
+
+    ports: int
+    required: tuple
+    optional: tuple
+    lower: Callable
+
+
+# Every element kind a config may name, in the schema's order.
+ELEMENT_KINDS = {
+    "pbs": ElementKind(2, (), (), lambda reg, p, el, model, conv: [pbs(reg, *p, conv)]),
+    "rpbs": ElementKind(2, (), (), lambda reg, p, el, model, conv: rpbs(reg, *p, conv)),
+    "hwp": ElementKind(
+        1,
+        ("angle_deg",),
+        (),
+        lambda reg, p, el, model, conv: [hwp(reg, *p, el["angle_deg"])],
+    ),
+    "polarizer": ElementKind(
+        1,
+        ("angle_deg", "loss"),
+        (),
+        lambda reg, p, el, model, conv: [polarizer(reg, *p, el["angle_deg"], el["loss"])],
+    ),
+    "phase": ElementKind(
+        1,
+        (),
+        ("phi", "pol"),
+        lambda reg, p, el, model, conv: [phase_shift(reg, *p, el.get("phi", 0.0), pol=el.get("pol"))],
+    ),
+    "beamsplitter": ElementKind(
+        2,
+        ("transmissivity",),
+        (),
+        lambda reg, p, el, model, conv: [beamsplitter(reg, *p, el["transmissivity"])],
+    ),
+    "delay": ElementKind(
+        1,
+        ("delta_um",),
+        ("pol", "bin_map"),
+        lambda reg, p, el, model, conv: [delay(reg, *p, el["delta_um"], model=model, **_bin_args(el))],
+    ),
+    "bin_mixer": ElementKind(
+        1,
+        ("overlap",),
+        ("pol", "bin_map"),
+        lambda reg, p, el, model, conv: [bin_mixer(reg, *p, _complex(el["overlap"]), **_bin_args(el))],
+    ),
+}
+
+
+def element_ports(el: dict) -> list:
+    """The spatial labels a config element binds: `ports`, else `[port]`."""
+    if "ports" in el:
+        return list(el["ports"])
+    return [el["port"]] if "port" in el else []
+
+
 def lower_element(
-    spec: ElementSpec,
+    el: dict,
     registry: ModeRegistry,
     model: OverlapModel | None = None,
     convention: str = "perm",
 ):
-    """Lower one ElementSpec to its ModeTransform sequence."""
-    kind = spec.kind
-    ports = tuple(spec.ports)
-    two_port = {"pbs", "rpbs", "beamsplitter"}
-    if kind in two_port:
-        if len(ports) != 2 or ports[0] == ports[1]:
-            raise ElementError(f"{kind} needs exactly two distinct ports, got {ports}")
-    elif len(ports) != 1:
-        raise ElementError(f"{kind} needs exactly one port, got {ports}")
-    if kind == "pbs":
-        return [pbs(registry, ports[0], ports[1], convention)]
-    if kind == "rpbs":
-        return rpbs(registry, ports[0], ports[1], convention)
-    if kind == "hwp":
-        if spec.angle_deg is None:
-            raise ElementError("hwp needs angle_deg")
-        return [hwp(registry, ports[0], spec.angle_deg)]
-    if kind == "polarizer":
-        if spec.angle_deg is None or spec.loss is None:
-            raise ElementError("polarizer needs angle_deg and a loss label")
-        return [polarizer(registry, ports[0], spec.angle_deg, spec.loss)]
-    if kind == "phase":
-        return [phase_shift(registry, ports[0], spec.phi or 0.0, pol=spec.pol)]
-    if kind == "beamsplitter":
-        if spec.transmissivity is None:
-            raise ElementError("beamsplitter needs transmissivity")
-        return [beamsplitter(registry, ports[0], ports[1], spec.transmissivity)]
-    if kind == "delay":
-        if spec.delta_um is None:
-            raise ElementError("delay needs delta_um")
-        return [
-            delay(registry, ports[0], spec.delta_um, model=model, pol=spec.pol, bin_map=spec.bin_map)
-        ]
-    if kind == "bin_mixer":
-        if spec.overlap is None:
-            raise ElementError("bin_mixer needs overlap")
-        return [
-            bin_mixer(registry, ports[0], spec.overlap, pol=spec.pol, bin_map=spec.bin_map)
-        ]
-    raise ElementError(f"unknown element kind {kind!r}")
+    """Lower one validated config element to its ModeTransform sequence."""
+    return ELEMENT_KINDS[el["kind"]].lower(registry, element_ports(el), el, model, convention)
 
 
 def compose(transforms) -> ModeTransform:

@@ -794,6 +794,12 @@ def _flatten_value(value) -> str:
     return _format_cell(value)
 
 
+def report_table(report: dict):
+    """A report as CSV (columns, rows): one sorted key,value row per flattened field."""
+    flat = _flatten_report(report)
+    return ["key", "value"], [{"key": k, "value": _flatten_value(flat[k])} for k in sorted(flat)]
+
+
 def csv_text(columns, rows) -> str:
     """A versioned CSV: the schema line, the column header, one line per row."""
     lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
@@ -867,11 +873,7 @@ def run_preset(
         out.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             report_path = out / f"{name}.report.csv"
-            write_csv(
-                report_path,
-                ["key", "value"],
-                [{"key": k, "value": _flatten_value(v)} for k, v in sorted(_flatten_report(report).items())],
-            )
+            write_csv(report_path, *report_table(report))
         else:
             report_path = out / f"{name}.report.json"
             write_json(report_path, report)

@@ -1,22 +1,27 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventready import (
     BELL_STATES,
     ExperimentConfig,
-    HeraldPattern,
     ModeId,
     ModeRegistry,
+    ModeTransform,
+    apply_mode_unitary,
     basis_state,
     chsh_S,
     compile_circuit,
+    compose,
     concurrence,
     correlation_E,
     fidelity,
     fit_sinusoid,
-    herald,
+    group_herald_outcomes,
     heralded_polarization_dm,
     joint_visibility,
     outcome_distribution,
@@ -26,7 +31,10 @@ from eventready import (
     visibility,
 )
 from eventready.analysis import HeraldError, analyzer_probabilities
+from eventready.fock import FockError
 from eventready.presets import fusion_scheme_config, polarizer_variant_config, _detector_groups
+
+from oracles import random_unitary
 
 PHI = BELL_STATES["phi_plus"]
 RHO_PHI = np.outer(PHI, PHI.conj())
@@ -85,15 +93,22 @@ class TestOutcomeDistribution:
         assert sum(p for _, p in dist) == pytest.approx(1.0, abs=1e-10)
 
 
+def exact_herald(state, counts, read):
+    """The one outcome of a herald with one single-mode group per required mode."""
+    groups = {str(m): ((m,), c) for m, c in counts.items()}
+    ((prob, conditional),) = group_herald_outcomes(state, groups, read)
+    return prob, conditional
+
+
 class TestHerald:
     def test_hh_pattern_collapses_to_phi_plus(self):
         circuit, state = fig1_state()
         reg = circuit.registry
-        pattern = HeraldPattern.make(
+        prob, conditional = exact_herald(
+            state,
             {ModeId("A2", "H", 0): 1, ModeId("B2", "H", 0): 1},
             reg.group("A2") + reg.group("B2"),
         )
-        prob, conditional = herald(state, pattern)
         assert prob == pytest.approx(1 / 32, abs=1e-12)
         from eventready import partial_trace_to_polarization
 
@@ -103,11 +118,11 @@ class TestHerald:
     def test_hv_pattern_collapses_to_psi_plus(self):
         circuit, state = fig1_state()
         reg = circuit.registry
-        pattern = HeraldPattern.make(
+        prob, conditional = exact_herald(
+            state,
             {ModeId("A2", "H", 0): 1, ModeId("B2", "V", 0): 1},
             reg.group("A2") + reg.group("B2"),
         )
-        prob, conditional = herald(state, pattern)
         assert prob == pytest.approx(1 / 32, abs=1e-12)
         from eventready import partial_trace_to_polarization
 
@@ -118,21 +133,16 @@ class TestHerald:
         # Ideal photons live in bin 0; bin 3 is empty in every term.
         circuit, state = fig1_state()
         reg = circuit.registry
-        pattern = HeraldPattern.make(
-            {ModeId("A2", "H", 3): 1},
-            reg.group("A2") + reg.group("B2"),
-        )
         with pytest.raises(HeraldError, match="impossible"):
-            herald(state, pattern)
+            exact_herald(state, {ModeId("A2", "H", 3): 1}, reg.group("A2") + reg.group("B2"))
 
     def test_probability_matches_outcome_distribution(self):
         circuit, state = fig1_state()
         reg = circuit.registry
         read = reg.group("A2") + reg.group("B2")
-        pattern = HeraldPattern.make(
-            {ModeId("A2", "H", 0): 1, ModeId("B2", "H", 0): 1}, read
+        prob, _ = exact_herald(
+            state, {ModeId("A2", "H", 0): 1, ModeId("B2", "H", 0): 1}, read
         )
-        prob, _ = herald(state, pattern)
         read_sorted = tuple(sorted(set(read)))
         want = {m: 0 for m in read_sorted}
         want[ModeId("A2", "H", 0)] = 1
@@ -382,3 +392,87 @@ class TestHeraldProbabilitiesComplete:
         assert all(a >= b - 1e-12 for a, b in zip(fid, fid[1:]))
         assert fid[0] == pytest.approx(1.0, abs=1e-12)
         assert fid[-1] == pytest.approx(0.5, abs=1e-12)
+
+
+ARM_SETS = (("a",), ("b",), ("c", "d"), ("a", "c"), ("b", "d"), ("a", "b", "c", "d"))
+
+
+@st.composite
+def herald_cases(draw):
+    """Kept arms a and b hold one photon each and read arms c, d one or two;
+    1-3 random unitaries act on all modes of some arms; 1-2 groups of c, d
+    get required counts."""
+    reg = ModeRegistry(("a", "b", "c", "d"), bins=draw(st.integers(1, 2)))
+    photons = [draw(st.sampled_from(reg.group(arm))) for arm in ("a", "b")]
+    photons += draw(st.lists(st.sampled_from(reg.group("c") + reg.group("d")), min_size=1, max_size=2))
+    arm_sets = draw(st.lists(st.sampled_from(ARM_SETS), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    transforms = []
+    for arms in arm_sets:
+        modes = tuple(m for arm in arms for m in reg.group(arm))
+        transforms.append(ModeTransform(modes, random_unitary(len(modes), rng)))
+    state = apply_mode_unitary(basis_state(reg, Counter(photons)), compose(transforms))
+    # Groups on one arm are disjoint only if they split it by polarization.
+    picks = draw(
+        st.sampled_from(
+            [
+                [("c", None)],
+                [("d", "H")],
+                [("c", "H"), ("c", "V")],
+                [("c", None), ("d", None)],
+                [("c", "V"), ("d", "H")],
+            ]
+        )
+    )
+    # Counts read off one term of the state, so that most heralds can fire.
+    occ = sorted(state.terms)[draw(st.integers(0, len(state.terms) - 1))]
+    groups = {}
+    for s, pol in picks:
+        modes = reg.group(s, pol)
+        groups[f"{s}{pol or ''}"] = (modes, state.count_in(occ, modes))
+    return state, groups, reg.group("c") + reg.group("d")
+
+
+class TestGroupHeraldProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(herald_cases())
+    def test_outcomes_match_distribution_and_condition_cleanly(self, case):
+        state, groups, read_out = case
+        reg = state.registry
+        read = tuple(sorted(set(read_out)))
+        pos = {m: k for k, m in enumerate(read)}
+        grouped = {m for modes, _ in groups.values() for m in modes}
+
+        def matches(pattern):
+            return (
+                any(pattern)
+                and all(pattern[pos[m]] == 0 for m in read if m not in grouped)
+                and all(sum(pattern[pos[m]] for m in modes) == n for modes, n in groups.values())
+            )
+
+        matching = [p for pattern, p in outcome_distribution(state, read) if matches(pattern)]
+        if not matching:
+            with pytest.raises(HeraldError, match="impossible"):
+                group_herald_outcomes(state, groups, read_out)
+            return
+        outcomes = group_herald_outcomes(state, groups, read_out)
+        # Both lists are sorted by pattern.
+        assert [p for p, _ in outcomes] == pytest.approx(matching, abs=1e-12)
+        read_idx = [reg.index(m) for m in read]
+        for _, conditional in outcomes:
+            assert conditional.norm() == pytest.approx(1.0, abs=1e-12)
+            assert all(occ[i] == 0 for occ in conditional.terms for i in read_idx)
+
+        one_per_arm = all(
+            state.count_in(occ, reg.group("a")) == 1 and state.count_in(occ, reg.group("b")) == 1
+            for _, conditional in outcomes
+            for occ in conditional.terms
+        )
+        if not one_per_arm:
+            with pytest.raises(FockError, match="non-qubit support"):
+                heralded_polarization_dm(state, groups, read_out, ("a", "b"))
+            return
+        total, rho = heralded_polarization_dm(state, groups, read_out, ("a", "b"))
+        assert total == pytest.approx(sum(matching), abs=1e-12)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        assert np.min(np.linalg.eigvalsh(rho)) > -1e-10

@@ -50,8 +50,74 @@ class TestParseConfig:
     def test_dangling_label_reported(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
         raw["elements"] = [{"kind": "hwp", "port": "Z9", "angle_deg": 0.0}]
-        with pytest.raises(ConfigError, match="Z9"):
+        with pytest.raises(ConfigError) as err:
             parse_config(write_config(tmp_path, raw))
+        assert err.value.violations == ["$.elements.0: dangling label 'Z9'"]
+
+    @pytest.mark.parametrize(
+        "element, photon, message",
+        [
+            pytest.param(
+                {"kind": "pbs", "ports": ["A1", "A2"], "angle_deg": 30.0},
+                {},
+                "$.elements.0.angle_deg: not a field of pbs",
+                id="pbs-angle",
+            ),
+            pytest.param(
+                {"kind": "polarizer", "port": "A1", "angle_deg": 0.0, "loss": "A2", "transmissivity": 0.5},
+                {},
+                "$.elements.0.transmissivity: not a field of polarizer",
+                id="polarizer-transmissivity",
+            ),
+            pytest.param(
+                {"kind": "hwp", "port": "A1", "ports": ["A2"], "angle_deg": 0.0},
+                {},
+                "$.elements.0: set port or ports, not both",
+                id="port-and-ports",
+            ),
+            pytest.param(
+                {"kind": "hwp", "port": "A1"},
+                {},
+                "$.elements.0.angle_deg: hwp needs angle_deg",
+                id="hwp-no-angle",
+            ),
+            pytest.param(
+                {"kind": "pbs", "ports": ["A1"]},
+                {},
+                "$.elements.0.ports: pbs needs two distinct ports, got ['A1']",
+                id="pbs-one-port",
+            ),
+            pytest.param(
+                {"kind": "pbs", "ports": ["A1", "A1"]},
+                {},
+                "$.elements.0.ports: pbs needs two distinct ports, got ['A1', 'A1']",
+                id="pbs-repeated-port",
+            ),
+            pytest.param(
+                None,
+                {"pol_amps": [1.0, 0.0]},
+                "$.sources.branches.0.photons.0: set pol_amps or pol_angle_deg, not both",
+                id="pol-amps-and-angle",
+            ),
+            pytest.param(
+                None,
+                {"bins": [1.0], "overlap": 0.5},
+                "$.sources.branches.0.photons.0: set bins or overlap, not both",
+                id="bins-and-overlap",
+            ),
+        ],
+    )
+    def test_field_a_kind_does_not_read_is_rejected(self, tmp_path, capsys, element, photon, message):
+        from eventready.cli import main
+
+        raw = json.loads(json.dumps(MINIMAL))
+        raw["spatial_labels"].append("A2")
+        raw["sources"]["branches"][0]["photons"][0].update(photon)
+        if element is not None:
+            raw["elements"] = [element]
+        assert validate_config_dict(raw) == [message]
+        assert main(["--config", str(write_config(tmp_path, raw))]) == 1
+        assert capsys.readouterr().err == f"eventready: config error: {message}\n"
 
     def test_unparseable_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -122,15 +188,26 @@ class TestParseConfig:
         schema = json.loads(schema_json())
         assert schema["properties"]["schema_version"]["const"] == 1
 
-    def test_docs_schema_in_sync(self):
-        from pathlib import Path
-
-        published = Path(__file__).parent.parent / "docs" / "config_schema.json"
-        assert json.loads(published.read_text()) == json.loads(schema_json())
-
     def test_hash_changes_with_content(self):
         c1 = ExperimentConfig.from_dict(fusion_scheme_config())
         raw = fusion_scheme_config()
         raw["elements"][0]["ports"] = ["A1", "B1"]
         c2 = ExperimentConfig.from_dict(raw)
         assert c1.config_hash() != c2.config_hash()
+
+
+def test_readme_lists_every_element_kind_with_its_fields():
+    import re
+    from pathlib import Path
+
+    from eventready.elements import ELEMENT_KINDS
+
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    items = dict(re.findall(r"\n  - `(\w+)`(.*?)(?=\n  - |\n\n)", readme, re.S))
+    assert list(items) == list(ELEMENT_KINDS)
+    for name, kind in ELEMENT_KINDS.items():
+        assert ("one port", "two distinct ports")[kind.ports - 1] in items[name]
+        for key in kind.required:
+            assert f"`{key}`" in items[name] and f"[`{key}`]" not in items[name]
+        for key in kind.optional:
+            assert f"[`{key}`]" in items[name]

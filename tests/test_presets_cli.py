@@ -15,6 +15,7 @@ from eventready.presets import (
     PresetError,
     build_preset_config,
     evaluate_config,
+    hom_config,
     polarizer_variant_config,
     parse_range,
     run_preset,
@@ -320,6 +321,36 @@ class TestCli:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1].startswith("param,")
+
+    @pytest.mark.parametrize(
+        "raw, paths, value, plain",
+        [
+            (polarizer_variant_config(analyzer_walkoff=0.9), ["elements.5.overlap", "elements.6.overlap"], [0.9, 0.0], 0.9),
+            (hom_config(), ["sources.branches.0.photons.1.overlap"], [0.0, 0.9], 0.9),
+        ],
+        ids=["bin-mixer-re-im", "photon-imaginary"],
+    )
+    def test_re_im_overlap_gives_the_observables_of_its_number(self, tmp_path, raw, paths, value, plain):
+        # Only |v|^2 of a photon's overlap enters the coincidence.
+        observables = {}
+        for name, overlap in (("pair", value), ("number", plain)):
+            for path in paths:
+                *parents, leaf = path.split(".")
+                node = raw
+                for key in parents:
+                    node = node[int(key)] if isinstance(node, list) else node[key]
+                node[leaf] = overlap
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(raw))
+            assert main(["--config", str(cfg_path), "--out", str(tmp_path / name)]) == 0
+            observables[name] = json.loads((tmp_path / name / "observables.json").read_text())
+        assert observables["pair"] == pytest.approx(observables["number"], abs=1e-12)
+
+    def test_preset_csv_on_stdout_equals_the_report_file(self, tmp_path, capsys):
+        assert main(["--preset", "eq1-check", "--format", "csv"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["--preset", "eq1-check", "--format", "csv", "--out", str(tmp_path)]) == 0
+        assert printed.encode("utf-8") == (tmp_path / "eq1-check.report.csv").read_bytes()
 
     def test_print_schema(self, capsys):
         assert main(["--print-schema"]) == 0
