@@ -8,9 +8,9 @@ overlap plus analyzer-arm walk-off, both at the configured visibility)
 pins both curves at 89%, matching a joint equal-amplitude fit.
 """
 
-from eventready import compile_circuit, run, run_preset
-from eventready.analysis import analyzer_probabilities, heralded_polarization_dm
-from eventready.presets import _detector_groups, _herald_request, build_preset_config
+from eventready import run_preset
+from eventready.analysis import analyzer_probabilities
+from eventready.presets import _heralded_pair, build_preset_config
 
 result = run_preset(
     "polarization-correlation", overrides={"visibility": 0.89}, seed=23, shots=10_000
@@ -25,11 +25,7 @@ print("joint visibility  (sampled):    ", report["joint_visibility_sampled"])
 
 # Compact view of the two analytic fringes.
 config = build_preset_config("polarization-correlation", {"visibility": 0.89})
-circuit = compile_circuit(config)
-state = run(circuit)
-groups = _detector_groups(circuit.registry, config.detectors)
-reqs, read = _herald_request(groups, config.heralds[0])
-_, rho = heralded_polarization_dm(state, reqs, read, config.kept)
+_, rho = _heralded_pair(config)
 for theta_b in (0.0, 45.0):
     print(f"\n  analyzer B at {theta_b:.0f} deg")
     for theta_a in range(0, 181, 15):

@@ -30,7 +30,6 @@ from .circuit import Circuit, check_unitarity, compile_circuit, run
 from .config import ConfigError, ExperimentConfig, parse_config, schema_json
 from .distinguishability import (
     OverlapModel,
-    assign_wavepackets,
     bins_for_reference_overlap,
     overlap_from_delay,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "V",
     "analyzer_probabilities",
     "apply_mode_unitary",
-    "assign_wavepackets",
     "basis_state",
     "beamsplitter",
     "bin_mixer",

@@ -6,7 +6,7 @@ scan points can be evaluated independently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
 from .elements import ElementError, _complex, compose, element_ports, lower_element
@@ -55,7 +55,6 @@ class Circuit:
     registry: ModeRegistry
     branches: tuple  # of SourceBranch
     steps: tuple  # of (label, ModeTransform)
-    aliases: dict = field(default_factory=dict)
 
     def prepared_input(self) -> PureState:
         states = [
@@ -91,7 +90,7 @@ def compile_circuit(config) -> Circuit:
         bins=config.bins,
         photon_budget=config.photon_budget,
     )
-    model = OverlapModel(**config.model) if config.model else OverlapModel()
+    model = OverlapModel(**config.model)
 
     seen_losses = set()
     steps = []
@@ -130,12 +129,7 @@ def compile_circuit(config) -> Circuit:
     if not branches:
         raise CircuitError("config declares no source photons")
 
-    return Circuit(
-        registry=registry,
-        branches=tuple(branches),
-        steps=tuple(steps),
-        aliases=dict(config.aliases),
-    )
+    return Circuit(registry=registry, branches=tuple(branches), steps=tuple(steps))
 
 
 def run(circuit: Circuit, upto: int | None = None) -> PureState:

@@ -3,7 +3,9 @@
 A config is a plain JSON document.  Validation reports every schema
 violation at once, not just the first.  It then checks each element
 against its kind's entry in `elements.ELEMENT_KINDS`, rejects photon
-fields that would override each other, and checks label cross-references
+fields that would override each other and photons the sources cannot
+prepare (unnormalized amplitudes, an overlap above 1, more bins than the
+config has, more photons than the budget), and checks label cross-references
 (element ports, detector groups, herald names, kept arms) against the
 declared spatial labels.
 """
@@ -18,7 +20,9 @@ from dataclasses import dataclass, field
 
 import jsonschema
 
-from .elements import ELEMENT_KINDS, element_ports
+from .distinguishability import OverlapError, bins_for_reference_overlap
+from .elements import ELEMENT_KINDS, _complex, element_ports
+from .fock import INPUT_NORM_TOL
 
 SCHEMA_VERSION = 1
 
@@ -277,16 +281,46 @@ def _element_violations(path: str, el: dict):
     return problems
 
 
+def _photon_violations(path: str, photon: dict, bins: int):
+    """Unnormalized amplitudes, an overlap above 1 and too many bins, which
+    the sources would otherwise reject without a JSON path."""
+    problems = []
+    for key, what in (("pol_amps", "polarization"), ("bins", "bin")):
+        if key in photon:
+            norm = math.sqrt(sum(abs(_complex(c)) ** 2 for c in photon[key]))
+            if abs(norm - 1.0) > INPUT_NORM_TOL:
+                problems.append(f"{path}.{key}: {what} amplitudes not normalized (norm {norm:.3e})")
+    if "bins" in photon:
+        key, used = "bins", photon["bins"]
+    else:
+        key = "overlap"
+        try:
+            used = bins_for_reference_overlap(_complex(photon.get("overlap", 1.0)))
+        except OverlapError as exc:
+            return problems + [f"{path}.overlap: {exc}"]
+    if len(used) > bins:
+        problems.append(f"{path}.{key}: uses {len(used)} bins, the config has {bins}")
+    return problems
+
+
 def _cross_reference_violations(raw: dict):
-    """Checks that need a schema-valid config: field combinations and labels."""
+    """Checks that need a schema-valid config: field combinations, photon
+    amplitudes and labels."""
     labels = set(raw.get("spatial_labels", []))
+    budget = raw.get("photon_budget", 4)
     problems = []
     for b, branch in enumerate(raw.get("sources", {}).get("branches", [])):
-        for p, photon in enumerate(branch.get("photons", [])):
+        photons = branch.get("photons", [])
+        if len(photons) > budget:
+            problems.append(
+                f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}"
+            )
+        for p, photon in enumerate(photons):
             path = f"$.sources.branches.{b}.photons.{p}"
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
                 if first in photon and second in photon:
                     problems.append(f"{path}: set {first} or {second}, not both")
+            problems.extend(_photon_violations(path, photon, raw.get("bins", 4)))
             s = photon.get("spatial")
             if s not in labels:
                 problems.append(f"{path}.spatial: dangling label {s!r}")

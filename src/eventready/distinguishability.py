@@ -2,18 +2,13 @@
 
 A photon's internal temporal state is a normalized amplitude vector over
 a handful of bins.  Interference contrast between two photons is set by
-the inner product of their bin vectors, so matching a target pairwise
-overlap matrix is a Gram-factorization problem.
+the inner product of their bin vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-OVERLAP_TOL = 1e-12
 
 
 class OverlapError(ValueError):
@@ -50,62 +45,6 @@ def overlap_from_delay(delta_um: float, model: OverlapModel | None = None) -> co
     envelope = math.exp(-(delta_um**2) / (2.0 * l * l))
     phase = 2.0 * math.pi * delta_um / model.fringe_period_um
     return envelope * complex(math.cos(phase), math.sin(phase))
-
-
-def assign_wavepackets(n_photons: int, pair_overlaps, max_bins: int = 4):
-    """Bin-amplitude vectors realizing the requested pairwise overlaps.
-
-    pair_overlaps is a list of (i, j, v) with v = <w_i|w_j>.  Photon 0
-    occupies bin 0; each later photon reproduces its overlaps with all
-    earlier photons and puts any remainder on a fresh bin (sequential
-    Gram-Schmidt).  Raises if the implied Gram matrix is not positive
-    semidefinite or if more than max_bins bins would be needed.
-    """
-    gram = np.eye(n_photons, dtype=complex)  # gram[i, j] = <w_i|w_j>
-    for i, j, v in pair_overlaps:
-        if i == j:
-            raise OverlapError("pair overlaps must reference distinct photons")
-        v = complex(v)
-        if abs(v) > 1.0 + 1e-12:
-            raise OverlapError(f"overlap magnitude {abs(v)} exceeds 1 for pair ({i},{j})")
-        gram[i, j] = v
-        gram[j, i] = v.conjugate()
-
-    packets = np.zeros((n_photons, max_bins), dtype=complex)
-    used_bins = 0
-    for k in range(n_photons):
-        if k == 0:
-            packets[0, 0] = 1.0
-            used_bins = 1
-            continue
-        prev = packets[:k, :used_bins]
-        targets = np.array([gram[i, k] for i in range(k)], dtype=complex)
-        if used_bins:
-            coeffs, *_ = np.linalg.lstsq(prev.conj(), targets, rcond=None)
-        else:
-            coeffs = np.zeros(0, dtype=complex)
-        achieved = prev.conj() @ coeffs
-        if np.max(np.abs(achieved - targets), initial=0.0) > 1e-9:
-            raise OverlapError("infeasible overlap set: Gram matrix is not PSD")
-        remainder_sq = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-        if remainder_sq < -1e-10:
-            raise OverlapError("infeasible overlap set: Gram matrix is not PSD")
-        packets[k, :used_bins] = coeffs
-        if remainder_sq > 1e-12:
-            if used_bins >= max_bins:
-                raise OverlapError(
-                    f"bin budget exceeded: photon {k} needs bin {used_bins}, cap {max_bins}"
-                )
-            packets[k, used_bins] = math.sqrt(max(0.0, remainder_sq))
-            used_bins += 1
-    # Exactness check demanded of the embedding.
-    for i, j, v in pair_overlaps:
-        got = np.vdot(packets[i], packets[j])
-        if abs(got - complex(v)) > OVERLAP_TOL * 10:
-            raise OverlapError(
-                f"wavepacket embedding missed overlap ({i},{j}): requested {v}, got {got}"
-            )
-    return [tuple(packets[k, :used_bins]) for k in range(n_photons)]
 
 
 def bins_for_reference_overlap(overlap: complex):

@@ -39,7 +39,7 @@ def _complex(value) -> complex:
     return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
 
 
-def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2) -> ModeTransform:
+def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2, name: str) -> ModeTransform:
     """Lift a (V,H)x(V,H) two-port block to all bins of two spatial labels.
 
     block2 is 4x4 over ((s1,V), (s1,H), (s2,V), (s2,H)).
@@ -54,7 +54,7 @@ def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2) -> ModeTransfo
     for b in range(registry.bins):
         o = 4 * b
         m[o : o + 4, o : o + 4] = block2
-    return ModeTransform(tuple(modes), m)
+    return ModeTransform(tuple(modes), m, name=name)
 
 
 def pbs(registry: ModeRegistry, s1: str, s2: str, convention: str = "perm") -> ModeTransform:
@@ -76,8 +76,7 @@ def pbs(registry: ModeRegistry, s1: str, s2: str, convention: str = "perm") -> M
         ],
         dtype=complex,
     )
-    t = _pair_block(registry, s1, s2, block)
-    return ModeTransform(t.modes, t.matrix, name=f"pbs({s1},{s2})")
+    return _pair_block(registry, s1, s2, block, f"pbs({s1},{s2})")
 
 
 def hwp(registry: ModeRegistry, s: str, plate_angle_deg: float) -> ModeTransform:
@@ -129,8 +128,7 @@ def polarizer(registry: ModeRegistry, s: str, pass_angle_deg: float, loss: str) 
     keep = np.outer(p, p)
     swap = np.outer(o, o)
     block = np.block([[keep, swap], [swap, keep]]).astype(complex)
-    t = _pair_block(registry, s, loss, block)
-    return ModeTransform(t.modes, t.matrix, name=f"polarizer({s},{pass_angle_deg})")
+    return _pair_block(registry, s, loss, block, f"polarizer({s},{pass_angle_deg})")
 
 
 def phase_shift(registry: ModeRegistry, s: str, phi: float, pol: str | None = None) -> ModeTransform:
@@ -159,8 +157,7 @@ def beamsplitter(registry: ModeRegistry, s1: str, s2: str, transmissivity: float
         ],
         dtype=complex,
     )
-    out = _pair_block(registry, s1, s2, block)
-    return ModeTransform(out.modes, out.matrix, name=f"beamsplitter({s1},{s2},{transmissivity})")
+    return _pair_block(registry, s1, s2, block, f"beamsplitter({s1},{s2},{transmissivity})")
 
 
 def bin_mixer(

@@ -66,9 +66,6 @@ class PureState:
             raise FockError("cannot normalize the zero state")
         return PureState(self.registry, {o: a / n for o, a in self.terms.items()})
 
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState(self.registry, {o: a * factor for o, a in self.terms.items()})
-
     def sorted_terms(self):
         """Deterministic (occupation, amplitude) listing, sorted by occupation."""
         return sorted(self.terms.items())

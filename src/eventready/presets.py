@@ -261,6 +261,15 @@ def _herald_request(groups, herald_spec):
     return requirements, tuple(read)
 
 
+def _heralded_pair(config: ExperimentConfig):
+    """(herald probability, kept-pair polarization rho) under the first herald."""
+    circuit = compile_circuit(config)
+    state = run(circuit)
+    groups = _detector_groups(circuit.registry, config.detectors)
+    requirements, read = _herald_request(groups, config.heralds[0])
+    return heralded_polarization_dm(state, requirements, read, config.kept)
+
+
 def evaluate_config(config: ExperimentConfig) -> dict:
     """Run one config and report every applicable observable."""
     circuit = compile_circuit(config)
@@ -271,30 +280,21 @@ def evaluate_config(config: ExperimentConfig) -> dict:
     first_prob = None
     for k, herald_spec in enumerate(config.heralds):
         requirements, read = _herald_request(groups, herald_spec)
-        key = f"p_{herald_spec['name']}"
-        if config.kept:
-            try:
-                prob, rho = heralded_polarization_dm(
-                    state, requirements, read, config.kept
-                )
-            except HeraldError:
-                prob, rho = 0.0, None
-            except FockError:
-                # Herald fires on events whose kept support is not one
-                # photon per arm; probability is still well defined.
-                outcomes = group_herald_outcomes(state, requirements, read)
-                prob, rho = sum(p for p, _ in outcomes), None
-            obs[key] = prob
-            if k == 0:
-                first_rho, first_prob = rho, prob
-        else:
-            try:
-                outcomes = group_herald_outcomes(state, requirements, read)
-                obs[key] = sum(p for p, _ in outcomes)
-            except HeraldError:
-                obs[key] = 0.0
-            if k == 0:
-                first_prob = obs[key]
+        rho = None
+        try:
+            if config.kept:
+                prob, rho = heralded_polarization_dm(state, requirements, read, config.kept)
+            else:
+                prob = sum(p for p, _ in group_herald_outcomes(state, requirements, read))
+        except HeraldError:
+            prob = 0.0
+        except FockError:
+            # Herald fires on events whose kept support is not one
+            # photon per arm; probability is still well defined.
+            prob = sum(p for p, _ in group_herald_outcomes(state, requirements, read))
+        obs[f"p_{herald_spec['name']}"] = prob
+        if k == 0:
+            first_rho, first_prob = rho, prob
     if first_rho is not None:
         for bell_name, vec in BELL_STATES.items():
             obs[f"fidelity_{bell_name}"] = fidelity(first_rho, vec)
@@ -607,11 +607,7 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
 
 
 def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    circuit = compile_circuit(config)
-    state = run(circuit)
-    groups = _detector_groups(circuit.registry, config.detectors)
-    requirements, read = _herald_request(groups, config.heralds[0])
-    p_herald, rho = heralded_polarization_dm(state, requirements, read, config.kept)
+    p_herald, rho = _heralded_pair(config)
     thetas = parse_range(f"0:180:{params['theta_step_deg']}")
     curve = []
     analytic_curves = []
@@ -682,11 +678,7 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
 
 
 def run_chsh(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    circuit = compile_circuit(config)
-    state = run(circuit)
-    groups = _detector_groups(circuit.registry, config.detectors)
-    requirements, read = _herald_request(groups, config.heralds[0])
-    p_herald, rho = heralded_polarization_dm(state, requirements, read, config.kept)
+    p_herald, rho = _heralded_pair(config)
     a, a_p, b, b_p = params["settings"]
     report_obj = chsh_S(rho, a, a_p, b, b_p, shots=shots or None, seed=seed)
     report = report_obj.to_dict()

@@ -4,7 +4,7 @@ import pytest
 
 from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
 from eventready.config import validate_config_dict
-from eventready.presets import PRESETS, build_preset_config, fusion_scheme_config
+from eventready.presets import PRESET_NAMES, build_preset_config, fusion_scheme_config, json_text
 
 
 MINIMAL = {
@@ -55,64 +55,96 @@ class TestParseConfig:
         assert err.value.violations == ["$.elements.0: dangling label 'Z9'"]
 
     @pytest.mark.parametrize(
-        "element, photon, message",
+        "element, photons, message",
         [
             pytest.param(
                 {"kind": "pbs", "ports": ["A1", "A2"], "angle_deg": 30.0},
-                {},
+                None,
                 "$.elements.0.angle_deg: not a field of pbs",
                 id="pbs-angle",
             ),
             pytest.param(
                 {"kind": "polarizer", "port": "A1", "angle_deg": 0.0, "loss": "A2", "transmissivity": 0.5},
-                {},
+                None,
                 "$.elements.0.transmissivity: not a field of polarizer",
                 id="polarizer-transmissivity",
             ),
             pytest.param(
                 {"kind": "hwp", "port": "A1", "ports": ["A2"], "angle_deg": 0.0},
-                {},
+                None,
                 "$.elements.0: set port or ports, not both",
                 id="port-and-ports",
             ),
             pytest.param(
                 {"kind": "hwp", "port": "A1"},
-                {},
+                None,
                 "$.elements.0.angle_deg: hwp needs angle_deg",
                 id="hwp-no-angle",
             ),
             pytest.param(
                 {"kind": "pbs", "ports": ["A1"]},
-                {},
+                None,
                 "$.elements.0.ports: pbs needs two distinct ports, got ['A1']",
                 id="pbs-one-port",
             ),
             pytest.param(
                 {"kind": "pbs", "ports": ["A1", "A1"]},
-                {},
+                None,
                 "$.elements.0.ports: pbs needs two distinct ports, got ['A1', 'A1']",
                 id="pbs-repeated-port",
             ),
             pytest.param(
                 None,
-                {"pol_amps": [1.0, 0.0]},
+                [{"spatial": "A1", "pol_angle_deg": 45.0, "pol_amps": [1.0, 0.0]}],
                 "$.sources.branches.0.photons.0: set pol_amps or pol_angle_deg, not both",
                 id="pol-amps-and-angle",
             ),
             pytest.param(
                 None,
-                {"bins": [1.0], "overlap": 0.5},
+                [{"spatial": "A1", "pol_angle_deg": 45.0, "bins": [1.0], "overlap": 0.5}],
                 "$.sources.branches.0.photons.0: set bins or overlap, not both",
                 id="bins-and-overlap",
             ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}, {"spatial": "A2", "overlap": 1.2}],
+                "$.sources.branches.0.photons.1.overlap: overlap magnitude 1.2 exceeds 1",
+                id="overlap-above-one",
+            ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}, {"spatial": "A2", "bins": [0]}],
+                "$.sources.branches.0.photons.1.bins: bin amplitudes not normalized (norm 0.000e+00)",
+                id="bins-zero",
+            ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}, {"spatial": "A2", "pol_amps": [0, 0]}],
+                "$.sources.branches.0.photons.1.pol_amps: "
+                "polarization amplitudes not normalized (norm 0.000e+00)",
+                id="pol-amps-zero",
+            ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}, {"spatial": "A2", "bins": [0.6, 0.8, 0, 0, 0]}],
+                "$.sources.branches.0.photons.1.bins: uses 5 bins, the config has 4",
+                id="more-bins-than-config",
+            ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}] * 3 + [{"spatial": "A2"}] * 3,
+                "$.sources.branches.0.photons: 6 photons exceed the budget of 4",
+                id="photons-over-budget",
+            ),
         ],
     )
-    def test_field_a_kind_does_not_read_is_rejected(self, tmp_path, capsys, element, photon, message):
+    def test_field_a_kind_does_not_read_is_rejected(self, tmp_path, capsys, element, photons, message):
         from eventready.cli import main
 
         raw = json.loads(json.dumps(MINIMAL))
         raw["spatial_labels"].append("A2")
-        raw["sources"]["branches"][0]["photons"][0].update(photon)
+        if photons is not None:
+            raw["sources"]["branches"][0]["photons"] = photons
         if element is not None:
             raw["elements"] = [element]
         assert validate_config_dict(raw) == [message]
@@ -137,36 +169,12 @@ class TestParseConfig:
         assert config.to_dict() == again.to_dict()
         assert config.config_hash() == again.config_hash()
 
-    @pytest.mark.parametrize(
-        "filename, preset",
-        [
-            ("eq1_check.json", "eq1-check"),
-            ("fig1_ideal.json", "herald-table"),
-            ("hom_scan.json", "hom-scan"),
-            ("fusion_delay_scan.json", "fusion-delay-scan"),
-            ("polarization_correlation.json", "polarization-correlation"),
-            ("chsh_ideal.json", "chsh"),
-        ],
-    )
-    def test_shipped_file_matches_builtin(self, filename, preset):
-        from importlib import resources
-
-        data = resources.files("eventready") / "presets_data" / filename
-        raw = json.loads(data.read_text())
-        entry = PRESETS[preset]
-        assert raw == entry.build(entry.defaults)
-        parsed = ExperimentConfig.from_dict(raw)
-        assert parsed.config_hash() == build_preset_config(preset, {}).config_hash()
-
-    def test_every_shipped_file_validates(self):
-        from importlib import resources
-
-        folder = resources.files("eventready") / "presets_data"
-        names = [p.name for p in folder.iterdir() if p.name.endswith(".json")]
-        assert len(names) >= 6
-        for name in names:
-            raw = json.loads((folder / name).read_text())
-            assert validate_config_dict(raw) == [], name
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_preset_config_round_trips_through_json_text(self, preset):
+        config = build_preset_config(preset, {})
+        again = ExperimentConfig.from_dict(json.loads(json_text(config.to_dict())))
+        assert again.config_hash() == config.config_hash()
+        assert again.to_dict() == config.to_dict()
 
     def test_sampling_block_is_rejected(self):
         raw = json.loads(json.dumps(MINIMAL))

@@ -10,7 +10,6 @@ from eventready import (
     OverlapModel,
     PhotonSpec,
     apply_mode_unitary,
-    assign_wavepackets,
     bins_for_reference_overlap,
     overlap_from_delay,
     prepare_product_state,
@@ -54,58 +53,11 @@ class TestOverlapFromDelay:
             OverlapModel(coherence_length_um=-1.0)
 
 
-class TestAssignWavepackets:
-    def test_full_overlap_shares_bin0(self):
-        packets = assign_wavepackets(2, [(0, 1, 1.0)])
-        assert packets[0] == (1.0,)
-        assert np.vdot(packets[1], packets[0]) == pytest.approx(1.0)
-        assert len(packets[1]) == 1
-
-    def test_zero_overlap_uses_fresh_bin(self):
-        packets = assign_wavepackets(2, [(0, 1, 0.0)])
-        assert packets[0][0] == pytest.approx(1.0)
-        assert packets[1][0] == pytest.approx(0.0)
-        assert abs(packets[1][1]) == pytest.approx(1.0)
-
-    def test_hom_style_overlap(self):
-        v = math.sqrt(0.94)
-        packets = assign_wavepackets(2, [(0, 1, v)])
-        assert packets[1][0] == pytest.approx(v)
-        assert abs(packets[1][1]) == pytest.approx(math.sqrt(0.06))
-
-    def test_pairwise_overlaps_reproduced(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            n = 4
-            reqs = []
-            # Random, guaranteed-PSD Gram from random unit vectors.
-            vecs = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-            for i in range(n):
-                for j in range(i + 1, n):
-                    reqs.append((i, j, complex(np.vdot(vecs[i], vecs[j]))))
-            packets = assign_wavepackets(n, reqs, max_bins=4)
-            padded = np.zeros((n, 4), dtype=complex)
-            for k, p in enumerate(packets):
-                padded[k, : len(p)] = p
-            for i, j, v in reqs:
-                assert np.vdot(padded[i], padded[j]) == pytest.approx(v, abs=1e-12)
-
-    def test_infeasible_gram_rejected(self):
-        # Three mutually anti-aligned unit vectors cannot exist.
-        with pytest.raises(OverlapError, match="PSD"):
-            assign_wavepackets(3, [(0, 1, -1.0), (0, 2, -1.0), (1, 2, -1.0)])
-
-    def test_bin_budget_enforced(self):
-        reqs = [(i, j, 0.0) for i in range(4) for j in range(i + 1, 4)]
-        with pytest.raises(OverlapError, match="bin budget"):
-            assign_wavepackets(4, reqs, max_bins=2)
-
-    def test_reference_overlap_helper(self):
-        bins = bins_for_reference_overlap(0.6)
-        assert bins[0] == pytest.approx(0.6)
-        assert abs(bins[1]) == pytest.approx(0.8)
-        assert bins_for_reference_overlap(1.0) == (1.0,)
+def test_reference_overlap_helper():
+    bins = bins_for_reference_overlap(0.6)
+    assert bins[0] == pytest.approx(0.6)
+    assert abs(bins[1]) == pytest.approx(0.8)
+    assert bins_for_reference_overlap(1.0) == (1.0,)
 
 
 class TestBinsCollapse:

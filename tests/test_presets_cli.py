@@ -410,3 +410,11 @@ def test_demo_and_readme_imports_resolve():
                     if not hasattr(module, alias.name)
                 ]
     assert missing == []
+
+
+def test_public_names_are_unique_and_resolve():
+    import eventready
+
+    names = eventready.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(eventready, name)] == []
