@@ -38,7 +38,9 @@ def outcome_distribution(state: PureState, detector_modes):
     """Marginal probabilities of exact count patterns on detector modes.
 
     Returns a sorted list of ((counts tuple aligned with sorted detector
-    modes), probability); zero-probability patterns never appear.
+    modes), probability); zero-probability patterns never appear.  For a
+    GridState each probability is an array over its points, 0 at the
+    points where the pattern does not occur.
     """
     modes = tuple(sorted(set(detector_modes)))
     idxs = [state.registry.index(m) for m in modes]

@@ -1,21 +1,27 @@
 """Assembly and execution of element sequences on prepared inputs.
 
 Circuits are immutable after compilation; `run` is a pure function, so
-scan points can be evaluated independently.
+scan points can be evaluated independently.  A scan compiles once and
+evolves its points together with `ScanCircuit`, which re-lowers only the
+elements and re-reads only the source branches that a point changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distinguishability import OverlapModel, bins_for_reference_overlap
-from .elements import ElementError, _complex, compose, element_ports, lower_element
+from .elements import ElementError, _complex, compose, element_ports, lower_element, stack
 from .fock import (
     UNITARY_TOL,
+    GridState,
     ModeTransform,
     PhotonSpec,
     PureState,
     apply_mode_unitary,
+    prepare_product_grid,
     prepare_product_state,
     superpose,
 )
@@ -55,6 +61,7 @@ class Circuit:
     registry: ModeRegistry
     branches: tuple  # of SourceBranch
     steps: tuple  # of (label, ModeTransform)
+    element_steps: tuple = ()  # (start, stop) into steps, per config element
 
     def prepared_input(self) -> PureState:
         states = [
@@ -79,6 +86,33 @@ def _photon_from_source(src: dict) -> PhotonSpec:
     return PhotonSpec(spatial, pol, bins)
 
 
+def _lower(i: int, el: dict, registry, model, convention) -> list:
+    """The (label, transform) steps of config element i, each checked for unitarity."""
+    path = f"$.elements.{i}"
+    try:
+        transforms = lower_element(el, registry, model=model, convention=convention)
+    except ElementError as exc:
+        raise CircuitError(f"{path}: {exc}") from exc
+    steps = []
+    for t in transforms:
+        report = check_unitarity(t)
+        if not report.ok:
+            raise CircuitError(f"{path}: non-unitary lowering: {report}")
+        steps.append((t.name or el["kind"], t))
+    return steps
+
+
+def _source_branch(b: int, br: dict, losses) -> SourceBranch:
+    photons = tuple(_photon_from_source(s) for s in br["photons"])
+    for p, photon in enumerate(photons):
+        if photon.spatial in losses:
+            raise CircuitError(
+                f"$.sources.branches.{b}.photons.{p}.spatial: "
+                f"loss label {photon.spatial!r} must start in vacuum"
+            )
+    return SourceBranch(_complex(br.get("amplitude", 1.0)), photons)
+
+
 def compile_circuit(config) -> Circuit:
     """Lower a validated ExperimentConfig into a runnable circuit.
 
@@ -94,6 +128,7 @@ def compile_circuit(config) -> Circuit:
 
     seen_losses = set()
     steps = []
+    element_steps = []
     for i, el in enumerate(config.elements):
         path = f"$.elements.{i}"
         for port in element_ports(el):
@@ -106,30 +141,17 @@ def compile_circuit(config) -> Circuit:
             if not registry.has_spatial(loss):
                 raise CircuitError(f"{path}.loss: unbound loss label {loss!r}")
             seen_losses.add(loss)
-        try:
-            transforms = lower_element(el, registry, model=model, convention=config.convention)
-        except ElementError as exc:
-            raise CircuitError(f"{path}: {exc}") from exc
-        for t in transforms:
-            report = check_unitarity(t)
-            if not report.ok:
-                raise CircuitError(f"{path}: non-unitary lowering: {report}")
-            steps.append((t.name or el["kind"], t))
+        start = len(steps)
+        steps.extend(_lower(i, el, registry, model, config.convention))
+        element_steps.append((start, len(steps)))
 
-    branches = []
-    for b, br in enumerate(config.source_branches):
-        photons = tuple(_photon_from_source(s) for s in br["photons"])
-        for p, photon in enumerate(photons):
-            if photon.spatial in seen_losses:
-                raise CircuitError(
-                    f"$.sources.branches.{b}.photons.{p}.spatial: "
-                    f"loss label {photon.spatial!r} must start in vacuum"
-                )
-        branches.append(SourceBranch(_complex(br.get("amplitude", 1.0)), photons))
+    branches = tuple(
+        _source_branch(b, br, seen_losses) for b, br in enumerate(config.source_branches)
+    )
     if not branches:
         raise CircuitError("config declares no source photons")
 
-    return Circuit(registry=registry, branches=tuple(branches), steps=tuple(steps))
+    return Circuit(registry, branches, tuple(steps), tuple(element_steps))
 
 
 def run(circuit: Circuit, upto: int | None = None) -> PureState:
@@ -143,3 +165,95 @@ def run(circuit: Circuit, upto: int | None = None) -> PureState:
     if not steps:
         return state
     return apply_mode_unitary(state, compose(t for _, t in steps))
+
+
+class ScanCircuit:
+    """A circuit compiled once for a scan, and the evolution of its points.
+
+    A point is a validated config that differs from the compiled one only
+    in numbers.  `changes` re-lowers the elements whose dicts differ (all
+    of them when `model` or `convention` differs) and re-reads the source
+    branches whose dicts differ; `evolve` runs a block of points as one
+    GridState, composing the unchanged elements between the re-lowered
+    ones once and giving re-read branches array coefficients.
+    """
+
+    def __init__(self, circuit: Circuit, config):
+        self.circuit = circuit
+        self.config = config
+        self.model = OverlapModel(**config.model)
+        self.losses = {el["loss"] for el in config.elements if "loss" in el}
+        self.inputs = [prepare_product_state(circuit.registry, b.photons) for b in circuit.branches]
+        self._plans: dict = {}
+
+    def shares_registry(self, config) -> bool:
+        base = self.config
+        return (config.bins, config.photon_budget) == (base.bins, base.photon_budget)
+
+    def changes(self, config):
+        """({element index: its transform}, {branch index: SourceBranch}) of
+        what one point changes."""
+        base = self.config
+        relower_all = config.model != base.model or config.convention != base.convention
+        model = OverlapModel(**config.model) if relower_all else self.model
+        elements = {
+            i: _one_transform(_lower(i, el, self.circuit.registry, model, config.convention))
+            for i, el in enumerate(config.elements)
+            if relower_all or el != base.elements[i]
+        }
+        branches = {
+            b: _source_branch(b, br, self.losses)
+            for b, br in enumerate(config.source_branches)
+            if br != base.source_branches[b]
+        }
+        return elements, branches
+
+    def evolve(self, points) -> GridState:
+        """The final states of a block of points, given their `changes`."""
+        circuit, n = self.circuit, len(points)
+        states, amplitudes = [], []
+        for b, branch in enumerate(circuit.branches):
+            per_point = [branches.get(b, branch) for _, branches in points]
+            if any(br is not branch for br in per_point):
+                states.append(prepare_product_grid(circuit.registry, [br.photons for br in per_point]))
+                amplitudes.append(np.array([br.amplitude for br in per_point]))
+            else:
+                states.append(GridState.broadcast(self.inputs[b], n))
+                amplitudes.append(branch.amplitude)
+        state = states[0] if len(states) == 1 else superpose(states, amplitudes)
+        varying = tuple(sorted({i for elements, _ in points for i in elements}))
+        transforms = [
+            stack(elements.get(part) or self._element(part) for elements, _ in points)
+            if isinstance(part, int)
+            else part
+            for part in self._plan(varying)
+        ]
+        if not transforms:
+            return state
+        return apply_mode_unitary(state, compose(transforms))
+
+    def _element(self, i: int) -> ModeTransform:
+        start, stop = self.circuit.element_steps[i]
+        return _one_transform(self.circuit.steps[start:stop])
+
+    def _plan(self, varying: tuple) -> list:
+        """The element sequence as the indices in `varying`, with each run
+        of the other elements composed once."""
+        if varying not in self._plans:
+            plan, fixed = [], []
+            for i, (start, stop) in enumerate(self.circuit.element_steps):
+                if i in varying:
+                    if fixed:
+                        plan.append(compose(fixed))
+                        fixed = []
+                    plan.append(i)
+                else:
+                    fixed.extend(t for _, t in self.circuit.steps[start:stop])
+            if fixed:
+                plan.append(compose(fixed))
+            self._plans[varying] = plan
+        return self._plans[varying]
+
+
+def _one_transform(steps) -> ModeTransform:
+    return steps[0][1] if len(steps) == 1 else compose(t for _, t in steps)

@@ -213,19 +213,25 @@ class ExperimentConfig:
         violations = validate_config_dict(raw)
         if violations:
             raise ConfigError(violations)
+        return ExperimentConfig._from_valid(copy.deepcopy(raw))
+
+    @staticmethod
+    def _from_valid(raw: dict) -> "ExperimentConfig":
+        """The config of an already validated raw dict, which it keeps
+        without copying."""
         return ExperimentConfig(
             spatial_labels=tuple(raw["spatial_labels"]),
-            source_branches=copy.deepcopy(raw["sources"]["branches"]),
-            elements=copy.deepcopy(raw.get("elements", [])),
-            detectors=copy.deepcopy(raw.get("detectors", {})),
-            heralds=copy.deepcopy(raw.get("heralds", [])),
+            source_branches=raw["sources"]["branches"],
+            elements=raw.get("elements", []),
+            detectors=raw.get("detectors", {}),
+            heralds=raw.get("heralds", []),
             kept=tuple(raw["kept"]) if raw.get("kept") else None,
-            analyzers=copy.deepcopy(raw.get("analyzers")),
-            model=copy.deepcopy(raw.get("model", {})),
+            analyzers=raw.get("analyzers"),
+            model=raw.get("model", {}),
             bins=int(raw.get("bins", 4)),
             photon_budget=int(raw.get("photon_budget", 4)),
             convention=raw.get("convention", "perm"),
-            aliases=copy.deepcopy(raw.get("aliases", {})),
+            aliases=raw.get("aliases", {}),
             name=raw.get("name", ""),
         )
 
@@ -363,17 +369,72 @@ def _non_finite_violations(value, path: str = "$"):
     return [p for key, item in items for p in _non_finite_violations(item, f"{path}.{key}")]
 
 
+def _json_path(keys) -> str:
+    return "$." + ".".join(str(k) for k in keys) if keys else "$"
+
+
 def validate_config_dict(raw: dict):
     """Every schema violation, non-finite number and cross-reference problem, as strings."""
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = []
     for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        path = "$." + ".".join(str(p) for p in err.absolute_path) if err.absolute_path else "$"
-        problems.append(f"{path}: {err.message}")
+        problems.append(f"{_json_path(err.absolute_path)}: {err.message}")
     problems.extend(_non_finite_violations(raw))
     if not problems:
         problems.extend(_cross_reference_violations(raw))
     return problems
+
+
+def _subschema(keys):
+    """(n, schema): the part of CONFIG_SCHEMA that checks the value at
+    keys[:n].  That is the leaf itself, unless the walk meets an anyOf
+    first, whose failure the full validator reports at the anyOf's own
+    instance."""
+    schema = CONFIG_SCHEMA
+    for n, key in enumerate(keys):
+        if "$ref" in schema:
+            schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+        if "anyOf" in schema:
+            return n, schema
+        if key in schema.get("properties", {}):
+            schema = schema["properties"][key]
+        elif isinstance(schema.get("additionalProperties"), dict):
+            schema = schema["additionalProperties"]
+        else:
+            schema = schema["items"]
+    if "$ref" in schema:
+        schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+    return len(keys), schema
+
+
+class LeafCheck:
+    """validate_config_dict for a raw config that differs from a valid one
+    only in the values at some leaves, each given as its list of keys.
+
+    The schema has no constraint between fields, so a schema error can sit
+    only at a changed leaf: each leaf is checked against its own
+    subschema, resolved once, and for finiteness; the cross-reference
+    checks then run on the whole config.  The result is the message list
+    validate_config_dict gives for the same config.
+    """
+
+    def __init__(self, leaves):
+        self._checks = {}
+        for keys in leaves:
+            n, schema = _subschema(keys)
+            self._checks[tuple(keys[:n])] = jsonschema.Draft202012Validator(schema)
+
+    def __call__(self, raw: dict) -> list:
+        errors, problems = [], []
+        for prefix, validator in self._checks.items():
+            value = raw
+            for key in prefix:
+                value = value[key]
+            errors += [([*prefix, *err.absolute_path], err.message) for err in validator.iter_errors(value)]
+            problems += _non_finite_violations(value, _json_path(prefix))
+        errors.sort(key=lambda e: e[0])
+        problems = [f"{_json_path(path)}: {message}" for path, message in errors] + problems
+        return problems or _cross_reference_violations(raw)
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -174,6 +174,11 @@ def bin_mixer(
     s = sqrt(1 - |v|^2).  This is the common core of the delay element and
     of polarization-selective walk-off.
     """
+    return _bin_block(registry, s, overlap, pol, bin_map, f"bin_mixer({s},{pol or 'HV'})")
+
+
+def _bin_block(registry: ModeRegistry, s: str, overlap, pol, bin_map, name: str) -> ModeTransform:
+    """The transform of bin_mixer, under the given name."""
     registry.require_spatial(s)
     v = complex(overlap)
     if abs(v) > 1.0 + 1e-12:
@@ -198,7 +203,7 @@ def bin_mixer(
     block = np.array([[v, -sres], [sres, v.conjugate()]], dtype=complex)
     for k in range(n // 2):
         m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    return ModeTransform(tuple(modes), m, name=f"bin_mixer({s},{pol or 'HV'})")
+    return ModeTransform(tuple(modes), m, name=name)
 
 
 def delay(
@@ -210,10 +215,8 @@ def delay(
     bin_map: dict | None = None,
 ) -> ModeTransform:
     """Path delay: bin rewrite with overlap v(delta) plus its fringe phase."""
-    model = model or OverlapModel()
     v = overlap_from_delay(delta_um, model)
-    t = bin_mixer(registry, s, v, pol=pol, bin_map=bin_map)
-    return ModeTransform(t.modes, t.matrix, name=f"delay({s},{delta_um}um)")
+    return _bin_block(registry, s, v, pol, bin_map, f"delay({s},{delta_um}um)")
 
 
 def _bin_args(el: dict) -> dict:
@@ -299,15 +302,60 @@ def lower_element(
 
 
 def compose(transforms) -> ModeTransform:
-    """Single ModeTransform equal to applying the sequence in order."""
+    """Single ModeTransform equal to applying the sequence in order.
+
+    When any transform holds a stack of matrices (one per scan point), so
+    does the result.  Every product after the first stack is a stack, so
+    the sequence is then multiplied out from whichever end leaves fewer
+    stacked products: from the last transform backwards, U^T applies the
+    transposed transforms in reverse order.
+    """
     transforms = list(transforms)
     if not transforms:
         raise ElementError("compose needs at least one transform")
     modes = tuple(sorted({m for t in transforms for m in t.modes}))
     pos = {m: i for i, m in enumerate(modes)}
-    total = np.eye(len(modes), dtype=complex)
-    for t in transforms:
-        # A transform acts only on the rows of its own modes.
-        rows = [pos[m] for m in t.modes]
-        total[rows] = t.matrix @ total[rows]
-    return ModeTransform(modes, total, name="composite")
+    stacked = [k for k, t in enumerate(transforms) if t.matrix.ndim == 3]
+    if stacked and _size(transforms[: stacked[-1]]) < _size(transforms[stacked[0] + 1 :]):
+        factors = [(t.modes, np.swapaxes(t.matrix, -1, -2)) for t in reversed(transforms)]
+        return ModeTransform(modes, np.swapaxes(_product(pos, factors), -1, -2), name="composite")
+    return ModeTransform(modes, _product(pos, [(t.modes, t.matrix) for t in transforms]), name="composite")
+
+
+def _size(transforms) -> int:
+    return sum(len(t.modes) ** 2 for t in transforms)
+
+
+def _product(pos: dict, factors) -> np.ndarray:
+    """The product of (modes, matrix) factors over the modes of pos, the
+    first factor rightmost."""
+    every = list(range(len(pos)))
+    total = np.eye(len(pos), dtype=complex)
+    for modes, matrix in factors:
+        # A factor acts only on the rows of its own modes.
+        rows = [pos[m] for m in modes]
+        if rows == every:
+            total = matrix @ total
+            continue
+        update = matrix @ total[..., rows, :]
+        if update.ndim > total.ndim:
+            total = np.broadcast_to(total, update.shape[:-2] + total.shape).copy()
+        total[..., rows, :] = update
+    return total
+
+
+def stack(transforms) -> ModeTransform:
+    """One transform per scan point, as one ModeTransform whose matrix
+    stacks them, each lifted to the union of their modes."""
+    transforms = list(transforms)
+    # Points usually share their modes, so each distinct layout is indexed once.
+    layouts = dict.fromkeys(t.modes for t in transforms)
+    modes = tuple(sorted({m for layout in layouts for m in layout}))
+    pos = {m: i for i, m in enumerate(modes)}
+    for layout in layouts:
+        rows = [pos[m] for m in layout]
+        layouts[layout] = np.ix_(rows, rows)
+    total = np.tile(np.eye(len(modes), dtype=complex), (len(transforms), 1, 1))
+    for matrix, t in zip(total, transforms):
+        matrix[layouts[t.modes]] = t.matrix
+    return ModeTransform(modes, total, name="stack")

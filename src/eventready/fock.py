@@ -9,12 +9,19 @@ photons are prepared with it, and a mode unitary U evolves a ket by
 mapping each creator a_j^dag to its column image sum_i U[i, j] a_i^dag,
 which reproduces the permanent formula
 <m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).
+
+A scan evolves many points of one circuit at once.  _apply_creation
+works for any amplitude type, so a GridState keeps one amplitude array
+per occupation, one entry per scan point, and a creator whose
+coefficients differ between points carries arrays too: the same code
+evolves a single state with Python complex amplitudes and a grid with
+1-D numpy arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -165,7 +172,10 @@ def _creation_op_vector(registry: ModeRegistry, photon: PhotonSpec):
 
 
 def _apply_creation(registry: ModeRegistry, state_terms: dict, op: dict) -> dict:
-    """Apply one creation operator (linear combination) to normalized kets."""
+    """Apply one creation operator (linear combination) to normalized kets.
+
+    Amplitudes and coefficients may be numbers or arrays over scan points.
+    """
     out = {}
     for occ, amp in state_terms.items():
         for idx, coeff in op.items():
@@ -184,10 +194,7 @@ def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
     the final normalization.
     """
     photons = list(photons)
-    if len(photons) > registry.photon_budget:
-        raise FockError(
-            f"{len(photons)} photons exceed the budget of {registry.photon_budget}"
-        )
+    _check_budget(registry, len(photons))
     terms = vacuum(registry).terms
     for photon in photons:
         terms = _apply_creation(registry, terms, _creation_op_vector(registry, photon))
@@ -195,8 +202,38 @@ def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
     return state.normalized()
 
 
+def _check_budget(registry: ModeRegistry, n_photons: int):
+    if n_photons > registry.photon_budget:
+        raise FockError(
+            f"{n_photons} photons exceed the budget of {registry.photon_budget}"
+        )
+
+
+def prepare_product_grid(registry: ModeRegistry, photon_grid) -> "GridState":
+    """prepare_product_state at every scan point at once.
+
+    photon_grid holds, per point, the same number of photons.  The k-th
+    photon's creator gets one coefficient array per mode, over the points.
+    """
+    photon_grid = [list(photons) for photons in photon_grid]
+    _check_budget(registry, len(photon_grid[0]))
+    ops = [[_creation_op_vector(registry, p) for p in photons] for photons in photon_grid]
+    terms = vacuum(registry).terms
+    for point_ops in zip(*ops):
+        # Registry order is the order _creation_op_vector lists its modes in.
+        modes = sorted(set().union(*point_ops))
+        terms = _apply_creation(
+            registry, terms, {i: np.array([op.get(i, 0j) for op in point_ops]) for i in modes}
+        )
+    return GridState(registry, terms, len(photon_grid)).pruned().normalized()
+
+
 def superpose(states, amplitudes, normalize: bool = True) -> PureState:
-    """Linear combination of pure states over one registry."""
+    """Linear combination of pure states over one registry.
+
+    GridStates combine point by point; an amplitude may then also be an
+    array over the points.
+    """
     states = list(states)
     if not states:
         raise FockError("superpose needs at least one state")
@@ -207,11 +244,12 @@ def superpose(states, amplitudes, normalize: bool = True) -> PureState:
         if st.registry != registry:
             raise FockError("superpose: registry mismatch")
         photon_counts.add(st.total_photons())
+        c = amp if isinstance(amp, np.ndarray) else complex(amp)
         for occ, a in st.terms.items():
-            terms[occ] = terms.get(occ, 0.0j) + complex(amp) * a
+            terms[occ] = terms.get(occ, 0.0j) + c * a
     if len(photon_counts) > 1:
         raise FockError(f"superpose mixes photon numbers {sorted(photon_counts)}")
-    out = PureState(registry, terms).pruned()
+    out = replace(states[0], terms=terms).pruned()
     return out.normalized() if normalize else out
 
 
@@ -233,7 +271,11 @@ def inner_product(a: PureState, b: PureState) -> complex:
 
 @dataclass(frozen=True)
 class ModeTransform:
-    """Unitary matrix over an ordered subset of registry modes."""
+    """Unitary matrix over an ordered subset of registry modes.
+
+    A scan's transform may hold a stack of matrices, shape (points, n, n),
+    one per scan point.
+    """
 
     modes: tuple
     matrix: np.ndarray
@@ -241,19 +283,38 @@ class ModeTransform:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (len(self.modes), len(self.modes)):
+        n = len(self.modes)
+        if m.ndim not in (2, 3) or m.shape[-2:] != (n, n):
             raise FockError(
                 f"transform {self.name or '(unnamed)'}: matrix shape {m.shape} "
-                f"does not match {len(self.modes)} modes"
+                f"does not match {n} modes"
             )
         object.__setattr__(self, "matrix", m)
 
     def unitarity_deviation(self) -> float:
+        """max |U+U - I|, over every point of a stack."""
         m = self.matrix
-        return float(np.max(np.abs(m.conj().T @ m - np.eye(len(self.modes)))))
+        adjoint = np.conjugate(m.swapaxes(-1, -2), order="C")
+        return float(np.abs(adjoint @ m - np.eye(len(self.modes))).max())
 
 
-def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
+def _column_images(matrix: np.ndarray, idxs) -> list:
+    """Per local creator j, its image {registry index: U[i, j]}; for a
+    stack of matrices each U[i, j] is an array over the points."""
+    if matrix.ndim == 2:
+        return [
+            {idxs[i]: c for i, c in enumerate(column) if c != 0}
+            for column in matrix.T.tolist()
+        ]
+    columns = np.ascontiguousarray(np.moveaxis(matrix, 0, -1).swapaxes(0, 1))
+    nonzero = columns.any(axis=2)
+    return [
+        {idxs[i]: columns[j, i] for i in np.flatnonzero(nonzero[j])}
+        for j in range(len(idxs))
+    ]
+
+
+def apply_mode_unitary(state, t: ModeTransform):
     """Exact evolution of a sparse state under a mode unitary.
 
     Each ket is a creator monomial.  Its counts n_j on t.modes are zeroed
@@ -261,18 +322,20 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
     and the column image {registry index: U[i, j]} of each local creator
     is applied n_j times with _apply_creation.  Modes outside t.modes are
     untouched; the output norm equals the input norm.
+
+    state is a PureState, or a GridState evolved point by point under a
+    single matrix or a stack with one matrix per point; unitarity, norm
+    drift and pruning are then checked at every point.
     """
     registry = state.registry
-    if t.unitarity_deviation() > UNITARY_TOL:
+    deviation = t.unitarity_deviation()
+    if deviation > UNITARY_TOL:
         raise FockError(
             f"transform {t.name or '(unnamed)'} is not unitary "
-            f"(deviation {t.unitarity_deviation():.3e})"
+            f"(deviation {deviation:.3e})"
         )
     idxs = [registry.index(m) for m in t.modes]
-    images = [
-        {idxs[i]: c for i, c in enumerate(column) if c != 0}
-        for column in t.matrix.T.tolist()
-    ]
+    images = _column_images(t.matrix, idxs)
 
     out_terms = {}
     for occ, amp in state.terms.items():
@@ -280,20 +343,76 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
         for i in idxs:
             if occ[i]:
                 template[i] = 0
-                amp /= math.sqrt(math.factorial(occ[i]))
+                amp = amp / math.sqrt(math.factorial(occ[i]))
         terms = {tuple(template): amp}
         for i, image in zip(idxs, images):
             for _ in range(occ[i]):
                 terms = _apply_creation(registry, terms, image)
         for key, a in terms.items():
             out_terms[key] = out_terms.get(key, 0.0j) + a
-    out = PureState(registry, out_terms).pruned()
-    if abs(out.norm() - state.norm()) > NORM_TOL:
+    out = replace(state, terms=out_terms).pruned()
+    before, after = np.atleast_1d(state.norm()), np.atleast_1d(out.norm())
+    drift = np.abs(after - before)
+    if drift.max() > NORM_TOL:
+        k = int(drift.argmax())
         raise FockError(
-            f"norm drifted {state.norm():.12f} -> {out.norm():.12f} "
+            f"norm drifted {before[k]:.12f} -> {after[k]:.12f} "
             f"under {t.name or '(unnamed)'}"
         )
     return out
+
+
+@dataclass
+class GridState:
+    """One PureState per scan point, over a shared registry.
+
+    terms maps an occupation to a 1-D complex array with its amplitude at
+    each of the `points` points; an amplitude of exactly 0 means the term
+    is absent at that point.
+    """
+
+    registry: ModeRegistry
+    terms: dict
+    points: int
+
+    total_photons = PureState.total_photons
+
+    @staticmethod
+    def broadcast(state: PureState, points: int) -> "GridState":
+        """The same state at every point."""
+        return GridState(
+            state.registry, {occ: np.full(points, a) for occ, a in state.terms.items()}, points
+        )
+
+    def norm(self) -> np.ndarray:
+        total = np.zeros(self.points)
+        for a in self.terms.values():
+            total = total + abs(a) ** 2
+        return np.sqrt(total)
+
+    def pruned(self, tol: float = PRUNE_TOL) -> "GridState":
+        """PureState.pruned at every point: amplitudes within tol become 0."""
+        terms = {}
+        for occ, a in self.terms.items():
+            a = np.where(abs(a) > tol, a, 0j)
+            if a.any():
+                terms[occ] = a
+        return GridState(self.registry, terms, self.points)
+
+    def normalized(self) -> "GridState":
+        n = self.norm()
+        if not n.all():
+            raise FockError("cannot normalize the zero state")
+        return GridState(self.registry, {o: a / n for o, a in self.terms.items()}, self.points)
+
+    def states(self) -> list:
+        """The PureState at each point, with Python complex amplitudes."""
+        per_point = [{} for _ in range(self.points)]
+        for occ, a in self.terms.items():
+            for terms, amp in zip(per_point, a.tolist()):
+                if amp:
+                    terms[occ] = amp
+        return [PureState(self.registry, terms) for terms in per_point]
 
 
 POL_BASIS = ("HH", "HV", "VH", "VV")

@@ -31,8 +31,8 @@ from .analysis import (
     outcome_distribution,
     sample_counts,
 )
-from .circuit import compile_circuit, run
-from .config import SCHEMA_VERSION, ExperimentConfig
+from .circuit import ScanCircuit, compile_circuit, run
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
 from .fock import FockError, PureState, basis_state, inner_product, superpose
 from .modes import H, V, ModeId
@@ -47,6 +47,12 @@ SUCCESS_PROBABILITY_NOTE = (
 
 class PresetError(ValueError):
     pass
+
+
+# A scan evolves its grid in blocks of this many points, which bounds its
+# memory; a grid may hold at most MAX_SCAN_POINTS points.
+SCAN_BLOCK = 64
+MAX_SCAN_POINTS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +279,11 @@ def _heralded_pair(config: ExperimentConfig):
 def evaluate_config(config: ExperimentConfig) -> dict:
     """Run one config and report every applicable observable."""
     circuit = compile_circuit(config)
-    state = run(circuit)
-    groups = _detector_groups(circuit.registry, config.detectors)
+    return _observables(config, run(circuit), _detector_groups(circuit.registry, config.detectors))
+
+
+def _observables(config: ExperimentConfig, state: PureState, groups: dict) -> dict:
+    """Every applicable observable of the final state of config."""
     obs: dict = {}
     first_rho = None
     first_prob = None
@@ -322,9 +331,15 @@ def parse_range(spec: str):
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
         raise PresetError(f"bad range spec {spec!r}, expected start:stop:step") from exc
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise PresetError(f"range {spec!r} has a non-finite start, stop or step")
     if step <= 0:
         raise PresetError("range step must be positive")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    # Compared as a float: a span too wide for an int is inf here, not an OverflowError.
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_SCAN_POINTS:
+        raise PresetError(f"range {spec!r} yields more than {MAX_SCAN_POINTS} points")
+    n = int(math.floor(steps)) + 1
     if n < 2:
         raise PresetError(f"range {spec!r} yields fewer than 2 points")
     return [start + i * step for i in range(n)]
@@ -339,32 +354,74 @@ def _path_key(node, part: str, path: str, leaf: bool = False):
     raise PresetError(f"scan path {path!r}: no field {part!r}")
 
 
-def _set_by_path(raw: dict, path: str, value):
+def _path_keys(raw: dict, path: str) -> list:
+    """The keys and indices of a scan path, which must name a numeric field of raw."""
     *parents, leaf = path.split(".")
-    node = raw
+    keys, node = [], raw
     for part in parents:
-        node = node[_path_key(node, part, path)]
-    key = _path_key(node, leaf, path, leaf=True)
+        keys.append(_path_key(node, part, path))
+        node = node[keys[-1]]
+    keys.append(_path_key(node, leaf, path, leaf=True))
     # An absent leaf is allowed: optional numeric fields (e.g. a photon's
     # overlap) default away when 1.0; schema validation rejects junk keys.
-    current = node.get(key, 0.0) if isinstance(node, dict) else node[key]
+    current = node.get(keys[-1], 0.0) if isinstance(node, dict) else node[keys[-1]]
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise PresetError(f"scan path {path!r} does not address a numeric field")
-    node[key] = value
+    return keys
 
 
-def _scan_points(config: ExperimentConfig, path: str, range_spec: str):
-    """Yield (value, validated point config) for each value of scan()'s grid."""
+def _with_leaf(node, keys, value):
+    """A copy of node with the field at keys set to value; every subtree
+    off that path is shared, not copied."""
+    key, *rest = keys
+    out = dict(node) if isinstance(node, dict) else list(node)
+    out[key] = _with_leaf(node[key], rest, value) if rest else value
+    return out
+
+
+def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
+    """Yield (values, point configs, GridState, detector groups) for each
+    block of at most SCAN_BLOCK points of scan()'s grid.
+
+    The first point is validated in full and compiled.  Every later point
+    has only its scanned leaves checked (LeafCheck) and re-lowers only the
+    elements it changes; a point whose registry differs (a `bins` or
+    `photon_budget` scan) is compiled again and starts a new block.
+    """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
     if not paths:
         raise PresetError("scan needs at least one parameter path")
-    # from_dict copies what it keeps, so one raw dict serves every point.
-    raw = config.to_dict()
+    base = config.to_dict()
+    leaves = [_path_keys(base, p) for p in paths]
+    check = grid = None
+    block: list = []
     for value in values:
-        for p in paths:
-            _set_by_path(raw, p, value)
-        yield value, ExperimentConfig.from_dict(raw)
+        raw = base
+        for keys in leaves:
+            raw = _with_leaf(raw, keys, value)
+        if check is None:
+            point = ExperimentConfig.from_dict(raw)
+            check = LeafCheck(leaves)
+        else:
+            violations = check(raw)
+            if violations:
+                raise ConfigError(violations)
+            point = ExperimentConfig._from_valid(raw)
+        new_registry = grid is None or not grid.shares_registry(point)
+        if block and (new_registry or len(block) == SCAN_BLOCK):
+            yield _evolve_block(grid, block, groups)
+            block = []
+        if new_registry:
+            grid = ScanCircuit(compile_circuit(point), point)
+            groups = _detector_groups(grid.circuit.registry, point.detectors)
+        block.append((value, point, grid.changes(point)))
+    yield _evolve_block(grid, block, groups)
+
+
+def _evolve_block(grid: ScanCircuit, block: list, groups: dict):
+    values, points, changes = zip(*block)
+    return values, points, grid.evolve(changes), groups
 
 
 def scan(config: ExperimentConfig, path: str, range_spec: str):
@@ -373,14 +430,19 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     Several comma-separated paths move together through the same values,
     e.g. both photons of a delayed pair sharing one overlap.
     """
-    return [
-        {"param": value, **evaluate_config(point)}
-        for value, point in _scan_points(config, path, range_spec)
-    ]
+    rows = []
+    for values, points, grid, groups in _scan_blocks(config, path, range_spec):
+        for value, point, state in zip(values, points, grid.states()):
+            rows.append({"param": value, **_observables(point, state, groups)})
+    return rows
 
 
-def _group_counts(state: PureState, groups: dict, order) -> dict:
-    """{photon count per detector group, in `order`: probability}."""
+def _group_counts(state, groups: dict, order) -> dict:
+    """{photon count per detector group, in `order`: probability}.
+
+    For a GridState each probability is an array over its points, 0 where
+    no term of that count survives.
+    """
     read = tuple(m for name in order for m in groups[name])
     modes = sorted(set(read))  # the order of outcome_distribution's patterns
     position = {m: order.index(name) for name in order for m in groups[name]}
@@ -568,19 +630,19 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
     model = OverlapModel(**config.model)
     # Both photons of the delayed pair acquire the fringe phase.
     effective_period = model.fringe_period_um / 2.0
-    points = _scan_points(config, "elements.0.delta_um", params["delta_range"])
     curve = []
-    for i, (delta, point) in enumerate(points):
-        circuit = compile_circuit(point)
-        groups = _detector_groups(circuit.registry, point.detectors)
-        counts = _group_counts(run(circuit), groups, ("D1", "D2"))
-        row = {"delta_um": delta, "p_coincidence": counts.get((1, 1), 0.0)}
-        if shots:
-            n = dict(sample_counts(sorted(counts.items()), shots, seed + i)).get((1, 1), 0)
-            row["counts_coincidence"] = n
-            row["error_coincidence"] = math.sqrt(max(1, n))
-            row["shots"] = shots
-        curve.append(row)
+    for values, _, grid, groups in _scan_blocks(config, "elements.0.delta_um", params["delta_range"]):
+        table = {key: p.tolist() for key, p in _group_counts(grid, groups, ("D1", "D2")).items()}
+        for k, delta in enumerate(values):
+            counts = {key: p[k] for key, p in table.items() if p[k] > 0}
+            row = {"delta_um": delta, "p_coincidence": counts.get((1, 1), 0.0)}
+            if shots:
+                i = len(curve)
+                n = dict(sample_counts(sorted(counts.items()), shots, seed + i)).get((1, 1), 0)
+                row["counts_coincidence"] = n
+                row["error_coincidence"] = math.sqrt(max(1, n))
+                row["shots"] = shots
+            curve.append(row)
     deltas = [r["delta_um"] for r in curve]
     fit_analytic = fit_delay_fringe(
         deltas, [r["p_coincidence"] for r in curve], effective_period

@@ -20,6 +20,8 @@ from eventready import (
     prepare_product_state,
     superpose,
 )
+from eventready.elements import stack
+from eventready.fock import prepare_product_grid
 
 from oracles import (
     embed_transform,
@@ -224,6 +226,72 @@ class TestApplyProperties:
         for out in (sequential, once):
             assert abs(out.norm() - 1.0) < 1e-12
             assert out.total_photons() == state.total_photons()
+
+
+def _random_amplitudes(rng, n):
+    v = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return tuple(complex(c) for c in v / np.linalg.norm(v))
+
+
+@st.composite
+def grid_cases(draw):
+    """Per scan point, photons with random amplitudes and a unitary sequence;
+    a step is either one shared matrix or one matrix per point."""
+    reg = ModeRegistry(("a", "b")[: draw(st.integers(1, 2))], bins=draw(st.integers(1, 2)))
+    points = draw(st.integers(1, 4))
+    labels = draw(st.lists(st.sampled_from(reg.spatial_labels), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_bins = [draw(st.integers(1, reg.bins)) for _ in labels]
+    photon_grid = [
+        [
+            PhotonSpec(label, _random_amplitudes(rng, 2), _random_amplitudes(rng, n))
+            for label, n in zip(labels, n_bins)
+        ]
+        for _ in range(points)
+    ]
+    steps = draw(
+        st.lists(
+            st.tuples(st.lists(st.sampled_from(reg.modes), min_size=1, unique=True), st.booleans()),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    sequences = [[] for _ in range(points)]
+    for modes, per_point in steps:
+        shared = random_unitary(len(modes), rng)
+        for sequence in sequences:
+            matrix = random_unitary(len(modes), rng) if per_point else shared
+            sequence.append(ModeTransform(tuple(modes), matrix))
+    return reg, photon_grid, sequences
+
+
+class TestGridProperties:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(grid_cases())
+    def test_grid_evolution_matches_each_point(self, case):
+        reg, photon_grid, sequences = case
+        grid = prepare_product_grid(reg, photon_grid)
+        steps = [stack(column) for column in zip(*sequences)]
+        evolved = apply_mode_unitary(grid, compose(steps))
+        for prepared, final, photons, sequence in zip(grid.states(), evolved.states(), photon_grid, sequences):
+            for got, want in (
+                (prepared, prepare_product_state(reg, photons)),
+                (final, apply_mode_unitary(prepare_product_state(reg, photons), compose(sequence))),
+            ):
+                assert set(got.terms) == set(want.terms)
+                for occ, amp in want.terms.items():
+                    assert abs(got.terms[occ] - amp) < 1e-12
+        assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
+
+    def test_stack_lifts_points_with_different_modes(self):
+        reg = single_bin_registry(["a", "b"])
+        rng = np.random.default_rng(3)
+        first = ModeTransform(reg.modes[:2], random_unitary(2, rng))
+        second = ModeTransform(reg.modes[1:3], random_unitary(2, rng))
+        stacked = stack([first, second])
+        assert stacked.modes == reg.modes[:3]
+        for matrix, t in zip(stacked.matrix, (first, second)):
+            assert np.allclose(matrix, compose([t, ModeTransform(reg.modes[:3], np.eye(3))]).matrix)
 
 
 class TestInnerProduct:

@@ -1,0 +1,275 @@
+"""Compile-once scans: the grid path against the per-point path.
+
+A scan validates its first point in full, checks only the scanned leaves
+of every later point, compiles once per mode registry and evolves its
+points in blocks.  These tests hold it to the per-point path: the same
+rows, the same error messages, and the committed reference outputs.
+"""
+
+import copy
+import csv
+import json
+import math
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import eventready.circuit as circuit_module
+import eventready.config as config_module
+import eventready.presets as presets
+from eventready import ExperimentConfig
+from eventready.cli import main
+from eventready.config import ConfigError, LeafCheck, validate_config_dict
+from eventready.presets import (
+    MAX_SCAN_POINTS,
+    PresetError,
+    build_preset_config,
+    evaluate_config,
+    fusion_delay_config,
+    hom_config,
+    parse_range,
+    polarizer_variant_config,
+    run_preset,
+    scan,
+)
+
+DATA = Path(__file__).parent / "data"
+FUSION_OVERLAPS = "sources.branches.0.photons.2.overlap,sources.branches.0.photons.3.overlap"
+
+
+def _beamsplitter_config(transmissivity=0.5):
+    raw = hom_config()
+    raw["elements"].insert(1, {"kind": "beamsplitter", "ports": ["A1", "A2"], "transmissivity": transmissivity})
+    return raw
+
+
+def _delayed_config():
+    raw = fusion_delay_config()
+    raw["elements"][0]["delta_um"] = 150.0
+    return raw
+
+
+def _set(raw: dict, path: str, value) -> dict:
+    """A deep copy of raw with the field at the dotted path set to value."""
+    out = copy.deepcopy(raw)
+    *parents, leaf = path.split(".")
+    node = out
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    node[int(leaf) if isinstance(node, list) else leaf] = value
+    return out
+
+
+def _per_point_rows(raw: dict, path: str, spec: str):
+    rows = []
+    for value in parse_range(spec):
+        point = raw
+        for p in path.split(","):
+            point = _set(point, p, value)
+        rows.append({"param": value, **evaluate_config(ExperimentConfig.from_dict(point))})
+    return rows
+
+
+def _assert_rows_match(rows, expected):
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        assert list(row) == list(want)
+        for key, value in want.items():
+            if math.isnan(value):
+                assert math.isnan(row[key]), key
+            else:
+                assert abs(row[key] - value) <= 1e-12, (key, row[key], value)
+
+
+# (config builder, scan path, start range, step range): every grid the
+# strategy draws from these stays inside the schema's limits.
+SCAN_CASES = {
+    "delta_um": (fusion_delay_config, "elements.0.delta_um", (-600.0, 600.0), (0.1, 150.0)),
+    "hwp-angle": (fusion_delay_config, "elements.4.angle_deg", (0.0, 90.0), (0.5, 20.0)),
+    "polarizer-angle": (hom_config, "elements.1.angle_deg", (0.0, 180.0), (0.5, 20.0)),
+    "transmissivity": (_beamsplitter_config, "elements.1.transmissivity", (0.0, 0.5), (0.01, 0.12)),
+    "bin-mixer-overlap": (
+        lambda: polarizer_variant_config(analyzer_walkoff=0.9),
+        "elements.5.overlap,elements.6.overlap",
+        (0.0, 0.5),
+        (0.01, 0.12),
+    ),
+    "photon-overlap": (hom_config, "sources.branches.0.photons.1.overlap", (0.0, 0.5), (0.01, 0.12)),
+    "pol-angle": (hom_config, "sources.branches.0.photons.0.pol_angle_deg", (0.0, 180.0), (0.5, 30.0)),
+    "coherence-length": (_delayed_config, "model.coherence_length_um", (10.0, 300.0), (1.0, 50.0)),
+    "fusion-overlaps": (polarizer_variant_config, FUSION_OVERLAPS, (0.0, 0.5), (0.01, 0.12)),
+    "element-and-source": (
+        hom_config,
+        "elements.1.angle_deg,sources.branches.0.photons.0.pol_angle_deg",
+        (0.0, 90.0),
+        (0.5, 20.0),
+    ),
+}
+
+
+@st.composite
+def scan_cases(draw):
+    name = draw(st.sampled_from(sorted(SCAN_CASES)))
+    build, path, (lo, hi), (step_lo, step_hi) = SCAN_CASES[name]
+    start = draw(st.floats(lo, hi))
+    step = draw(st.floats(step_lo, step_hi))
+    n = draw(st.integers(2, 5))
+    # The stop sits half a step past the last point, so rounding never changes the count.
+    spec = f"{start!r}:{start + (n - 1) * step + step / 2!r}:{step!r}"
+    return build(), path, spec, draw(st.sampled_from([1, 2, 3, presets.SCAN_BLOCK]))
+
+
+class TestGridMatchesPerPointPath:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scan_cases())
+    def test_rows_equal_per_point_evaluation(self, case):
+        raw, path, spec, block = case
+        with mock.patch.object(presets, "SCAN_BLOCK", block):
+            rows = scan(ExperimentConfig.from_dict(raw), path, spec)
+        _assert_rows_match(rows, _per_point_rows(raw, path, spec))
+
+    def test_registry_change_compiles_again(self, monkeypatch):
+        compiled = []
+        original = presets.compile_circuit
+        monkeypatch.setattr(presets, "compile_circuit", lambda c: compiled.append(c.bins) or original(c))
+        raw = _delayed_config()
+        rows = scan(ExperimentConfig.from_dict(raw), "bins,elements.0.delta_um", "4:6:1")
+        assert compiled == [4, 5, 6]
+        _assert_rows_match(rows, _per_point_rows(raw, "bins,elements.0.delta_um", "4:6:1"))
+
+    def test_blocks_cover_the_grid_in_order(self):
+        raw = fusion_delay_config()
+        spec = "-50:50:0.5"  # 201 points: three full blocks of 64 and one of 9
+        rows = scan(ExperimentConfig.from_dict(raw), "elements.0.delta_um", spec)
+        assert [r["param"] for r in rows] == parse_range(spec)
+        _assert_rows_match(rows[60:70], _per_point_rows(raw, "elements.0.delta_um", "-20:-15.5:0.5"))
+
+
+class TestSameErrors:
+    @pytest.mark.parametrize(
+        "raw, path, spec, bad_point",
+        [
+            (_beamsplitter_config(0.95), "elements.1.transmissivity", "0.95:1.06:0.05", 2),
+            (hom_config(), "sources.branches.0.photons.1.overlap", "0.8:1.25:0.2", 2),
+            (_delayed_config(), "model.coherence_length_um", "0:100:50", 0),
+        ],
+        ids=["transmissivity-1.05", "photon-overlap-1.2", "coherence-length-0"],
+    )
+    def test_bad_point_gives_the_full_validation_messages(self, tmp_path, capsys, raw, path, spec, bad_point):
+        bad = _set(raw, path, parse_range(spec)[bad_point])
+        expected = validate_config_dict(bad)
+        assert expected and all(v.startswith(f"$.{path}") for v in expected)
+        with pytest.raises(ConfigError) as exc:
+            scan(ExperimentConfig.from_dict(raw), path, spec)
+        assert exc.value.violations == expected
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", f"{path}={spec}"]) == 1
+        err = capsys.readouterr().err
+        assert err == "".join(f"eventready: config error: {v}\n" for v in expected)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("elements.1.transmissivity", 1.05),
+            ("elements.1.transmissivity", -0.1),
+            ("elements.4.delta_um", math.nan),
+            ("sources.branches.0.photons.1.overlap", 1.2),
+            ("sources.branches.0.photons.1.overlap.0", 1.2),
+            ("sources.branches.0.amplitude.1", math.inf),
+            ("bins", 2.5),
+            ("bins", 1.0),
+            ("photon_budget", 1.0),
+            ("heralds.0.require.DA", -1.0),
+            ("model.coherence_length_um", 0.0),
+            ("elements.1.transmissivity", 0.3),
+        ],
+    )
+    def test_leaf_check_equals_full_validation(self, path, value):
+        raw = _beamsplitter_config()
+        raw["sources"]["branches"][0]["amplitude"] = [1.0, 0.0]
+        raw["sources"]["branches"][0]["photons"][1]["overlap"] = [0.9, 0.0]
+        raw["model"] = {"coherence_length_um": 100.0}
+        raw["elements"].append({"kind": "delay", "port": "A2", "delta_um": 0.0})
+        assert validate_config_dict(raw) == []
+        keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+        bad = _set(raw, path, value)
+        assert LeafCheck([keys])(bad) == validate_config_dict(bad)
+
+    def test_scan_validates_twice_and_compiles_once(self, monkeypatch):
+        calls = {"validate": 0, "compile": 0, "lower": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            config_module, "validate_config_dict", counting("validate", config_module.validate_config_dict)
+        )
+        monkeypatch.setattr(presets, "compile_circuit", counting("compile", presets.compile_circuit))
+        monkeypatch.setattr(circuit_module, "lower_element", counting("lower", circuit_module.lower_element))
+        result = run_preset("fusion-delay-scan")
+        assert result.report["points"] == 1201
+        assert calls["validate"] <= 2
+        assert calls["compile"] == 1
+        assert calls["lower"] <= 8 + 1201
+
+
+class TestRangeLimits:
+    @pytest.mark.parametrize("spec", ["0:inf:0.5", "nan:1:0.1", "0:1:nan", "-inf:0:1"])
+    def test_non_finite_range_rejected(self, tmp_path, capsys, spec):
+        with pytest.raises(PresetError, match="non-finite"):
+            parse_range(spec)
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), "--scan", f"sources.branches.0.photons.1.overlap={spec}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"eventready: error: range {spec!r} has a non-finite start, stop or step\n"
+
+    def test_point_cap(self):
+        assert len(parse_range(f"0:{MAX_SCAN_POINTS - 1}:1")) == MAX_SCAN_POINTS
+        with pytest.raises(PresetError, match=f"more than {MAX_SCAN_POINTS} points"):
+            parse_range(f"0:{MAX_SCAN_POINTS}:1")
+
+    def test_overflowing_span_refused_before_counting(self):
+        with pytest.raises(PresetError, match="more than"):
+            parse_range("-1e308:1e308:1e-300")
+
+
+def _csv_rows(text: str):
+    return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+
+
+def _assert_csv_matches(text: str, reference: Path, counts=()):
+    rows, expected = _csv_rows(text), _csv_rows(reference.read_text())
+    assert len(rows) == len(expected) and list(rows[0]) == list(expected[0])
+    for row, want in zip(rows, expected):
+        for key, value in want.items():
+            if key in counts:
+                assert row[key] == value, key
+            else:
+                assert abs(float(row[key]) - float(value)) <= 1e-12, (key, row[key], value)
+
+
+class TestReferenceOutputs:
+    """Outputs of the per-point scan path, written before scans were batched."""
+
+    def test_fusion_delay_scan_curve(self, tmp_path):
+        run_preset("fusion-delay-scan", out_dir=tmp_path, seed=5, shots=10_000)
+        _assert_csv_matches(
+            (tmp_path / "fusion-delay-scan.csv").read_text(),
+            DATA / "fusion_delay_scan_seed5.csv",
+            counts=("counts_coincidence", "error_coincidence", "shots"),
+        )
+
+    def test_fusion_overlap_scan(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(build_preset_config("polarization-correlation", {}).to_dict()))
+        assert main(["--config", str(cfg_path), "--scan", f"{FUSION_OVERLAPS}=0.5:1.0:0.02", "--out", str(tmp_path)]) == 0
+        _assert_csv_matches((tmp_path / "scan.csv").read_text(), DATA / "overlap_scan.csv")
