@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .fock import PureState, partial_trace_to_polarization
 
@@ -342,6 +341,9 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
     span = float(np.max(np.abs(deltas))) or 1.0
     v_guess = min(1.0, float(np.max(values) - np.min(values)) / (2.0 * c_guess + 1e-30))
     p0 = [c_guess, max(0.1, v_guess), span / 3.0, 0.0]
+    # Imported here: scipy is the slowest import, and only fits need it.
+    from scipy.optimize import curve_fit
+
     popt, _ = curve_fit(
         model,
         deltas,

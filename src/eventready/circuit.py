@@ -3,7 +3,8 @@
 Circuits are immutable after compilation; `run` is a pure function, so
 scan points can be evaluated independently.  A scan compiles once and
 evolves its points together with `ScanCircuit`, which re-lowers only the
-elements and re-reads only the source branches that a point changes.
+elements and re-reads only the source branches that a point changes, and
+checks their unitarity a block of points at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .fock import (
     prepare_product_grid,
     prepare_product_state,
     superpose,
+    unitarity_deviations,
 )
 from .modes import ModeRegistry
 
@@ -87,19 +89,28 @@ def _photon_from_source(src: dict) -> PhotonSpec:
 
 
 def _lower(i: int, el: dict, registry, model, convention) -> list:
-    """The (label, transform) steps of config element i, each checked for unitarity."""
-    path = f"$.elements.{i}"
+    """The (label, transform) steps of config element i, each checked for
+    unitarity.  A scan lowers its points with _lowered and checks them a
+    block at a time (ScanCircuit.require_unitary), with the same error."""
+    steps = _lowered(i, el, registry, model, convention)
+    for _, t in steps:
+        _require_unitary(i, t)
+    return steps
+
+
+def _lowered(i: int, el: dict, registry, model, convention) -> list:
+    """The (label, transform) steps of config element i, not yet checked for unitarity."""
     try:
         transforms = lower_element(el, registry, model=model, convention=convention)
     except ElementError as exc:
-        raise CircuitError(f"{path}: {exc}") from exc
-    steps = []
-    for t in transforms:
-        report = check_unitarity(t)
-        if not report.ok:
-            raise CircuitError(f"{path}: non-unitary lowering: {report}")
-        steps.append((t.name or el["kind"], t))
-    return steps
+        raise CircuitError(f"$.elements.{i}: {exc}") from exc
+    return [(t.name or el["kind"], t) for t in transforms]
+
+
+def _require_unitary(i: int, t: ModeTransform):
+    report = check_unitarity(t)
+    if not report.ok:
+        raise CircuitError(f"$.elements.{i}: non-unitary lowering: {report}")
 
 
 def _source_branch(b: int, br: dict, losses) -> SourceBranch:
@@ -171,9 +182,13 @@ class ScanCircuit:
     """A circuit compiled once for a scan, and the evolution of its points.
 
     A point is a validated config that differs from the compiled one only
-    in numbers.  `changes` re-lowers the elements whose dicts differ (all
-    of them when `model` or `convention` differs) and re-reads the source
-    branches whose dicts differ; `evolve` runs a block of points as one
+    in numbers.  `changes` re-lowers, through lower_element, the elements
+    whose dicts differ (all of them when `model` or `convention` differs)
+    and re-reads the source branches whose dicts differ.  Unitarity is
+    checked a block at a time: `evolve` first calls `require_unitary`,
+    which checks every transform the block's points lowered in one stack
+    per matrix size and raises _lower's error for the first point, in
+    grid order, that fails.  `evolve` then runs the block as one
     GridState, composing the unchanged elements between the re-lowered
     ones once and giving re-read branches array coefficients.
     """
@@ -191,13 +206,14 @@ class ScanCircuit:
         return (config.bins, config.photon_budget) == (base.bins, base.photon_budget)
 
     def changes(self, config):
-        """({element index: its transform}, {branch index: SourceBranch}) of
-        what one point changes."""
+        """({element index: its (label, transform) steps}, {branch index:
+        SourceBranch}) of what one point changes; the steps are not yet
+        checked for unitarity."""
         base = self.config
         relower_all = config.model != base.model or config.convention != base.convention
         model = OverlapModel(**config.model) if relower_all else self.model
         elements = {
-            i: _one_transform(_lower(i, el, self.circuit.registry, model, config.convention))
+            i: _lowered(i, el, self.circuit.registry, model, config.convention)
             for i, el in enumerate(config.elements)
             if relower_all or el != base.elements[i]
         }
@@ -208,8 +224,24 @@ class ScanCircuit:
         }
         return elements, branches
 
+    def require_unitary(self, points):
+        """Raise, as _lower would for that point alone, for the first of
+        the block's points (their `changes`) that lowered a non-unitary
+        transform."""
+        lowered = [(i, t) for elements, _ in points for i, steps in elements.items() for _, t in steps]
+        by_size: dict = {}
+        for k, (_, t) in enumerate(lowered):
+            by_size.setdefault(len(t.modes), []).append(k)
+        failed = []
+        for ks in by_size.values():
+            deviations = unitarity_deviations(np.stack([lowered[k][1].matrix for k in ks]))
+            failed += [k for k, deviation in zip(ks, deviations) if not deviation < UNITARY_TOL]
+        for k in sorted(failed):
+            _require_unitary(*lowered[k])
+
     def evolve(self, points) -> GridState:
         """The final states of a block of points, given their `changes`."""
+        self.require_unitary(points)
         circuit, n = self.circuit, len(points)
         states, amplitudes = [], []
         for b, branch in enumerate(circuit.branches):
@@ -223,7 +255,7 @@ class ScanCircuit:
         state = states[0] if len(states) == 1 else superpose(states, amplitudes)
         varying = tuple(sorted({i for elements, _ in points for i in elements}))
         transforms = [
-            stack(elements.get(part) or self._element(part) for elements, _ in points)
+            stack(_one_transform(elements.get(part) or self._steps(part)) for elements, _ in points)
             if isinstance(part, int)
             else part
             for part in self._plan(varying)
@@ -232,9 +264,10 @@ class ScanCircuit:
             return state
         return apply_mode_unitary(state, compose(transforms))
 
-    def _element(self, i: int) -> ModeTransform:
+    def _steps(self, i: int) -> tuple:
+        """The compiled steps of element i."""
         start, stop = self.circuit.element_steps[i]
-        return _one_transform(self.circuit.steps[start:stop])
+        return self.circuit.steps[start:stop]
 
     def _plan(self, varying: tuple) -> list:
         """The element sequence as the indices in `varying`, with each run

@@ -73,6 +73,11 @@ def main(argv=None) -> int:
             if given:
                 print(f"eventready: error: {message}", file=sys.stderr)
                 return 1
+    # run_preset refuses these too, but its message names the argument, not the flag.
+    for flag, value in (("--seed", args.seed), ("--shots", args.shots)):
+        if value is not None and value < 0:
+            print(f"eventready: error: {flag} must be >= 0, got {value}", file=sys.stderr)
+            return 1
     try:
         if args.config:
             config = parse_config(args.config)

@@ -309,6 +309,13 @@ def _photon_violations(path: str, photon: dict, bins: int):
     return problems
 
 
+def _budget_violations(b: int, photons: list, budget: int):
+    """More photons in branch b than the photon budget."""
+    if len(photons) > budget:
+        return [f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}"]
+    return []
+
+
 def _cross_reference_violations(raw: dict):
     """Checks that need a schema-valid config: field combinations, photon
     amplitudes and labels."""
@@ -317,10 +324,7 @@ def _cross_reference_violations(raw: dict):
     problems = []
     for b, branch in enumerate(raw.get("sources", {}).get("branches", [])):
         photons = branch.get("photons", [])
-        if len(photons) > budget:
-            problems.append(
-                f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}"
-            )
+        problems.extend(_budget_violations(b, photons, budget))
         for p, photon in enumerate(photons):
             path = f"$.sources.branches.{b}.photons.{p}"
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
@@ -413,16 +417,29 @@ class LeafCheck:
 
     The schema has no constraint between fields, so a schema error can sit
     only at a changed leaf: each leaf is checked against its own
-    subschema, resolved once, and for finiteness; the cross-reference
-    checks then run on the whole config.  The result is the message list
-    validate_config_dict gives for the same config.
+    subschema, resolved once, and for finiteness.  Of the cross-reference
+    checks, only those that read a value can change: the amplitude and bin
+    checks of a scanned photon, the budget checks when `photon_budget` is
+    scanned and every photon's bin count when `bins` is.  Those run; the
+    others read keys, labels and ports, which every point shares with the
+    valid config.  The result is the message list validate_config_dict
+    gives for the same config.
     """
 
     def __init__(self, leaves):
+        leaves = [tuple(keys) for keys in leaves]
         self._checks = {}
         for keys in leaves:
             n, schema = _subschema(keys)
-            self._checks[tuple(keys[:n])] = jsonschema.Draft202012Validator(schema)
+            self._checks[keys[:n]] = jsonschema.Draft202012Validator(schema)
+        # (branch, photon) of each scanned photon field.
+        self._photons = {
+            (keys[2], keys[4])
+            for keys in leaves
+            if len(keys) > 4 and (keys[0], keys[1], keys[3]) == ("sources", "branches", "photons")
+        }
+        self._budget = ("photon_budget",) in leaves
+        self._bins = ("bins",) in leaves
 
     def __call__(self, raw: dict) -> list:
         errors, problems = [], []
@@ -434,7 +451,21 @@ class LeafCheck:
             problems += _non_finite_violations(value, _json_path(prefix))
         errors.sort(key=lambda e: e[0])
         problems = [f"{_json_path(path)}: {message}" for path, message in errors] + problems
-        return problems or _cross_reference_violations(raw)
+        return problems or self._value_violations(raw)
+
+    def _value_violations(self, raw: dict) -> list:
+        """The cross-reference problems a scanned value can cause, in
+        _cross_reference_violations' order."""
+        budget, bins = raw.get("photon_budget", 4), raw.get("bins", 4)
+        problems = []
+        for b, branch in enumerate(raw["sources"]["branches"]):
+            photons = branch["photons"]
+            if self._budget:
+                problems.extend(_budget_violations(b, photons, budget))
+            for p, photon in enumerate(photons):
+                if self._bins or (b, p) in self._photons:
+                    problems.extend(_photon_violations(f"$.sources.branches.{b}.photons.{p}", photon, bins))
+        return problems
 
 
 def parse_config(path) -> ExperimentConfig:

@@ -17,6 +17,7 @@ Polarization conventions, fixed across the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -193,17 +194,22 @@ def _bin_block(registry: ModeRegistry, s: str, overlap, pol, bin_map, name: str)
     for b in srcs + dsts:
         if not 0 <= b < registry.bins:
             raise ElementError(f"bin {b} outside registry range 0..{registry.bins - 1}")
-    pols = (H, V) if pol is None else (pol,)
-    modes = []
-    for p in pols:
-        for src, dst in zip(srcs, dsts):
-            modes.extend([ModeId(s, p, src), ModeId(s, p, dst)])
-    n = len(modes)
-    m = np.zeros((n, n), dtype=complex)
-    block = np.array([[v, -sres], [sres, v.conjugate()]], dtype=complex)
-    for k in range(n // 2):
-        m[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    return ModeTransform(tuple(modes), m, name=name)
+    modes = _bin_modes(s, (H, V) if pol is None else (pol,), tuple(zip(srcs, dsts)))
+    # The same 2x2 block on each (source, destination) pair of modes.
+    pairs = len(modes) // 2
+    m = np.zeros((pairs, 2, pairs, 2), dtype=complex)
+    k = np.arange(pairs)
+    m[k, :, k, :] = [[v, -sres], [sres, v.conjugate()]]
+    return ModeTransform(modes, m.reshape(2 * pairs, 2 * pairs), name=name)
+
+
+@functools.lru_cache(maxsize=256)
+def _bin_modes(s: str, pols: tuple, pairs: tuple) -> tuple:
+    """The modes of a bin block: per polarization, each (source, destination) bin pair.
+
+    A scan re-lowers its delay at every point, so the tuple is built once.
+    """
+    return tuple(ModeId(s, p, b) for p in pols for pair in pairs for b in pair)
 
 
 def delay(
@@ -348,7 +354,15 @@ def stack(transforms) -> ModeTransform:
     """One transform per scan point, as one ModeTransform whose matrix
     stacks them, each lifted to the union of their modes."""
     transforms = list(transforms)
-    # Points usually share their modes, so each distinct layout is indexed once.
+    layout = transforms[0].modes
+    if all(t.modes == layout for t in transforms):
+        # One layout, the usual case: the matrices in sorted mode order, in one step.
+        modes = tuple(sorted(layout))
+        matrices = np.stack([t.matrix for t in transforms])
+        if modes != layout:
+            order = [layout.index(m) for m in modes]
+            matrices = matrices[:, order][:, :, order]
+        return ModeTransform(modes, matrices, name="stack")
     layouts = dict.fromkeys(t.modes for t in transforms)
     modes = tuple(sorted({m for layout in layouts for m in layout}))
     pos = {m: i for i, m in enumerate(modes)}

@@ -293,9 +293,13 @@ class ModeTransform:
 
     def unitarity_deviation(self) -> float:
         """max |U+U - I|, over every point of a stack."""
-        m = self.matrix
-        adjoint = np.conjugate(m.swapaxes(-1, -2), order="C")
-        return float(np.abs(adjoint @ m - np.eye(len(self.modes))).max())
+        return float(unitarity_deviations(self.matrix).max())
+
+
+def unitarity_deviations(matrix: np.ndarray) -> np.ndarray:
+    """max |U+U - I| of a matrix, or of each matrix of a stack."""
+    adjoint = np.conjugate(matrix.swapaxes(-1, -2), order="C")
+    return np.abs(adjoint @ matrix - np.eye(matrix.shape[-1])).max(axis=(-2, -1))
 
 
 def _column_images(matrix: np.ndarray, idxs) -> list:

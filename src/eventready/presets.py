@@ -7,8 +7,10 @@ hash and seed so that every emitted file is reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import platform
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -385,8 +387,10 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
 
     The first point is validated in full and compiled.  Every later point
     has only its scanned leaves checked (LeafCheck) and re-lowers only the
-    elements it changes; a point whose registry differs (a `bins` or
-    `photon_budget` scan) is compiled again and starts a new block.
+    elements it changes; their unitarity is checked with the block, before
+    any error of a later point is raised.  A point whose registry differs
+    (a `bins` or `photon_budget` scan) is compiled again and starts a new
+    block.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -400,22 +404,30 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
         raw = base
         for keys in leaves:
             raw = _with_leaf(raw, keys, value)
+        changes = None  # until the point has a compiled registry
         if check is None:
             point = ExperimentConfig.from_dict(raw)
             check = LeafCheck(leaves)
         else:
-            violations = check(raw)
-            if violations:
-                raise ConfigError(violations)
-            point = ExperimentConfig._from_valid(raw)
-        new_registry = grid is None or not grid.shares_registry(point)
-        if block and (new_registry or len(block) == SCAN_BLOCK):
+            try:
+                violations = check(raw)
+                if violations:
+                    raise ConfigError(violations)
+                point = ExperimentConfig._from_valid(raw)
+                if grid.shares_registry(point):
+                    changes = grid.changes(point)
+            except ValueError:
+                # Errors come in grid order: a non-unitary point of the block first.
+                grid.require_unitary([c for _, _, c in block])
+                raise
+        if block and (changes is None or len(block) == SCAN_BLOCK):
             yield _evolve_block(grid, block, groups)
             block = []
-        if new_registry:
+        if changes is None:
             grid = ScanCircuit(compile_circuit(point), point)
             groups = _detector_groups(grid.circuit.registry, point.detectors)
-        block.append((value, point, grid.changes(point)))
+            changes = ({}, {})
+        block.append((value, point, changes))
     yield _evolve_block(grid, block, groups)
 
 
@@ -887,6 +899,24 @@ def write_json(path: Path, payload: dict):
     path.write_text(json_text(payload), encoding="utf-8")
 
 
+@functools.lru_cache(maxsize=None)
+def _library_versions() -> tuple:
+    """(name, version) of Python and of each library a run depends on.
+
+    Read once per process from the installed package metadata, which
+    does not import the libraries (scipy takes longest to import).
+    """
+    from importlib import metadata
+
+    versions = [("python", platform.python_version())]
+    for name in ("numpy", "scipy", "jsonschema"):
+        try:
+            versions.append((name, metadata.version(name)))
+        except metadata.PackageNotFoundError:
+            versions.append((name, None))
+    return tuple(versions)
+
+
 @dataclass
 class PresetResult:
     name: str
@@ -909,6 +939,9 @@ def run_preset(
     Exit code 0 on success, 2 when a check-style preset misses its
     threshold; errors raise (the CLI maps them to exit code 1).
     """
+    for argument, value in (("seed", seed), ("shots", shots)):
+        if value is not None and value < 0:
+            raise PresetError(f"{argument} must be >= 0, got {value}")
     params = dict(overrides or {})
     if convention:
         params["convention"] = convention
@@ -946,6 +979,7 @@ def run_preset(
             "shots": shots,
             "convention": config.convention,
             "tool_version": __version__,
+            "versions": dict(_library_versions()),
             "overrides": {k: v for k, v in sorted(params.items())},
         }
         manifest_path = out / f"{name}.manifest.json"

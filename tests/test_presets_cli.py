@@ -2,6 +2,8 @@ import ast
 import importlib
 import json
 import math
+import os
+import platform
 import re
 import subprocess
 import sys
@@ -364,6 +366,20 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("preset", ["fusion-delay-scan", "eq1-check"], ids=["sampling", "non-sampling"])
+    @pytest.mark.parametrize("flag", ["--seed", "--shots"])
+    def test_negative_seed_or_shots_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, preset, flag):
+        import eventready.presets as presets
+
+        built = []
+        monkeypatch.setattr(presets, "build_preset_config", lambda *a: built.append(a))
+        argument = flag.lstrip("-")
+        with pytest.raises(PresetError, match=f"^{argument} must be >= 0, got -1$"):
+            run_preset(preset, out_dir=tmp_path, **{argument: -1})
+        assert main(["--preset", preset, flag, "-1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"eventready: error: {flag} must be >= 0, got -1\n"
+        assert built == [] and list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "preset, key",
         [("eq1-check", "amplitudes"), ("hom-scan", "operating_coincidence")],
@@ -418,3 +434,37 @@ def test_public_names_are_unique_and_resolve():
     names = eventready.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(eventready, name)] == []
+
+
+def test_scipy_is_imported_only_to_fit(tmp_path):
+    """A preset that fits nothing, manifest included, never imports scipy;
+    fusion-delay-scan still reports its fits."""
+    import eventready
+
+    code = """
+import json, sys
+from pathlib import Path
+import eventready
+from eventready.presets import run_preset
+
+out = Path(sys.argv[1])
+run_preset("eq1-check", out_dir=out)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(json.loads((out / "eq1-check.manifest.json").read_text())["versions"]))
+report = run_preset("fusion-delay-scan", overrides={"delta_range": "-300:300:10"}, shots=100).report
+print(json.dumps(sorted(key for key in report if key.startswith("fit_"))))
+"""
+    src = str(Path(eventready.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, versions, fits = (json.loads(line) for line in proc.stdout.splitlines())
+    assert scipy_modules == []
+    assert list(versions) == ["jsonschema", "numpy", "python", "scipy"]
+    assert versions["python"] == platform.python_version()
+    assert all(isinstance(v, str) and v for v in versions.values())
+    assert fits == ["fit_analytic", "fit_sampled"]

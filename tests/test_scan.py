@@ -22,7 +22,10 @@ import eventready.config as config_module
 import eventready.presets as presets
 from eventready import ExperimentConfig
 from eventready.cli import main
+from eventready.circuit import CircuitError
 from eventready.config import ConfigError, LeafCheck, validate_config_dict
+from eventready.elements import ELEMENT_KINDS, ElementError
+from eventready.fock import ModeTransform
 from eventready.presets import (
     MAX_SCAN_POINTS,
     PresetError,
@@ -199,6 +202,54 @@ class TestSameErrors:
         bad = _set(raw, path, value)
         assert LeafCheck([keys])(bad) == validate_config_dict(bad)
 
+    @pytest.mark.parametrize(
+        "paths, value",
+        [
+            (["sources.branches.0.photons.0.pol_amps.0"], 0.9),
+            (["sources.branches.0.photons.0.pol_amps.1.1"], 0.0),
+            (["sources.branches.0.photons.0.bins.1"], 0.5),
+            (["sources.branches.0.photons.0.bins.0.1"], 0.0),
+            (["sources.branches.0.photons.1.pol_angle_deg"], 30.0),
+            (["photon_budget", "bins"], 1.0),
+        ],
+        ids=["pol-amps", "pol-amps-im", "photon-bins", "photon-bins-im", "valid-pol-angle", "budget-and-bins"],
+    )
+    def test_leaf_check_equals_full_validation_on_photon_values(self, paths, value):
+        raw = hom_config()
+        photon = raw["sources"]["branches"][0]["photons"][0]
+        del photon["pol_angle_deg"]
+        photon["pol_amps"] = [0.6, [0.0, 0.8]]
+        photon["bins"] = [[0.0, 0.6], 0.8]
+        assert validate_config_dict(raw) == []
+        leaves = [[int(k) if k.isdigit() else k for k in path.split(".")] for path in paths]
+        bad = raw
+        for path in paths:
+            bad = _set(bad, path, value)
+        assert LeafCheck(leaves)(bad) == validate_config_dict(bad)
+
+    def test_element_scan_runs_no_cross_reference_check_after_its_first_point(self, monkeypatch):
+        calls = {"validate": 0, "cross": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            config_module, "validate_config_dict", counting("validate", config_module.validate_config_dict)
+        )
+        monkeypatch.setattr(
+            config_module,
+            "_cross_reference_violations",
+            counting("cross", config_module._cross_reference_violations),
+        )
+        result = run_preset("fusion-delay-scan")
+        assert result.report["points"] == 1201
+        # The preset's config and the scan's first point, each validated in full.
+        assert calls == {"validate": 2, "cross": 2}
+
     def test_scan_validates_twice_and_compiles_once(self, monkeypatch):
         calls = {"validate": 0, "compile": 0, "lower": 0}
 
@@ -219,6 +270,63 @@ class TestSameErrors:
         assert calls["validate"] <= 2
         assert calls["compile"] == 1
         assert calls["lower"] <= 8 + 1201
+
+
+def _lowering_with(monkeypatch, kind: str, field: str, bad_values: dict):
+    """Make element `kind` pass each lowered transform through
+    bad_values[v] when its `field` is v."""
+    original = ELEMENT_KINDS[kind]
+
+    def lower(reg, ports, el, model, convention):
+        steps = original.lower(reg, ports, el, model, convention)
+        if el[field] in bad_values:
+            return [bad_values[el[field]](t) for t in steps]
+        return steps
+
+    monkeypatch.setitem(ELEMENT_KINDS, kind, original._replace(lower=lower))
+
+
+def _scaled(t: ModeTransform) -> ModeTransform:
+    return ModeTransform(t.modes, 1.5 * t.matrix, name=t.name)
+
+
+def _refused(t: ModeTransform):
+    raise ElementError("refused")
+
+
+class TestPerBlockUnitarity:
+    @pytest.mark.parametrize("block", [1, 4, presets.SCAN_BLOCK])
+    @pytest.mark.parametrize("bad_index", [0, 6, 20])
+    def test_non_unitary_point_gives_its_own_error(self, tmp_path, capsys, monkeypatch, block, bad_index):
+        raw, path, spec = fusion_delay_config(), "elements.0.delta_um", "-10:10:1"
+        bad_value = parse_range(spec)[bad_index]
+        _lowering_with(monkeypatch, "delay", "delta_um", {bad_value: _scaled})
+        with pytest.raises(CircuitError) as alone:
+            evaluate_config(ExperimentConfig.from_dict(_set(raw, path, bad_value)))
+        assert "non-unitary lowering" in str(alone.value)
+        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
+        with pytest.raises(CircuitError) as scanned:
+            scan(ExperimentConfig.from_dict(raw), path, spec)
+        assert str(scanned.value) == str(alone.value)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", f"{path}={spec}"]) == 1
+        assert capsys.readouterr().err == f"eventready: error: {alone.value}\n"
+
+    @pytest.mark.parametrize("later", ["leaf-check", "lowering"])
+    def test_non_unitary_point_precedes_a_later_points_error(self, monkeypatch, later):
+        raw, path, spec = _beamsplitter_config(0.9), "elements.1.transmissivity", "0.9:1.06:0.05"
+        values = parse_range(spec)  # 0.9, 0.95, 1.0, 1.05: the last fails LeafCheck
+        bad = {values[1]: _scaled}
+        if later == "lowering":
+            bad[values[2]] = _refused
+        _lowering_with(monkeypatch, "beamsplitter", "transmissivity", bad)
+        with pytest.raises(CircuitError) as alone:
+            evaluate_config(ExperimentConfig.from_dict(_set(raw, path, values[1])))
+        with pytest.raises(CircuitError) as scanned:
+            scan(ExperimentConfig.from_dict(raw), path, spec)
+        assert str(scanned.value) == str(alone.value)
+        assert "non-unitary lowering" in str(scanned.value)
 
 
 class TestRangeLimits:
