@@ -13,6 +13,7 @@ from pathlib import Path
 from .config import ConfigError, ExperimentConfig, parse_config, schema_json
 from .presets import (
     PRESET_NAMES,
+    PresetArgumentError,
     PresetError,
     csv_text,
     evaluate_config,
@@ -73,11 +74,6 @@ def main(argv=None) -> int:
             if given:
                 print(f"eventready: error: {message}", file=sys.stderr)
                 return 1
-    # run_preset refuses these too, but its message names the argument, not the flag.
-    for flag, value in (("--seed", args.seed), ("--shots", args.shots)):
-        if value is not None and value < 0:
-            print(f"eventready: error: {flag} must be >= 0, got {value}", file=sys.stderr)
-            return 1
     try:
         if args.config:
             config = parse_config(args.config)
@@ -132,6 +128,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"eventready: config error: {violation}", file=sys.stderr)
+        return 1
+    except PresetArgumentError as exc:
+        # Each run_preset argument has the flag of the same name.
+        print(f"eventready: error: --{exc}", file=sys.stderr)
         return 1
     except (PresetError, OSError, ValueError) as exc:
         print(f"eventready: error: {exc}", file=sys.stderr)

@@ -354,22 +354,21 @@ def stack(transforms) -> ModeTransform:
     """One transform per scan point, as one ModeTransform whose matrix
     stacks them, each lifted to the union of their modes."""
     transforms = list(transforms)
-    layout = transforms[0].modes
-    if all(t.modes == layout for t in transforms):
-        # One layout, the usual case: the matrices in sorted mode order, in one step.
-        modes = tuple(sorted(layout))
-        matrices = np.stack([t.matrix for t in transforms])
-        if modes != layout:
-            order = [layout.index(m) for m in modes]
-            matrices = matrices[:, order][:, :, order]
-        return ModeTransform(modes, matrices, name="stack")
-    layouts = dict.fromkeys(t.modes for t in transforms)
-    modes = tuple(sorted({m for layout in layouts for m in layout}))
+    # The points of each distinct mode layout.  A scan's points usually
+    # share one layout tuple, which compares by identity at once, while
+    # hashing it would cost more per point than the assignment below.
+    points: list[tuple[tuple, list[int]]] = []
+    for k, t in enumerate(transforms):
+        for layout, ks in points:
+            if t.modes == layout:
+                ks.append(k)
+                break
+        else:
+            points.append((t.modes, [k]))
+    modes = tuple(sorted({m for layout, _ in points for m in layout}))
     pos = {m: i for i, m in enumerate(modes)}
-    for layout in layouts:
-        rows = [pos[m] for m in layout]
-        layouts[layout] = np.ix_(rows, rows)
     total = np.tile(np.eye(len(modes), dtype=complex), (len(transforms), 1, 1))
-    for matrix, t in zip(total, transforms):
-        matrix[layouts[t.modes]] = t.matrix
+    for layout, ks in points:
+        rows = [pos[m] for m in layout]
+        total[np.ix_(ks, rows, rows)] = np.stack([transforms[k].matrix for k in ks])
     return ModeTransform(modes, total, name="stack")

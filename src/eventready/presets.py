@@ -51,6 +51,10 @@ class PresetError(ValueError):
     pass
 
 
+class PresetArgumentError(PresetError):
+    """A run_preset argument out of range; the message begins with its name."""
+
+
 # A scan evolves its grid in blocks of this many points, which bounds its
 # memory; a grid may hold at most MAX_SCAN_POINTS points.
 SCAN_BLOCK = 64
@@ -941,7 +945,7 @@ def run_preset(
     """
     for argument, value in (("seed", seed), ("shots", shots)):
         if value is not None and value < 0:
-            raise PresetError(f"{argument} must be >= 0, got {value}")
+            raise PresetArgumentError(f"{argument} must be >= 0, got {value}")
     params = dict(overrides or {})
     if convention:
         params["convention"] = convention
