@@ -3,8 +3,8 @@
 Circuits are immutable after compilation; `run` is a pure function, so
 scan points can be evaluated independently.  A scan compiles once and
 evolves its points together with `ScanCircuit`, which re-lowers only the
-elements and re-reads only the source branches that a point changes, and
-checks their unitarity a block of points at a time.
+elements and re-reads only the source branches that the scan's paths
+change, and checks their unitarity a block of points at a time.
 """
 
 from __future__ import annotations
@@ -182,46 +182,51 @@ class ScanCircuit:
     """A circuit compiled once for a scan, and the evolution of its points.
 
     A point is a validated config that differs from the compiled one only
-    in numbers.  `changes` re-lowers, through lower_element, the elements
-    whose dicts differ (all of them when `model` or `convention` differs)
-    and re-reads the source branches whose dicts differ.  Unitarity is
-    checked a block at a time: `evolve` first calls `require_unitary`,
-    which checks every transform the block's points lowered in one stack
-    per matrix size and raises _lower's error for the first point, in
-    grid order, that fails.  `evolve` then runs the block as one
-    GridState, composing the unchanged elements between the re-lowered
-    ones once and giving re-read branches array coefficients.
+    at the scan's leaves (lists of config keys), which fix what it changes:
+    a leaf under `elements.I` re-lowers element I through lower_element, a
+    `model` leaf every element, and one under `sources.branches.B` re-reads
+    branch B.  A `bins` or `photon_budget` leaf changes the registry, so
+    each point is compiled alone (`own_registry`) and changes nothing.
+    `evolve` checks a block's lowered transforms with `require_unitary`,
+    then runs the block as one GridState through `plan`, the element
+    sequence with each run of the other elements composed once.
     """
 
-    def __init__(self, circuit: Circuit, config):
+    def __init__(self, circuit: Circuit, config, leaves):
         self.circuit = circuit
-        self.config = config
-        self.model = OverlapModel(**config.model)
+        self.own_registry = any(keys[0] in ("bins", "photon_budget") for keys in leaves)
+        heads = set() if self.own_registry else {tuple(keys[:3]) for keys in leaves}
+        # A scanned model is read at every point, a fixed one here.
+        self.model = None if any(head[0] == "model" for head in heads) else OverlapModel(**config.model)
+        if self.model is None:
+            self.elements = tuple(range(len(config.elements)))
+        else:
+            self.elements = tuple(sorted({head[1] for head in heads if head[0] == "elements"}))
+        self.branches = tuple(sorted({head[2] for head in heads if head[:2] == ("sources", "branches")}))
         self.losses = {el["loss"] for el in config.elements if "loss" in el}
         self.inputs = [prepare_product_state(circuit.registry, b.photons) for b in circuit.branches]
-        self._plans: dict = {}
-
-    def shares_registry(self, config) -> bool:
-        base = self.config
-        return (config.bins, config.photon_budget) == (base.bins, base.photon_budget)
+        self.plan, fixed = [], []
+        for i, (start, stop) in enumerate(circuit.element_steps):
+            if i in self.elements:
+                if fixed:
+                    self.plan.append(compose(fixed))
+                    fixed = []
+                self.plan.append(i)
+            else:
+                fixed.extend(t for _, t in circuit.steps[start:stop])
+        if fixed:
+            self.plan.append(compose(fixed))
 
     def changes(self, config):
         """({element index: its (label, transform) steps}, {branch index:
         SourceBranch}) of what one point changes; the steps are not yet
         checked for unitarity."""
-        base = self.config
-        relower_all = config.model != base.model or config.convention != base.convention
-        model = OverlapModel(**config.model) if relower_all else self.model
+        model = self.model or OverlapModel(**config.model)
         elements = {
-            i: _lowered(i, el, self.circuit.registry, model, config.convention)
-            for i, el in enumerate(config.elements)
-            if relower_all or el != base.elements[i]
+            i: _lowered(i, config.elements[i], self.circuit.registry, model, config.convention)
+            for i in self.elements
         }
-        branches = {
-            b: _source_branch(b, br, self.losses)
-            for b, br in enumerate(config.source_branches)
-            if br != base.source_branches[b]
-        }
+        branches = {b: _source_branch(b, config.source_branches[b], self.losses) for b in self.branches}
         return elements, branches
 
     def require_unitary(self, points):
@@ -245,20 +250,19 @@ class ScanCircuit:
         circuit, n = self.circuit, len(points)
         states, amplitudes = [], []
         for b, branch in enumerate(circuit.branches):
-            per_point = [branches.get(b, branch) for _, branches in points]
-            if any(br is not branch for br in per_point):
+            if b in self.branches:
+                per_point = [branches.get(b, branch) for _, branches in points]
                 states.append(prepare_product_grid(circuit.registry, [br.photons for br in per_point]))
                 amplitudes.append(np.array([br.amplitude for br in per_point]))
             else:
                 states.append(GridState.broadcast(self.inputs[b], n))
                 amplitudes.append(branch.amplitude)
         state = states[0] if len(states) == 1 else superpose(states, amplitudes)
-        varying = tuple(sorted({i for elements, _ in points for i in elements}))
         transforms = [
             stack(_one_transform(elements.get(part) or self._steps(part)) for elements, _ in points)
             if isinstance(part, int)
             else part
-            for part in self._plan(varying)
+            for part in self.plan
         ]
         if not transforms:
             return state
@@ -268,24 +272,6 @@ class ScanCircuit:
         """The compiled steps of element i."""
         start, stop = self.circuit.element_steps[i]
         return self.circuit.steps[start:stop]
-
-    def _plan(self, varying: tuple) -> list:
-        """The element sequence as the indices in `varying`, with each run
-        of the other elements composed once."""
-        if varying not in self._plans:
-            plan, fixed = [], []
-            for i, (start, stop) in enumerate(self.circuit.element_steps):
-                if i in varying:
-                    if fixed:
-                        plan.append(compose(fixed))
-                        fixed = []
-                    plan.append(i)
-                else:
-                    fixed.extend(t for _, t in self.circuit.steps[start:stop])
-            if fixed:
-                plan.append(compose(fixed))
-            self._plans[varying] = plan
-        return self._plans[varying]
 
 
 def _one_transform(steps) -> ModeTransform:

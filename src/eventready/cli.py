@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 error (bad config, unknown preset, I/O), 2 when
-a check-style preset misses its acceptance threshold.
+Exit codes: 0 success, 1 error (bad config, unknown preset or flag, any
+other usage error, I/O), 2 when a check-style preset misses its
+acceptance threshold.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, parse_config, schema_json
+from .elements import PBS_CONVENTIONS
 from .presets import (
     PRESET_NAMES,
     PresetArgumentError,
@@ -26,8 +28,16 @@ from .presets import (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other bad invocation does; 2 means a failed check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eventready",
         description="Simulate event-ready entangled-pair experiments.",
     )
@@ -45,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--convention",
-        choices=["perm", "i-reflect"],
+        choices=PBS_CONVENTIONS,
         default=None,
         help="polarizing-beamsplitter reflection phase convention",
     )

@@ -16,12 +16,12 @@ import copy
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import jsonschema
 
 from .distinguishability import OverlapError, bins_for_reference_overlap
-from .elements import ELEMENT_KINDS, _complex, element_ports
+from .elements import ELEMENT_KINDS, PBS_CONVENTIONS, _complex, element_ports
 from .fock import INPUT_NORM_TOL
 
 SCHEMA_VERSION = 1
@@ -41,7 +41,7 @@ CONFIG_SCHEMA = {
         },
         "bins": {"type": "integer", "minimum": 1, "maximum": 8},
         "photon_budget": {"type": "integer", "minimum": 1, "maximum": 6},
-        "convention": {"enum": ["perm", "i-reflect"]},
+        "convention": {"enum": list(PBS_CONVENTIONS)},
         "aliases": {"type": "object", "additionalProperties": {"type": "string"}},
         "sources": {
             "type": "object",
@@ -194,8 +194,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  Each field but `source_branches` (the raw
+    `sources.branches`) is named after its raw key and declares its default."""
+
     spatial_labels: tuple
     source_branches: list
+    name: str = ""
     elements: list = field(default_factory=list)
     detectors: dict = field(default_factory=dict)
     heralds: list = field(default_factory=list)
@@ -206,7 +210,11 @@ class ExperimentConfig:
     photon_budget: int = 4
     convention: str = "perm"
     aliases: dict = field(default_factory=dict)
-    name: str = ""
+
+    def __post_init__(self):
+        self.spatial_labels = tuple(self.spatial_labels)
+        self.kept = tuple(self.kept) if self.kept else None
+        self.bins, self.photon_budget = int(self.bins), int(self.photon_budget)
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
@@ -220,49 +228,23 @@ class ExperimentConfig:
         """The config of an already validated raw dict, which it keeps
         without copying."""
         return ExperimentConfig(
-            spatial_labels=tuple(raw["spatial_labels"]),
             source_branches=raw["sources"]["branches"],
-            elements=raw.get("elements", []),
-            detectors=raw.get("detectors", {}),
-            heralds=raw.get("heralds", []),
-            kept=tuple(raw["kept"]) if raw.get("kept") else None,
-            analyzers=raw.get("analyzers"),
-            model=raw.get("model", {}),
-            bins=int(raw.get("bins", 4)),
-            photon_budget=int(raw.get("photon_budget", 4)),
-            convention=raw.get("convention", "perm"),
-            aliases=raw.get("aliases", {}),
-            name=raw.get("name", ""),
+            **{key: value for key, value in raw.items() if key in ExperimentConfig.__dataclass_fields__},
         )
 
     def to_dict(self) -> dict:
+        """The raw config, sharing nothing with this one: `schema_version`,
+        `spatial_labels` and `sources`, then every other field that is
+        neither empty nor equal to its default."""
         out = {
             "schema_version": SCHEMA_VERSION,
             "spatial_labels": list(self.spatial_labels),
             "sources": {"branches": copy.deepcopy(self.source_branches)},
         }
-        if self.name:
-            out["name"] = self.name
-        if self.elements:
-            out["elements"] = copy.deepcopy(self.elements)
-        if self.detectors:
-            out["detectors"] = copy.deepcopy(self.detectors)
-        if self.heralds:
-            out["heralds"] = copy.deepcopy(self.heralds)
-        if self.kept:
-            out["kept"] = list(self.kept)
-        if self.analyzers:
-            out["analyzers"] = copy.deepcopy(self.analyzers)
-        if self.model:
-            out["model"] = copy.deepcopy(self.model)
-        if self.bins != 4:
-            out["bins"] = self.bins
-        if self.photon_budget != 4:
-            out["photon_budget"] = self.photon_budget
-        if self.convention != "perm":
-            out["convention"] = self.convention
-        if self.aliases:
-            out["aliases"] = copy.deepcopy(self.aliases)
+        for f in fields(self)[2:]:  # after spatial_labels and source_branches
+            value = getattr(self, f.name)
+            if value and value != f.default:
+                out[f.name] = list(value) if isinstance(value, tuple) else copy.deepcopy(value)
         return out
 
     def config_hash(self) -> str:
@@ -320,7 +302,7 @@ def _cross_reference_violations(raw: dict):
     """Checks that need a schema-valid config: field combinations, photon
     amplitudes and labels."""
     labels = set(raw.get("spatial_labels", []))
-    budget = raw.get("photon_budget", 4)
+    budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
     problems = []
     for b, branch in enumerate(raw.get("sources", {}).get("branches", [])):
         photons = branch.get("photons", [])
@@ -330,7 +312,7 @@ def _cross_reference_violations(raw: dict):
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
                 if first in photon and second in photon:
                     problems.append(f"{path}: set {first} or {second}, not both")
-            problems.extend(_photon_violations(path, photon, raw.get("bins", 4)))
+            problems.extend(_photon_violations(path, photon, raw.get("bins", ExperimentConfig.bins)))
             s = photon.get("spatial")
             if s not in labels:
                 problems.append(f"{path}.spatial: dangling label {s!r}")
@@ -456,7 +438,8 @@ class LeafCheck:
     def _value_violations(self, raw: dict) -> list:
         """The cross-reference problems a scanned value can cause, in
         _cross_reference_violations' order."""
-        budget, bins = raw.get("photon_budget", 4), raw.get("bins", 4)
+        budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
+        bins = raw.get("bins", ExperimentConfig.bins)
         problems = []
         for b, branch in enumerate(raw["sources"]["branches"]):
             photons = branch["photons"]

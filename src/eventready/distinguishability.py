@@ -39,12 +39,24 @@ def overlap_from_delay(delta_um: float, model: OverlapModel | None = None) -> co
 
     |v| = exp(-delta^2 / (2 l^2)) and arg v = 2 pi delta / fringe period,
     so |v(0)| = 1 and the magnitude falls monotonically with |delta|.
+    Out of float range the limits are returned: 0 once the envelope
+    underflows, exactly 1 at delta = 0.  A nonzero envelope with no finite
+    phase raises OverlapError.
     """
     model = model or OverlapModel()
     l = model.coherence_length_um
-    envelope = math.exp(-(delta_um**2) / (2.0 * l * l))
+    try:
+        envelope = math.exp(-(delta_um**2) / (2.0 * l * l))
+    except (OverflowError, ZeroDivisionError):
+        # delta^2 overflows or 2 l^2 underflows; scaled first, the exponent is in range or -inf.
+        x = delta_um / l
+        envelope = math.exp(-0.5 * x * x)
     phase = 2.0 * math.pi * delta_um / model.fringe_period_um
-    return envelope * complex(math.cos(phase), math.sin(phase))
+    if math.isfinite(phase):
+        return envelope * complex(math.cos(phase), math.sin(phase))
+    if envelope == 0.0:
+        return 0j
+    raise OverlapError(f"no finite fringe phase for a {delta_um} um delay at a {model.fringe_period_um} um period")
 
 
 def bins_for_reference_overlap(overlap: complex):

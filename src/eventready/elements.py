@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distinguishability import OverlapModel, overlap_from_delay
+from .distinguishability import OverlapError, OverlapModel, overlap_from_delay
 from .fock import ModeTransform
 from .modes import H, V, ModeId, ModeRegistry
 
@@ -221,7 +221,10 @@ def delay(
     bin_map: dict | None = None,
 ) -> ModeTransform:
     """Path delay: bin rewrite with overlap v(delta) plus its fringe phase."""
-    v = overlap_from_delay(delta_um, model)
+    try:
+        v = overlap_from_delay(delta_um, model)
+    except (OverlapError, OverflowError) as exc:  # OverflowError: an integer too large for a float
+        raise ElementError(str(exc)) from exc
     return _bin_block(registry, s, v, pol, bin_map, f"delay({s},{delta_um}um)")
 
 

@@ -66,11 +66,9 @@ MAX_SCAN_POINTS = 100_000
 # ---------------------------------------------------------------------------
 
 
-def _photon(spatial, pol_angle_deg=45.0, overlap=None, bins=None):
+def _photon(spatial, pol_angle_deg=45.0, overlap=None):
     out = {"spatial": spatial, "pol_angle_deg": pol_angle_deg}
-    if bins is not None:
-        out["bins"] = list(bins)
-    elif overlap is not None and overlap != 1.0:
+    if overlap is not None and overlap != 1.0:
         out["overlap"] = overlap
     return out
 
@@ -90,13 +88,12 @@ def _four_photon_sources(fusion_overlap=1.0):
     }
 
 
-def two_pbs_config(convention="perm") -> dict:
+def two_pbs_config() -> dict:
     """Four photons, two polarizing beamsplitters, nothing else."""
     return {
         "schema_version": SCHEMA_VERSION,
         "name": "two-pbs-stage",
         "spatial_labels": ["A1", "A2", "B1", "B2"],
-        "convention": convention,
         "sources": _four_photon_sources(),
         "elements": [
             {"kind": "pbs", "ports": ["A1", "A2"]},
@@ -106,14 +103,17 @@ def two_pbs_config(convention="perm") -> dict:
     }
 
 
-def fusion_scheme_config(fusion_overlap=1.0, convention="perm") -> dict:
+def fusion_scheme_config(fusion_overlap=1.0, convention=None) -> dict:
     """Full scheme: two PBS stages plus the 45-degree fusion, bare detectors.
 
     Output arms keep their physical labels; A2 feeds detector 1 and B2
-    feeds detector 2 after the fusion.
+    feeds detector 2 after the fusion.  A given convention is written
+    into the config.
     """
-    cfg = two_pbs_config(convention)
+    cfg = two_pbs_config()
     cfg["name"] = "event-ready-fusion"
+    if convention:
+        cfg["convention"] = convention
     cfg["sources"] = _four_photon_sources(fusion_overlap)
     cfg["elements"].append({"kind": "rpbs", "ports": ["A2", "B2"]})
     cfg["detectors"] = {
@@ -132,14 +132,14 @@ def fusion_scheme_config(fusion_overlap=1.0, convention="perm") -> dict:
     return cfg
 
 
-def polarizer_variant_config(fusion_overlap=1.0, convention="perm", analyzer_walkoff=None) -> dict:
+def polarizer_variant_config(fusion_overlap=1.0, analyzer_walkoff=None) -> dict:
     """Fusion variant with 0-degree polarizers before two bucket detectors.
 
     analyzer_walkoff, if given, adds a polarization-selective bin mixer on
     each kept arm (V component only) with the given amplitude overlap,
     modelling analyzer-arm birefringence.
     """
-    cfg = fusion_scheme_config(fusion_overlap, convention)
+    cfg = fusion_scheme_config(fusion_overlap)
     cfg["name"] = "event-ready-fusion-polarizer-variant"
     cfg["spatial_labels"] = ["A1", "A2", "B1", "B2", "LD1", "LD2"]
     cfg["elements"].append({"kind": "polarizer", "port": "A2", "angle_deg": 0.0, "loss": "LD1"})
@@ -184,7 +184,7 @@ def hom_config(overlap=1.0) -> dict:
     }
 
 
-def fusion_delay_config(peak_visibility=1.0, delta_um=0.0) -> dict:
+def fusion_delay_config(peak_visibility=1.0) -> dict:
     """Alignment mode: bunched pair through the fusion with input plates at 0.
 
     The source is the coherent two-branch state (pair on one input port or
@@ -216,7 +216,7 @@ def fusion_delay_config(peak_visibility=1.0, delta_um=0.0) -> dict:
             ]
         },
         "elements": [
-            {"kind": "delay", "port": "B2", "delta_um": delta_um, "bin_map": {"0": 2, "1": 3}},
+            {"kind": "delay", "port": "B2", "delta_um": 0.0, "bin_map": {"0": 2, "1": 3}},
             {"kind": "hwp", "port": "A2", "angle_deg": 0.0},
             {"kind": "hwp", "port": "B2", "angle_deg": 0.0},
             {"kind": "pbs", "ports": ["A2", "B2"]},
@@ -389,11 +389,13 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
-    The first point is validated in full and compiled.  Every later point
-    has only its scanned leaves checked (LeafCheck) and re-lowers only the
-    elements it changes; their unitarity is checked with the block, before
-    any error of a later point is raised.  A point whose registry differs
-    (a `bins` or `photon_budget` scan) is compiled again and starts a new
+    The first point is validated in full and compiled into a ScanCircuit,
+    which reads from the scan's leaves what each point changes.  Every
+    later point has only its scanned leaves checked (LeafCheck) and
+    re-lowers the elements and re-reads the branches those leaves lie
+    under; their unitarity is checked with the block, before any error of
+    a later point is raised.  In a `bins` or `photon_budget` scan every
+    point has its own registry, so it is compiled again and starts a new
     block.
     """
     values = parse_range(range_spec)
@@ -418,7 +420,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
                 if violations:
                     raise ConfigError(violations)
                 point = ExperimentConfig._from_valid(raw)
-                if grid.shares_registry(point):
+                if not grid.own_registry:
                     changes = grid.changes(point)
             except ValueError:
                 # Errors come in grid order: a non-unitary point of the block first.
@@ -428,7 +430,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
             yield _evolve_block(grid, block, groups)
             block = []
         if changes is None:
-            grid = ScanCircuit(compile_circuit(point), point)
+            grid = ScanCircuit(compile_circuit(point), point, leaves)
             groups = _detector_groups(grid.circuit.registry, point.detectors)
             changes = ({}, {})
         block.append((value, point, changes))
@@ -477,7 +479,7 @@ def _group_counts(state, groups: dict, order) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _bell_pair_state(registry, arms, which, bin_index=0) -> PureState:
+def _bell_pair_state(registry, arms, which) -> PureState:
     a, b = arms
     sign = -1.0 if which.endswith("minus") else 1.0
     if which.startswith("phi"):
@@ -485,7 +487,7 @@ def _bell_pair_state(registry, arms, which, bin_index=0) -> PureState:
     else:
         kets = [((H, V), 1.0), ((V, H), sign)]
     states = [
-        basis_state(registry, {ModeId(a, pa, bin_index): 1, ModeId(b, pb, bin_index): 1})
+        basis_state(registry, {ModeId(a, pa, 0): 1, ModeId(b, pb, 0): 1})
         for (pa, pb), _ in kets
     ]
     return superpose(states, [amp for _, amp in kets])

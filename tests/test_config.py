@@ -1,9 +1,12 @@
 import json
+from dataclasses import fields
 
 import pytest
 
 from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
+from eventready.cli import build_parser
 from eventready.config import validate_config_dict
+from eventready.elements import PBS_CONVENTIONS
 from eventready.presets import PRESET_NAMES, build_preset_config, fusion_scheme_config, json_text
 
 
@@ -26,6 +29,17 @@ class TestParseConfig:
         config = parse_config(write_config(tmp_path, MINIMAL))
         assert config.spatial_labels == ("A1",)
         assert config.detectors["D"]["spatial"] == "A1"
+
+    def test_absent_fields_take_the_field_defaults_and_to_dict_leaves_them_out(self):
+        declared = {f.name: f.default for f in fields(ExperimentConfig)}
+        defaults = {name: declared[name] for name in ("bins", "photon_budget", "convention")}
+        assert defaults == {"bins": 4, "photon_budget": 4, "convention": "perm"}
+        config = ExperimentConfig.from_dict(MINIMAL)
+        assert {name: getattr(config, name) for name in defaults} == defaults
+        assert config.to_dict() == MINIMAL
+        assert ExperimentConfig.from_dict({**MINIMAL, **defaults}).to_dict() == MINIMAL
+        changed = {**MINIMAL, "bins": 5, "photon_budget": 3, "convention": "i-reflect"}
+        assert ExperimentConfig.from_dict(changed).to_dict() == changed
 
     def test_string_angle_is_schema_violation_with_path(self, tmp_path):
         raw = json.loads(json.dumps(MINIMAL))
@@ -195,6 +209,9 @@ class TestParseConfig:
     def test_schema_is_published(self):
         schema = json.loads(schema_json())
         assert schema["properties"]["schema_version"]["const"] == 1
+        assert schema["properties"]["convention"]["enum"] == list(PBS_CONVENTIONS)
+        [flag] = [a for a in build_parser()._actions if a.dest == "convention"]
+        assert list(flag.choices) == list(PBS_CONVENTIONS)
 
     def test_hash_changes_with_content(self):
         c1 = ExperimentConfig.from_dict(fusion_scheme_config())

@@ -48,6 +48,32 @@ class TestOverlapFromDelay:
         v = overlap_from_delay(0.197, model)  # quarter period
         assert cmath.phase(v) == pytest.approx(math.pi / 2, abs=1e-9)
 
+    def test_in_range_values_follow_the_closed_form_bit_for_bit(self):
+        for l, period in ((200.0, 0.788), (1e-150, 0.788), (1e150, 1e-300)):
+            model = OverlapModel(coherence_length_um=l, fringe_period_um=period)
+            for d in (-600.0, -1.5, 0.0, 1e-160, 0.197, 150.0, 1e150):
+                try:
+                    envelope = math.exp(-(d**2) / (2.0 * l * l))
+                    phase = 2.0 * math.pi * d / period
+                    expected = envelope * complex(math.cos(phase), math.sin(phase))
+                except (ArithmeticError, ValueError):
+                    continue
+                assert overlap_from_delay(d, model) == expected, (l, period, d)
+
+    def test_out_of_range_arithmetic_reaches_the_limits(self):
+        # delta^2 overflows: the envelope is 0 (and so is the overlap) ...
+        assert overlap_from_delay(1e200) == 0j
+        # ... unless l is as large, when it is the scaled closed form.
+        assert abs(overlap_from_delay(1e200, OverlapModel(coherence_length_um=1e200))) == pytest.approx(math.exp(-0.5))
+        # 2 l^2 underflows: exactly 1 at zero delay, 0 away from it.
+        tiny = OverlapModel(coherence_length_um=1e-200)
+        assert overlap_from_delay(0.0, tiny) == 1.0
+        assert overlap_from_delay(150.0, tiny) == 0j
+        # The phase is not finite: 0 where the envelope is, an error elsewhere.
+        assert overlap_from_delay(1e308) == 0j
+        with pytest.raises(OverlapError, match="no finite fringe phase"):
+            overlap_from_delay(5.0, OverlapModel(fringe_period_um=1e-310))
+
     def test_bad_model_rejected(self):
         with pytest.raises(OverlapError):
             OverlapModel(coherence_length_um=-1.0)

@@ -205,6 +205,18 @@ class TestPhaseBeamsplitterDelay:
         assert abs(amps[("H", 0)]) == pytest.approx(math.exp(-0.5))
         assert abs(amps[("H", 1)]) == pytest.approx(math.sqrt(1 - math.exp(-1.0)))
 
+    @pytest.mark.parametrize(
+        "delta_um, model, message",
+        [
+            (5.0, OverlapModel(fringe_period_um=1e-310), "no finite fringe phase"),
+            (10**400, OverlapModel(), "too large to convert to float"),
+        ],
+        ids=["infinite-phase", "huge-integer"],
+    )
+    def test_delay_without_a_float_overlap_raises_element_error(self, reg, delta_um, model, message):
+        with pytest.raises(ElementError, match=message):
+            delay(reg, "p1", delta_um, model=model)
+
     def test_bin_mixer_overlap_bound(self, reg):
         with pytest.raises(ElementError):
             bin_mixer(reg, "p1", 1.5)

@@ -17,6 +17,7 @@ from eventready.presets import (
     PresetError,
     build_preset_config,
     evaluate_config,
+    fusion_delay_config,
     hom_config,
     polarizer_variant_config,
     parse_range,
@@ -358,6 +359,34 @@ class TestCli:
         assert main(["--print-schema"]) == 0
         assert '"schema_version"' in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
+            (["--preset", "eq1-check", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+            (["--preset", "eq1-check", "--bogus"], "unrecognized arguments: --bogus"),
+            (["--preset", "eq1-check", "--config", "x.json"], "argument --config: not allowed with argument --preset"),
+        ],
+        ids=["unknown-preset", "bad-seed", "unknown-flag", "preset-and-config"],
+    )
+    def test_usage_error_exits_one(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: eventready ")
+        assert f"\neventready: error: {message}" in err
+
+    def test_usage_error_and_help_exit_codes_from_the_shell(self):
+        def cli(*args):
+            return subprocess.run([sys.executable, "-m", "eventready.cli", *args], capture_output=True, text=True)
+
+        bad = cli("--preset", "nope")
+        assert bad.returncode == 1
+        assert bad.stderr.startswith("usage: eventready ") and "eventready: error: argument --preset" in bad.stderr
+        helped = cli("--help")
+        assert helped.returncode == 0 and helped.stdout.startswith("usage: eventready ")
+
     def test_console_script_installed(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "eventready.cli", "--preset", "eq1-check", "--out", str(tmp_path)],
@@ -404,6 +433,43 @@ class TestCli:
         rows = dict(line.split(",", 1) for line in lines[2:])
         assert float(rows["S"]) == pytest.approx(2 * math.sqrt(2), abs=1e-9)
         assert "E.ab" in rows
+
+
+class TestOutOfRangeDelays:
+    """Schema-valid delays whose float arithmetic runs out of range either
+    reach the overlap's limit or fail with the element's JSON path."""
+
+    @pytest.mark.parametrize(
+        "field, value, scan_arg, expected",
+        [
+            ("delta_um", 1e200, "elements.0.delta_um=1e200:3e200:1e200", [0.25, 0.25, 0.25]),
+            ("coherence_length_um", 1e-200, "elements.0.delta_um=0:300:150", [0.5, 0.25, 0.25]),
+            ("fringe_period_um", 1e-310, "elements.0.delta_um=0:10:5", None),
+        ],
+        ids=["delta-1e200", "coherence-1e-200", "fringe-1e-310"],
+    )
+    def test_config_and_scan_exit_cleanly(self, tmp_path, capsys, field, value, scan_arg, expected):
+        raw = fusion_delay_config()
+        if field == "delta_um":
+            raw["elements"][0]["delta_um"] = value
+        else:
+            raw["model"][field] = value
+            raw["elements"][0]["delta_um"] = 5.0 if expected is None else 0.0
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        single = main(["--config", str(cfg_path)])
+        single_out = capsys.readouterr()
+        scanned = main(["--config", str(cfg_path), "--scan", scan_arg])
+        scan_out = capsys.readouterr()
+        if expected is None:
+            error = "eventready: error: $.elements.0: no finite fringe phase for a 5.0 um delay at a 1e-310 um period\n"
+            assert (single, single_out.err, single_out.out) == (1, error, "")
+            assert (scanned, scan_out.err, scan_out.out) == (1, error, "")
+            return
+        assert (single, single_out.err, scanned, scan_out.err) == (0, "", 0, "")
+        assert float(single_out.out.split(" = ")[1]) == pytest.approx(expected[0], abs=1e-12)
+        rows = [line.split(",") for line in scan_out.out.splitlines()[2:]]
+        assert [float(p) for _, p in rows] == pytest.approx(expected, abs=1e-12)
 
 
 def test_demo_and_readme_imports_resolve():

@@ -143,6 +143,28 @@ class TestGridMatchesPerPointPath:
         assert compiled == [4, 5, 6]
         _assert_rows_match(rows, _per_point_rows(raw, "bins,elements.0.delta_um", "4:6:1"))
 
+    @pytest.mark.parametrize("block", [1, presets.SCAN_BLOCK])
+    def test_bin_map_scan_mixes_mode_layouts(self, monkeypatch, block):
+        # Each bin_map value moves the delay onto other modes, so one block
+        # stacks transforms of up to three mode layouts.
+        raw = fusion_delay_config(peak_visibility=0.8)
+        raw["elements"][0].update(delta_um=150.0, bin_map={"0": 2})
+        path, spec = "elements.0.bin_map.0", "1:3:1"
+        layouts = []
+        original = circuit_module.stack
+
+        def counting(transforms):
+            transforms = list(transforms)
+            layouts.append(len({t.modes for t in transforms}))
+            return original(transforms)
+
+        monkeypatch.setattr(circuit_module, "stack", counting)
+        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
+        rows = scan(ExperimentConfig.from_dict(raw), path, spec)
+        assert layouts == ([1, 1, 1] if block == 1 else [3])
+        _assert_rows_match(rows, _per_point_rows(raw, path, spec))
+        assert rows[0]["p_coincidence"] != rows[1]["p_coincidence"]
+
     def test_blocks_cover_the_grid_in_order(self):
         raw = fusion_delay_config()
         spec = "-50:50:0.5"  # 201 points: three full blocks of 64 and one of 9
@@ -270,6 +292,22 @@ class TestSameErrors:
         assert calls["validate"] <= 2
         assert calls["compile"] == 1
         assert calls["lower"] <= 8 + 1201
+
+    @pytest.mark.parametrize(
+        "path, spec, per_point",
+        [("model.coherence_length_um", "100:300:50", 8), ("heralds.0.require.D1", "0:3:1", 0)],
+        ids=["model", "herald"],
+    )
+    def test_scan_paths_fix_what_every_point_re_lowers(self, monkeypatch, path, spec, per_point):
+        raw = _delayed_config()
+        assert len(raw["elements"]) == 8
+        lowered = []
+        original = circuit_module.lower_element
+        monkeypatch.setattr(circuit_module, "lower_element", lambda el, *a, **kw: lowered.append(el) or original(el, *a, **kw))
+        rows = scan(ExperimentConfig.from_dict(raw), path, spec)
+        # The compiled first point lowers every element once.
+        assert len(lowered) == 8 + (len(rows) - 1) * per_point
+        _assert_rows_match(rows, _per_point_rows(raw, path, spec))
 
 
 def _lowering_with(monkeypatch, kind: str, field: str, bad_values: dict):
