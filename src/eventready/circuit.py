@@ -189,7 +189,9 @@ class ScanCircuit:
     each point is compiled alone (`own_registry`) and changes nothing.
     `evolve` checks a block's lowered transforms with `require_unitary`,
     then runs the block as one GridState through `plan`, the element
-    sequence with each run of the other elements composed once.
+    sequence with each run of the other elements composed once.  It
+    applies the parts in turn: a fixed run as one transform, a re-lowered
+    element as the stack of its points' transforms.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
@@ -245,7 +247,11 @@ class ScanCircuit:
             _require_unitary(*lowered[k])
 
     def evolve(self, points) -> GridState:
-        """The final states of a block of points, given their `changes`."""
+        """The final states of a block of points, given their `changes`.
+
+        The plan's parts are applied one at a time, so no stack is ever
+        multiplied into a composite.
+        """
         self.require_unitary(points)
         circuit, n = self.circuit, len(points)
         states, amplitudes = [], []
@@ -258,15 +264,11 @@ class ScanCircuit:
                 states.append(GridState.broadcast(self.inputs[b], n))
                 amplitudes.append(branch.amplitude)
         state = states[0] if len(states) == 1 else superpose(states, amplitudes)
-        transforms = [
-            stack(_one_transform(elements.get(part) or self._steps(part)) for elements, _ in points)
-            if isinstance(part, int)
-            else part
-            for part in self.plan
-        ]
-        if not transforms:
-            return state
-        return apply_mode_unitary(state, compose(transforms))
+        for part in self.plan:
+            if isinstance(part, int):
+                part = stack(_one_transform(elements.get(part) or self._steps(part)) for elements, _ in points)
+            state = apply_mode_unitary(state, part)
+        return state
 
     def _steps(self, i: int) -> tuple:
         """The compiled steps of element i."""

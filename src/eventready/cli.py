@@ -59,7 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="polarizing-beamsplitter reflection phase convention",
     )
-    parser.add_argument("--format", choices=["json", "csv"], default="json", dest="fmt")
+    parser.add_argument(
+        "--format",
+        choices=["json", "csv"],
+        default=None,
+        dest="fmt",
+        help="report format (default json); a --scan writes CSV",
+    )
     parser.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
     return parser
 
@@ -80,6 +86,7 @@ def main(argv=None) -> int:
             (args.shots is not None, "--shots cannot be used with --config"),
             (args.seed is not None, "--seed cannot be used with --config"),
             (args.fmt == "csv" and not args.scan, "--format csv needs --scan when used with --config"),
+            (args.fmt == "json" and args.scan, "--format json cannot be used with --scan"),
         ):
             if given:
                 print(f"eventready: error: {message}", file=sys.stderr)
@@ -112,6 +119,8 @@ def main(argv=None) -> int:
                 target = args.out / "observables.json"
                 write_json(target, observables)
                 print(f"wrote {target}")
+            elif args.fmt == "json":
+                sys.stdout.write(json_text(observables))
             else:
                 for key, value in observables.items():
                     print(f"{key} = {value}")
@@ -122,7 +131,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             shots=args.shots,
             convention=args.convention,
-            fmt=args.fmt,
+            fmt=args.fmt or "json",
         )
         if args.out is None:
             if args.fmt == "csv":

@@ -343,9 +343,16 @@ def _cross_reference_violations(raw: dict):
 
 
 def _non_finite_violations(value, path: str = "$"):
-    """NaN and infinities, which JSON parsing and the schema's "number" accept."""
+    """NaN, infinities and integers too large for a float, which JSON
+    parsing and the schema's "number" accept."""
     if isinstance(value, float):
         return [] if math.isfinite(value) else [f"{path}: non-finite number"]
+    if isinstance(value, int) and not isinstance(value, bool):
+        try:
+            float(value)
+        except OverflowError:
+            return [f"{path}: integer too large for a float"]
+        return []
     if isinstance(value, dict):
         items = value.items()
     elif isinstance(value, list):

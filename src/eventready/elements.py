@@ -314,43 +314,26 @@ def compose(transforms) -> ModeTransform:
     """Single ModeTransform equal to applying the sequence in order.
 
     When any transform holds a stack of matrices (one per scan point), so
-    does the result.  Every product after the first stack is a stack, so
-    the sequence is then multiplied out from whichever end leaves fewer
-    stacked products: from the last transform backwards, U^T applies the
-    transposed transforms in reverse order.
+    does the result.
     """
     transforms = list(transforms)
     if not transforms:
         raise ElementError("compose needs at least one transform")
     modes = tuple(sorted({m for t in transforms for m in t.modes}))
     pos = {m: i for i, m in enumerate(modes)}
-    stacked = [k for k, t in enumerate(transforms) if t.matrix.ndim == 3]
-    if stacked and _size(transforms[: stacked[-1]]) < _size(transforms[stacked[0] + 1 :]):
-        factors = [(t.modes, np.swapaxes(t.matrix, -1, -2)) for t in reversed(transforms)]
-        return ModeTransform(modes, np.swapaxes(_product(pos, factors), -1, -2), name="composite")
-    return ModeTransform(modes, _product(pos, [(t.modes, t.matrix) for t in transforms]), name="composite")
-
-
-def _size(transforms) -> int:
-    return sum(len(t.modes) ** 2 for t in transforms)
-
-
-def _product(pos: dict, factors) -> np.ndarray:
-    """The product of (modes, matrix) factors over the modes of pos, the
-    first factor rightmost."""
-    every = list(range(len(pos)))
-    total = np.eye(len(pos), dtype=complex)
-    for modes, matrix in factors:
-        # A factor acts only on the rows of its own modes.
-        rows = [pos[m] for m in modes]
+    every = list(range(len(modes)))
+    total = np.eye(len(modes), dtype=complex)
+    for t in transforms:
+        # A transform acts only on the rows of its own modes.
+        rows = [pos[m] for m in t.modes]
         if rows == every:
-            total = matrix @ total
+            total = t.matrix @ total
             continue
-        update = matrix @ total[..., rows, :]
+        update = t.matrix @ total[..., rows, :]
         if update.ndim > total.ndim:
             total = np.broadcast_to(total, update.shape[:-2] + total.shape).copy()
         total[..., rows, :] = update
-    return total
+    return ModeTransform(modes, total, name="composite")
 
 
 def stack(transforms) -> ModeTransform:

@@ -7,7 +7,9 @@ hash and seed so that every emitted file is reproducible bit for bit.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import json
 import math
 import platform
@@ -348,7 +350,10 @@ def parse_range(spec: str):
     n = int(math.floor(steps)) + 1
     if n < 2:
         raise PresetError(f"range {spec!r} yields fewer than 2 points")
-    return [start + i * step for i in range(n)]
+    values = [start + i * step for i in range(n)]
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise PresetError(f"range {spec!r} has a step too small to advance every value")
+    return values
 
 
 def _path_key(node, part: str, path: str, leaf: bool = False):
@@ -873,10 +878,14 @@ def report_table(report: dict):
 
 
 def csv_text(columns, rows) -> str:
-    """A versioned CSV: the schema line, the column header, one line per row."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", ",".join(columns)]
-    lines += [",".join(_format_cell(row.get(c, "")) for c in columns) for row in rows]
-    return "\n".join(lines) + "\n"
+    """A versioned CSV: the schema line, the column header, one line per
+    row.  Only a cell with a comma, quote or line break is quoted."""
+    text = io.StringIO()
+    text.write(f"# schema_version={SCHEMA_VERSION}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_format_cell(row.get(c, "")) for c in columns] for row in rows)
+    return text.getvalue()
 
 
 def write_csv(path: Path, columns, rows):

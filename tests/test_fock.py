@@ -273,6 +273,12 @@ class TestGridProperties:
         grid = prepare_product_grid(reg, photon_grid)
         steps = [stack(column) for column in zip(*sequences)]
         evolved = apply_mode_unitary(grid, compose(steps))
+        in_turn = grid
+        for step in steps:
+            in_turn = apply_mode_unitary(in_turn, step)
+        zero = np.zeros(grid.points)
+        for occ in set(evolved.terms) | set(in_turn.terms):
+            assert np.all(np.abs(in_turn.terms.get(occ, zero) - evolved.terms.get(occ, zero)) < 1e-12)
         for prepared, final, photons, sequence in zip(grid.states(), evolved.states(), photon_grid, sequences):
             for got, want in (
                 (prepared, prepare_product_state(reg, photons)),

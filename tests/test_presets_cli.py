@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib
 import json
 import math
@@ -14,16 +15,20 @@ import pytest
 from eventready import ExperimentConfig
 from eventready.cli import main
 from eventready.presets import (
+    PRESET_NAMES,
     PresetError,
     build_preset_config,
     evaluate_config,
     fusion_delay_config,
+    fusion_scheme_config,
     hom_config,
     polarizer_variant_config,
     parse_range,
     run_preset,
     scan,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestScan:
@@ -33,6 +38,11 @@ class TestScan:
             parse_range("0:1")
         with pytest.raises(PresetError):
             parse_range("0:0.1:0.5")
+        for step in ("0", "-0.5"):
+            with pytest.raises(PresetError, match="^range step must be positive$"):
+                parse_range(f"0:1:{step}")
+        with pytest.raises(PresetError, match="^scan needs at least one parameter path$"):
+            scan(ExperimentConfig.from_dict(hom_config()), " , ", "0:1:0.5")
 
     def test_analyzer_angle_scan_follows_malus_correlation(self):
         raw = polarizer_variant_config()
@@ -202,6 +212,18 @@ class TestPresets:
         assert obs["fidelity_phi_plus"] == pytest.approx(1.0, abs=1e-12)
         assert obs["concurrence"] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("count, probability", [(1, 0.2421875), (5, 0.0)], ids=["no-qubit-support", "cannot-fire"])
+    def test_herald_without_a_qubit_pair_reports_its_probability_only(self, count, probability):
+        # One photon in D1h leaves kept supports that are not one photon per
+        # arm; five photons there never happen.
+        raw = fusion_scheme_config()
+        raw["heralds"] = [{"name": "d1h", "require": {"D1h": count}}]
+        obs = evaluate_config(ExperimentConfig.from_dict(raw))
+        assert obs.pop("p_d1h") == probability
+        bells = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
+        assert list(obs) == [f"fidelity_{name}" for name in bells] + ["concurrence"]
+        assert all(math.isnan(value) for value in obs.values())
+
 
 class TestCli:
     def test_preset_run_exit_zero(self, tmp_path, capsys):
@@ -303,6 +325,8 @@ class TestCli:
             (["--shots", "100"], "--shots"),
             (["--seed", "7"], "--seed"),
             (["--format", "csv"], "--format csv"),
+            (["--scan", "sources.branches.0.photons.1.overlap=0:1:0.5", "--format", "json"], "--format json"),
+            (["--scan", "sources.branches.0.photons.1.overlap"], "--scan needs PATH=START:STOP:STEP"),
         ],
     )
     def test_config_run_rejects_flags_it_would_ignore(self, tmp_path, capsys, flags, named):
@@ -312,7 +336,54 @@ class TestCli:
         cfg_path.write_text(json.dumps(hom_config()))
         assert main(["--config", str(cfg_path), *flags, "--out", str(tmp_path)]) == 1
         assert named in capsys.readouterr().err
-        assert not (tmp_path / "observables.json").exists()
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_config_json_on_stdout_equals_the_observables_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), "--format", "json"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert printed == (tmp_path / "observables.json").read_text()
+        assert json.loads(printed) == evaluate_config(ExperimentConfig.from_dict(hom_config()))
+
+    def test_config_convention_flag_equals_the_convention_written_in(self, tmp_path):
+        raw = fusion_scheme_config()
+        cfg_path = tmp_path / "fusion.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--convention", "i-reflect", "--out", str(tmp_path / "flag")]) == 0
+        flagged = json.loads((tmp_path / "flag" / "observables.json").read_text())
+        assert flagged == evaluate_config(ExperimentConfig.from_dict({**raw, "convention": "i-reflect"}))
+        assert flagged != evaluate_config(ExperimentConfig.from_dict(raw))
+
+    @pytest.mark.parametrize("path", ["elements.1.angle_deg", "sources.branches.0.photons.0.pol_angle_deg"])
+    def test_integer_too_large_for_a_float_names_its_path(self, tmp_path, capsys, path):
+        raw = hom_config()
+        *parents, leaf = path.split(".")
+        node = raw
+        for key in parents:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        node[leaf] = 10**400
+        cfg_path = tmp_path / "big.json"
+        cfg_path.write_text(json.dumps(raw))
+        error = f"eventready: config error: $.{path}: integer too large for a float\n"
+        for scan_args in ([], ["--scan", "sources.branches.0.photons.1.overlap=0:1:0.5"]):
+            assert main(["--config", str(cfg_path), *scan_args]) == 1
+            assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_csv_report_parses_into_key_value_rows(self, tmp_path, capsys, preset):
+        assert main(["--preset", preset, "--format", "csv"]) in (0, 2)
+        printed = capsys.readouterr().out
+        assert main(["--preset", preset, "--format", "csv", "--out", str(tmp_path)]) in (0, 2)
+        for text in (printed, (tmp_path / f"{preset}.report.csv").read_text()):
+            lines = text.splitlines(keepends=True)
+            assert lines[0] == "# schema_version=1\n"
+            rows = list(csv.reader(lines[1:]))
+            assert rows[0] == ["key", "value"]
+            assert {len(row) for row in rows} == {2}
+            keys = [key for key, _ in rows[1:]]
+            assert len(keys) == len(set(keys))
 
     def test_scan_accepts_format_csv(self, tmp_path, capsys):
         from eventready.presets import hom_config
@@ -492,6 +563,15 @@ def test_demo_and_readme_imports_resolve():
                     if not hasattr(module, alias.name)
                 ]
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_runs_cleanly(tmp_path, demo):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_public_names_are_unique_and_resolve():

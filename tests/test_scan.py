@@ -165,10 +165,28 @@ class TestGridMatchesPerPointPath:
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
         assert rows[0]["p_coincidence"] != rows[1]["p_coincidence"]
 
-    def test_blocks_cover_the_grid_in_order(self):
+    def test_blocks_cover_the_grid_in_order(self, monkeypatch):
+        composed, applied = [], []
+        compose, apply_mode_unitary = circuit_module.compose, circuit_module.apply_mode_unitary
+
+        def composing(transforms):
+            transforms = list(transforms)
+            composed.extend(t.matrix.ndim for t in transforms)
+            return compose(transforms)
+
+        def applying(state, t):
+            applied.append(t.matrix.ndim)
+            return apply_mode_unitary(state, t)
+
+        monkeypatch.setattr(circuit_module, "compose", composing)
+        monkeypatch.setattr(circuit_module, "apply_mode_unitary", applying)
         raw = fusion_delay_config()
         spec = "-50:50:0.5"  # 201 points: three full blocks of 64 and one of 9
         rows = scan(ExperimentConfig.from_dict(raw), "elements.0.delta_um", spec)
+        # Each block applies its stacked delay, then the other seven elements,
+        # composed once per scan; no stack is composed.
+        assert applied == [3, 2] * 4
+        assert composed == [2] * 7
         assert [r["param"] for r in rows] == parse_range(spec)
         _assert_rows_match(rows[60:70], _per_point_rows(raw, "elements.0.delta_um", "-20:-15.5:0.5"))
 
@@ -211,6 +229,7 @@ class TestSameErrors:
             ("heralds.0.require.DA", -1.0),
             ("model.coherence_length_um", 0.0),
             ("elements.1.transmissivity", 0.3),
+            ("elements.4.delta_um", 10**400),
         ],
     )
     def test_leaf_check_equals_full_validation(self, path, value):
@@ -377,6 +396,14 @@ class TestRangeLimits:
         assert main(["--config", str(cfg_path), "--scan", f"sources.branches.0.photons.1.overlap={spec}"]) == 1
         err = capsys.readouterr().err
         assert err == f"eventready: error: range {spec!r} has a non-finite start, stop or step\n"
+
+    def test_step_that_does_not_advance_every_value_rejected(self, tmp_path, capsys):
+        spec = "1e16:10000000000000002:1"  # 1e16 + 1 rounds back to 1e16
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), "--scan", f"sources.branches.0.photons.1.overlap={spec}"]) == 1
+        error = f"eventready: error: range {spec!r} has a step too small to advance every value\n"
+        assert capsys.readouterr() == ("", error)
 
     def test_point_cap(self):
         assert len(parse_range(f"0:{MAX_SCAN_POINTS - 1}:1")) == MAX_SCAN_POINTS
