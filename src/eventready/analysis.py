@@ -3,7 +3,8 @@
 Physical detectors do not resolve temporal bins, so a herald requires a
 count per detector group (a spatial label, optionally one polarization).
 Each exact pattern on the read modes that is consistent with those counts
-conditions onto a pure state; the herald's density matrix sums them.
+conditions onto a pure state; the herald's density matrix sums them, in
+one pass over the terms the herald keeps (fock.kept_pair_pass).
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import PureState, partial_trace_to_polarization
+from .fock import FockError, PureState, kept_pair_pass
+from .fock import partial_trace_to_polarization  # noqa: F401 -- unused, bench/tracing.py wraps it here
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2)
@@ -27,6 +29,7 @@ BELL_STATES = {
 }
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
+HERALD_IMPOSSIBLE = "herald impossible: no exact pattern matches the group counts"
 
 
 class HeraldError(ValueError):
@@ -50,27 +53,21 @@ def outcome_distribution(state: PureState, detector_modes):
     return sorted(probs.items())
 
 
-def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
-    """All exact patterns consistent with bin-blind group counts.
+def herald_terms(state, group_requirements: dict, read_out):
+    """The terms of state that a herald keeps, in state order.
 
     group_requirements maps a group name to (modes tuple, exact count).
     The modes of read_out and of every required group are read; read
-    modes outside the groups must be empty.  Returns (probability,
-    conditional PureState with the read modes emptied) for each matching
-    exact pattern, sorted by pattern.
+    modes outside the groups must be empty, and some read mode must not.
+    Yields (pattern on the sorted read modes, occupation with the read
+    modes emptied, amplitude) for each matching term.
     """
     registry = state.registry
     read = set(read_out).union(*(modes for modes, _ in group_requirements.values()))
     read_idx = [registry.index(m) for m in sorted(read)]
-    groups = [
-        ([registry.index(m) for m in modes], count)
-        for modes, count in group_requirements.values()
-    ]
+    groups = [([registry.index(m) for m in modes], count) for modes, count in group_requirements.values()]
     grouped = {i for idxs, _ in groups for i in idxs}
     zero_idx = [i for i in read_idx if i not in grouped]
-
-    probs: dict = {}
-    buckets: dict = {}
     for occ, amp in state.terms.items():
         if any(occ[i] for i in zero_idx):
             continue
@@ -82,25 +79,37 @@ def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
         emptied = list(occ)
         for i in read_idx:
             emptied[i] = 0
+        yield pattern, tuple(emptied), amp
+
+
+def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
+    """(probability, conditional PureState with the read modes emptied) of
+    each exact pattern of herald_terms, sorted by pattern."""
+    probs: dict = {}
+    buckets: dict = {}
+    for pattern, emptied, amp in herald_terms(state, group_requirements, read_out):
         probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
-        buckets.setdefault(pattern, {})[tuple(emptied)] = amp
+        buckets.setdefault(pattern, {})[emptied] = amp
     if not buckets:
-        raise HeraldError("herald impossible: no exact pattern matches the group counts")
+        raise HeraldError(HERALD_IMPOSSIBLE)
     outcomes = []
     for pattern in sorted(buckets):
         scale = 1.0 / math.sqrt(probs[pattern])
         terms = {occ: amp * scale for occ, amp in buckets[pattern].items()}
-        outcomes.append((probs[pattern], PureState(registry, terms)))
+        outcomes.append((probs[pattern], PureState(state.registry, terms)))
     return outcomes
 
 
 def heralded_polarization_dm(state: PureState, group_requirements: dict, read_out, kept_spatial):
-    """Total herald probability and the bin-traced kept-pair density matrix."""
-    outcomes = group_herald_outcomes(state, group_requirements, read_out)
-    total = sum(p for p, _ in outcomes)
-    rho = np.zeros((4, 4), dtype=complex)
-    for p, cond in outcomes:
-        rho += (p / total) * partial_trace_to_polarization(cond, kept_spatial)
+    """Total herald probability and the bin-traced kept-pair density matrix;
+    FockError for the first term, by pattern, whose kept support is not
+    one photon per arm (partial_trace_to_polarization's message)."""
+    terms = herald_terms(state, group_requirements, read_out)
+    total, rho, bad = kept_pair_pass(state.registry, terms, kept_spatial)
+    if not total:
+        raise HeraldError(HERALD_IMPOSSIBLE)
+    if bad:
+        raise FockError(min(bad, key=lambda term: term[0])[1])
     return total, validate_density_matrix(rho)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
-from .elements import ElementError, _complex, compose, element_ports, lower_element, stack
+from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element, stack
 from .fock import (
     UNITARY_TOL,
     GridState,
@@ -184,9 +184,10 @@ class ScanCircuit:
     A point is a validated config that differs from the compiled one only
     at the scan's leaves (lists of config keys), which fix what it changes:
     a leaf under `elements.I` re-lowers element I through lower_element, a
-    `model` leaf every element, and one under `sources.branches.B` re-reads
-    branch B.  A `bins` or `photon_budget` leaf changes the registry, so
-    each point is compiled alone (`own_registry`) and changes nothing.
+    `model` leaf each element whose kind `reads_model`, and one under
+    `sources.branches.B` re-reads branch B.  A `bins` or `photon_budget`
+    leaf changes the registry, so each point is compiled alone
+    (`own_registry`) and changes nothing.
     `evolve` checks a block's lowered transforms with `require_unitary`,
     then runs the block as one GridState through `plan`, the element
     sequence with each run of the other elements composed once.  It
@@ -198,12 +199,12 @@ class ScanCircuit:
         self.circuit = circuit
         self.own_registry = any(keys[0] in ("bins", "photon_budget") for keys in leaves)
         heads = set() if self.own_registry else {tuple(keys[:3]) for keys in leaves}
+        elements = {head[1] for head in heads if head[0] == "elements"}
         # A scanned model is read at every point, a fixed one here.
         self.model = None if any(head[0] == "model" for head in heads) else OverlapModel(**config.model)
         if self.model is None:
-            self.elements = tuple(range(len(config.elements)))
-        else:
-            self.elements = tuple(sorted({head[1] for head in heads if head[0] == "elements"}))
+            elements |= {i for i, el in enumerate(config.elements) if ELEMENT_KINDS[el["kind"]].reads_model}
+        self.elements = tuple(sorted(elements))
         self.branches = tuple(sorted({head[2] for head in heads if head[:2] == ("sources", "branches")}))
         self.losses = {el["loss"] for el in config.elements if "loss" in el}
         self.inputs = [prepare_product_state(circuit.registry, b.photons) for b in circuit.branches]

@@ -241,13 +241,15 @@ class ElementKind(NamedTuple):
     """Port count, fields and lowering of one config element kind.
 
     lower(registry, ports, el, model, convention) returns the kind's
-    ModeTransform sequence for the config element dict el.
+    ModeTransform sequence for the config element dict el; only a kind
+    with reads_model uses the model.
     """
 
     ports: int
     required: tuple
     optional: tuple
     lower: Callable
+    reads_model: bool = False
 
 
 # Every element kind a config may name, in the schema's order.
@@ -283,6 +285,7 @@ ELEMENT_KINDS = {
         ("delta_um",),
         ("pol", "bin_map"),
         lambda reg, p, el, model, conv: [delay(reg, *p, el["delta_um"], model=model, **_bin_args(el))],
+        reads_model=True,
     ),
     "bin_mixer": ElementKind(
         1,

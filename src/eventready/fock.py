@@ -409,15 +409,6 @@ class GridState:
             raise FockError("cannot normalize the zero state")
         return GridState(self.registry, {o: a / n for o, a in self.terms.items()}, self.points)
 
-    def states(self) -> list:
-        """The PureState at each point, with Python complex amplitudes."""
-        per_point = [{} for _ in range(self.points)]
-        for occ, a in self.terms.items():
-            for terms, amp in zip(per_point, a.tolist()):
-                if amp:
-                    terms[occ] = amp
-        return [PureState(self.registry, terms) for terms in per_point]
-
 
 POL_BASIS = ("HH", "HV", "VH", "VV")
 
@@ -429,47 +420,60 @@ def partial_trace_to_polarization(state: PureState, kept_spatial) -> np.ndarray:
     everywhere else; the temporal-bin index of each kept photon is traced
     out.  Basis order is (HH, HV, VH, VV), first arm then second.
     """
-    registry = state.registry
-    arm_a, arm_b = kept_spatial
-    amp_map = {}  # (pol_a, bin_a, pol_b, bin_b) -> amplitude
-    idx_of = registry.index
-    kept_idx = {
-        idx_of(m): m for arm in (arm_a, arm_b) for m in registry.group(arm)
-    }
-    for occ, amp in state.terms.items():
-        found = {}
-        for i, n in enumerate(occ):
-            if n == 0:
-                continue
-            mode = kept_idx.get(i)
-            if mode is None:
-                raise FockError(
-                    f"non-vacuum residual mode {registry.modes[i]} in kept-pair state"
-                )
-            if n > 1:
-                raise FockError(f"non-qubit support: {n} photons in {mode}")
-            if mode.spatial in found:
-                raise FockError(
-                    f"non-qubit support: two photons in arm {mode.spatial}"
-                )
-            found[mode.spatial] = mode
-        if set(found) != {arm_a, arm_b}:
-            raise FockError(
-                f"non-qubit support: arms {sorted(found)} occupied, "
-                f"expected one photon in each of {arm_a}, {arm_b}"
-            )
-        ma, mb = found[arm_a], found[arm_b]
-        amp_map[(ma.pol, ma.bin, mb.pol, mb.bin)] = amp
-    norm = math.sqrt(sum(abs(a) ** 2 for a in amp_map.values()))
-    if norm == 0:
+    terms = (((), occ, amp) for occ, amp in state.terms.items())
+    norm_sq, rho, bad = kept_pair_pass(state.registry, terms, kept_spatial)
+    if bad:
+        raise FockError(bad[0][1])
+    if not norm_sq:
         raise FockError("kept-pair state is empty")
-    rho = np.zeros((4, 4), dtype=complex)
-    pol_index = {"HH": 0, "HV": 1, "VH": 2, "VV": 3}
-    items = list(amp_map.items())
-    for (pa, ba, pb, bb), amp in items:
-        row = pol_index[pa + pb]
-        for (qa, ca, qb, cb), amp2 in items:
-            if ba == ca and bb == cb:
-                col = pol_index[qa + qb]
-                rho[row, col] += (amp / norm) * (amp2 / norm).conjugate()
     return rho
+
+
+def kept_pair_pass(registry: ModeRegistry, terms, kept_spatial):
+    """(p, rho, bad) of (pattern, occupation, amplitude) terms, whose read
+    modes are emptied and counted in pattern, in one pass.
+
+    p sums |amplitude|^2.  A term with one photon in each kept arm and
+    vacuum elsewhere adds its amplitude to the (HH, HV, VH, VV) vector v of
+    its pattern and kept bins; rho = sum v v+ / p (0 where p is).  Every
+    other term is in bad as (pattern, why, amplitude).  Amplitudes may be
+    arrays over scan points, and p and rho then are too.
+    """
+    kept_idx = {registry.index(m): m for arm in kept_spatial for m in registry.group(arm)}
+    p, vectors, bad = 0.0, {}, []
+    for pattern, occ, amp in terms:
+        p = p + abs(amp) ** 2
+        try:
+            ma, mb = _kept_pair(registry, occ, kept_idx, kept_spatial)
+        except FockError as exc:
+            bad.append((pattern, str(exc), amp))
+            continue
+        v = vectors.setdefault((pattern, ma.bin, mb.bin), np.zeros((4, *np.shape(amp)), dtype=complex))
+        v[POL_BASIS.index(ma.pol + mb.pol)] += amp
+    v = np.array(list(vectors.values())).reshape(len(vectors), 4, *np.shape(p))
+    rho = np.einsum("ki...,kj...->...ij", v, v.conj())
+    return p, rho / np.where(p > 0, p, 1.0)[..., None, None], bad
+
+
+def _kept_pair(registry: ModeRegistry, occ, kept_idx: dict, kept_spatial):
+    """The modes of occ's photons in the two kept arms, first arm first;
+    FockError unless those are its only photons, one per arm."""
+    arm_a, arm_b = kept_spatial
+    found = {}
+    for i, n in enumerate(occ):
+        if n == 0:
+            continue
+        mode = kept_idx.get(i)
+        if mode is None:
+            raise FockError(f"non-vacuum residual mode {registry.modes[i]} in kept-pair state")
+        if n > 1:
+            raise FockError(f"non-qubit support: {n} photons in {mode}")
+        if mode.spatial in found:
+            raise FockError(f"non-qubit support: two photons in arm {mode.spatial}")
+        found[mode.spatial] = mode
+    if set(found) != {arm_a, arm_b}:
+        raise FockError(
+            f"non-qubit support: arms {sorted(found)} occupied, "
+            f"expected one photon in each of {arm_a}, {arm_b}"
+        )
+    return found[arm_a], found[arm_b]

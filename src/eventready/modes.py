@@ -86,14 +86,11 @@ class ModeRegistry:
         if label not in self.spatial_labels:
             raise KeyError(f"unknown spatial label {label!r}")
 
-    def group(self, spatial: str, pol: str | None = None, bins=None):
-        """All modes of one spatial label, optionally restricted by pol/bins."""
+    def group(self, spatial: str, pol: str | None = None):
+        """All modes of one spatial label, optionally of one polarization only."""
         self.require_spatial(spatial)
         pols = POLARIZATIONS if pol is None else (pol,)
-        bin_set = range(self.bins) if bins is None else bins
-        return tuple(
-            ModeId(spatial, p, b) for p in sorted(pols) for b in bin_set
-        )
+        return tuple(ModeId(spatial, p, b) for p in sorted(pols) for b in range(self.bins))
 
     def __repr__(self):
         return (

@@ -22,23 +22,24 @@ import numpy as np
 from ._version import __version__
 from .analysis import (
     BELL_STATES,
-    HeraldError,
     analyzer_probabilities,
     chsh_S,
     concurrence,
     fidelity,
     fit_delay_fringe,
     fit_sinusoid,
-    group_herald_outcomes,
     heralded_polarization_dm,
+    herald_terms,
     joint_visibility,
     outcome_distribution,
     sample_counts,
+    validate_density_matrix,
 )
+from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/tracing.py wraps it here
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
-from .fock import FockError, PureState, basis_state, inner_product, superpose
+from .fock import FockError, GridState, PureState, basis_state, inner_product, kept_pair_pass, superpose
 from .modes import H, V, ModeId
 
 SUCCESS_PROBABILITY_NOTE = (
@@ -287,50 +288,46 @@ def _heralded_pair(config: ExperimentConfig):
 def evaluate_config(config: ExperimentConfig) -> dict:
     """Run one config and report every applicable observable."""
     circuit = compile_circuit(config)
-    return _observables(config, run(circuit), _detector_groups(circuit.registry, config.detectors))
+    state = GridState.broadcast(run(circuit), 1)
+    return _observables([config], state, _detector_groups(circuit.registry, config.detectors))[0]
 
 
-def _observables(config: ExperimentConfig, state: PureState, groups: dict) -> dict:
-    """Every applicable observable of the final state of config."""
-    obs: dict = {}
-    first_rho = None
-    first_prob = None
-    for k, herald_spec in enumerate(config.heralds):
-        requirements, read = _herald_request(groups, herald_spec)
-        rho = None
-        try:
-            if config.kept:
-                prob, rho = heralded_polarization_dm(state, requirements, read, config.kept)
-            else:
-                prob = sum(p for p, _ in group_herald_outcomes(state, requirements, read))
-        except HeraldError:
-            prob = 0.0
-        except FockError:
-            # Herald fires on events whose kept support is not one
-            # photon per arm; probability is still well defined.
-            prob = sum(p for p, _ in group_herald_outcomes(state, requirements, read))
-        obs[f"p_{herald_spec['name']}"] = prob
-        if k == 0:
-            first_rho, first_prob = rho, prob
-    if first_rho is not None:
-        for bell_name, vec in BELL_STATES.items():
-            obs[f"fidelity_{bell_name}"] = fidelity(first_rho, vec)
-        obs["concurrence"] = concurrence(first_rho)
-    elif config.kept and config.heralds:
-        for bell_name in BELL_STATES:
-            obs[f"fidelity_{bell_name}"] = float("nan")
-        obs["concurrence"] = float("nan")
-    if config.analyzers and first_rho is not None:
-        pp, pf, fp, ff = analyzer_probabilities(
-            first_rho, config.analyzers["theta_a_deg"], config.analyzers["theta_b_deg"]
-        )
-        obs["p_pass_pass"] = pp
-        obs["p_pass_fail"] = pf
-        obs["p_fail_pass"] = fp
-        obs["p_fail_fail"] = ff
-        obs["correlation_E"] = pp + ff - pf - fp
-        obs["coincidence_probability"] = (first_prob or 0.0) * pp
-    return obs
+def _observables(points: list, state: GridState, groups: dict) -> list:
+    """Every applicable observable of each point (config) of a block, from
+    the GridState of their final states, in one pass per distinct herald
+    spec.  Where the first herald cannot fire, or fires on terms off the
+    kept pair, fidelities read NaN and there are no analyzer keys."""
+    rows = [{} for _ in points]
+    first = [(0.0, None)] * len(points)  # (probability, rho) under the first herald
+    kept = points[0].kept
+    for k in range(len(points[0].heralds)):
+        passes = {}  # herald spec, as JSON: (probability, rho, bad terms) over the block
+        for j, point in enumerate(points):
+            spec = point.heralds[k]
+            key = json.dumps(spec, sort_keys=True)
+            if key not in passes:
+                terms = herald_terms(state, *_herald_request(groups, spec))
+                if kept:
+                    passes[key] = kept_pair_pass(state.registry, terms, kept)
+                else:
+                    passes[key] = sum(abs(amp) ** 2 for *_, amp in terms), None, []
+            prob, rho, bad = passes[key]
+            p = float(np.broadcast_to(prob, len(points))[j])
+            rows[j][f"p_{spec['name']}"] = p
+            if k == 0 and kept and p > 0 and not any(amp[j] for *_, amp in bad):
+                first[j] = (p, validate_density_matrix(rho[j]))
+    for obs, point, (prob, rho) in zip(rows, points, first):
+        if rho is None:
+            if kept and point.heralds:
+                obs.update(dict.fromkeys([*(f"fidelity_{name}" for name in BELL_STATES), "concurrence"], math.nan))
+            continue
+        obs.update({f"fidelity_{name}": fidelity(rho, vec) for name, vec in BELL_STATES.items()})
+        obs["concurrence"] = concurrence(rho)
+        if point.analyzers:
+            pp, pf, fp, ff = analyzer_probabilities(rho, point.analyzers["theta_a_deg"], point.analyzers["theta_b_deg"])
+            obs.update(p_pass_pass=pp, p_pass_fail=pf, p_fail_pass=fp, p_fail_fail=ff)
+            obs.update(correlation_E=pp + ff - pf - fp, coincidence_probability=prob * pp)
+    return rows
 
 
 def parse_range(spec: str):
@@ -455,8 +452,7 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     """
     rows = []
     for values, points, grid, groups in _scan_blocks(config, path, range_spec):
-        for value, point, state in zip(values, points, grid.states()):
-            rows.append({"param": value, **_observables(point, state, groups)})
+        rows += [{"param": value, **obs} for value, obs in zip(values, _observables(points, grid, groups))]
     return rows
 
 
@@ -580,7 +576,6 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
     registry = circuit.registry
     groups = _detector_groups(registry, config.detectors)
     order = ["D1h", "D1v", "D2h", "D2v"]
-    read = tuple(m for name in order for m in groups[name])
     table = _group_counts(state, groups, order)
     rows = []
     # Rounded so that probabilities equal up to float noise tie and sort by pattern.
@@ -588,22 +583,17 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
         prob = table[key]
         if prob < 1e-15:
             continue
-        row = {
-            "pattern": {name: c for name, c in zip(order, key)},
-            "probability": prob,
-        }
+        row = {"pattern": dict(zip(order, key)), "probability": prob}
         if any(key):
-            requirements = {
-                name: (groups[name], c) for name, c in zip(order, key)
-            }
+            request = _herald_request(groups, {"require": row["pattern"]})
             try:
-                _, rho = heralded_polarization_dm(state, requirements, read, config.kept)
+                _, rho = heralded_polarization_dm(state, *request, config.kept)
                 fids = {name: fidelity(rho, vec) for name, vec in BELL_STATES.items()}
                 row["fidelity"] = fids
                 row["concurrence"] = concurrence(rho)
                 best = max(fids, key=fids.get)
                 row["dominant_bell_state"] = best
-            except (FockError, HeraldError) as exc:
+            except FockError as exc:
                 row["kept_support"] = str(exc)
         rows.append(row)
     useful = {
@@ -854,27 +844,22 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _flatten_report(report: dict, prefix: str = "") -> dict:
+def _flatten_report(report, prefix: str = "") -> dict:
+    """{dotted key: scalar} of a report: dict keys sorted, list items by index."""
+    items = sorted(report.items()) if isinstance(report, dict) else enumerate(report)
     flat = {}
-    for key, value in report.items():
+    for key, value in items:
         name = f"{prefix}{key}"
-        if isinstance(value, dict):
+        if isinstance(value, (dict, list, tuple)):
             flat.update(_flatten_report(value, f"{name}."))
         else:
             flat[name] = value
     return flat
 
 
-def _flatten_value(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return ";".join(_flatten_value(v) for v in value)
-    return _format_cell(value)
-
-
 def report_table(report: dict):
-    """A report as CSV (columns, rows): one sorted key,value row per flattened field."""
-    flat = _flatten_report(report)
-    return ["key", "value"], [{"key": k, "value": _flatten_value(flat[k])} for k in sorted(flat)]
+    """A report as CSV (columns, rows): one key,value row per scalar, in JSON order."""
+    return ["key", "value"], [{"key": k, "value": _format_cell(v)} for k, v in _flatten_report(report).items()]
 
 
 def csv_text(columns, rows) -> str:

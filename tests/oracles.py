@@ -120,3 +120,53 @@ def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def heralded_rho_via_projector(terms: dict, modes, groups: dict, read_out, kept):
+    """Herald probability and kept-pair polarization rho, by brute force.
+
+    terms maps occupations (counts over `modes`, ModeIds in occupation
+    order) to amplitudes; groups maps a name to (modes, exact count), and
+    read modes outside the groups must be empty.  The herald is a
+    diagonal projector on the occupation basis.  The projected state is
+    written over (HH, HV, VH, VV) of the two kept arms times an
+    environment, every other count plus the kept photons' bins, and the
+    environment is traced out of its dense density matrix.  rho is None
+    when a kept term does not hold exactly one photon in each kept arm.
+    """
+    pos = {m: i for i, m in enumerate(modes)}
+    grouped = set().union(*(set(ms) for ms, _ in groups.values()))
+    read = set(read_out) | grouped
+
+    def fires(occ):
+        return (
+            any(occ[pos[m]] for m in read)
+            and not any(occ[pos[m]] for m in read - grouped)
+            and all(sum(occ[pos[m]] for m in ms) == n for ms, n in groups.values())
+        )
+
+    basis = sorted(terms)
+    projector = np.diag([1.0 if fires(occ) else 0.0 for occ in basis])
+    heralded = projector @ np.array([terms[occ] for occ in basis], dtype=complex)
+    p = float(np.vdot(heralded, heralded).real)
+    if p == 0:
+        return p, None
+    others = [m for m in modes if m.spatial not in kept]
+    entries = []
+    for occ, amp in zip(basis, heralded):
+        if amp == 0:
+            continue
+        photons = [m for m in modes if m.spatial in kept for _ in range(occ[pos[m]])]
+        residual = any(occ[pos[m]] for m in others if m not in read)
+        if residual or sorted(m.spatial for m in photons) != sorted(kept):
+            return p, None
+        a, b = sorted(photons, key=lambda m: kept.index(m.spatial))
+        qubit = 2 * (a.pol == "V") + (b.pol == "V")
+        env = (tuple(occ[pos[m]] for m in others), a.bin, b.bin)
+        entries.append((qubit, env, amp))
+    envs = sorted({env for _, env, _ in entries})
+    vec = np.zeros((4, len(envs)), dtype=complex)
+    for qubit, env, amp in entries:
+        vec[qubit, envs.index(env)] += amp
+    dense = np.outer(vec.ravel(), vec.ravel().conj()).reshape(4, len(envs), 4, len(envs))
+    return p, np.einsum("iaja->ij", dense) / p

@@ -1,5 +1,7 @@
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +34,9 @@ from eventready import (
 )
 from eventready.analysis import HeraldError, analyzer_probabilities
 from eventready.fock import FockError
-from eventready.presets import fusion_scheme_config, polarizer_variant_config, _detector_groups
+from eventready.presets import fusion_scheme_config, polarizer_variant_config, _detector_groups, run_preset
 
-from oracles import random_unitary
+from oracles import heralded_rho_via_projector, random_unitary
 
 PHI = BELL_STATES["phi_plus"]
 RHO_PHI = np.outer(PHI, PHI.conj())
@@ -476,3 +478,45 @@ class TestGroupHeraldProperties:
         assert total == pytest.approx(sum(matching), abs=1e-12)
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
         assert np.min(np.linalg.eigvalsh(rho)) > -1e-10
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(herald_cases())
+    def test_heralded_rho_matches_projector_oracle(self, case):
+        state, groups, read_out = case
+        p, rho = heralded_rho_via_projector(state.terms, state.registry.modes, groups, read_out, ("a", "b"))
+        if p == 0:
+            with pytest.raises(HeraldError, match="impossible"):
+                heralded_polarization_dm(state, groups, read_out, ("a", "b"))
+        elif rho is None:
+            with pytest.raises(FockError, match="non-qubit support"):
+                heralded_polarization_dm(state, groups, read_out, ("a", "b"))
+        else:
+            total, got = heralded_polarization_dm(state, groups, read_out, ("a", "b"))
+            assert abs(total - p) <= 1e-12
+            assert np.abs(got - rho).max() <= 1e-12
+
+
+def _assert_same_report(got, want, path="report"):
+    """Numbers within 1e-12; strings, booleans and the shape exactly."""
+    assert type(got) is type(want) or {type(got), type(want)} <= {int, float}, path
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{path}.{k}")
+    elif isinstance(want, float):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert got == want, path
+
+
+def test_herald_table_matches_its_reference_report(tmp_path):
+    """The herald table as written before heralds were read in one pass
+    over a state's terms, kept_support messages included."""
+    run_preset("herald-table", out_dir=tmp_path)
+    got = json.loads((tmp_path / "herald-table.report.json").read_text())
+    want = json.loads((Path(__file__).parent / "data" / "herald_table_report.json").read_text())
+    _assert_same_report(got, want)

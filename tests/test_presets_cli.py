@@ -384,6 +384,8 @@ class TestCli:
             assert {len(row) for row in rows} == {2}
             keys = [key for key, _ in rows[1:]]
             assert len(keys) == len(set(keys))
+            # One scalar per cell: no repr of a dict, list or tuple.
+            assert not [value for _, value in rows[1:] if value.startswith(("{", "[", "("))]
 
     def test_scan_accepts_format_csv(self, tmp_path, capsys):
         from eventready.presets import hom_config

@@ -32,6 +32,7 @@ from eventready.presets import (
     build_preset_config,
     evaluate_config,
     fusion_delay_config,
+    fusion_scheme_config,
     hom_config,
     parse_range,
     polarizer_variant_config,
@@ -133,6 +134,16 @@ class TestGridMatchesPerPointPath:
         with mock.patch.object(presets, "SCAN_BLOCK", block):
             rows = scan(ExperimentConfig.from_dict(raw), path, spec)
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
+
+    def test_block_mixes_heralds_that_fire_on_a_pair_off_it_or_never(self):
+        raw = fusion_scheme_config()
+        path, spec = "heralds.0.require.D1h", "0:4:1"
+        rows = scan(ExperimentConfig.from_dict(raw), path, spec)
+        _assert_rows_match(rows, _per_point_rows(raw, path, spec))
+        # One block: D1h = 1 heralds a qubit pair, 0 and 2 fire off the kept pair, 3 and 4 never.
+        assert len(rows) <= presets.SCAN_BLOCK
+        assert [row["p_hh"] > 0 for row in rows] == [True, True, True, False, False]
+        assert [math.isnan(row["concurrence"]) for row in rows] == [True, False, True, True, True]
 
     def test_registry_change_compiles_again(self, monkeypatch):
         compiled = []
@@ -314,7 +325,7 @@ class TestSameErrors:
 
     @pytest.mark.parametrize(
         "path, spec, per_point",
-        [("model.coherence_length_um", "100:300:50", 8), ("heralds.0.require.D1", "0:3:1", 0)],
+        [("model.coherence_length_um", "100:300:50", 1), ("heralds.0.require.D1", "0:3:1", 0)],
         ids=["model", "herald"],
     )
     def test_scan_paths_fix_what_every_point_re_lowers(self, monkeypatch, path, spec, per_point):
