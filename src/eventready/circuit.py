@@ -4,7 +4,9 @@ Circuits are immutable after compilation; `run` is a pure function, so
 scan points can be evaluated independently.  A scan compiles once and
 evolves its points together with `ScanCircuit`, which re-lowers only the
 elements and re-reads only the source branches that the scan's paths
-change, and checks their unitarity a block of points at a time.
+change, and checks their unitarity a block of points at a time.  Every
+config element lowers to one transform, so a circuit has one step per
+element.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ class SourceBranch:
 class Circuit:
     registry: ModeRegistry
     branches: tuple  # of SourceBranch
-    steps: tuple  # of (label, ModeTransform)
-    element_steps: tuple = ()  # (start, stop) into steps, per config element
+    steps: tuple  # of (label, ModeTransform), one per config element
 
     def prepared_input(self) -> PureState:
         states = [
@@ -88,23 +89,12 @@ def _photon_from_source(src: dict) -> PhotonSpec:
     return PhotonSpec(spatial, pol, bins)
 
 
-def _lower(i: int, el: dict, registry, model, convention) -> list:
-    """The (label, transform) steps of config element i, each checked for
-    unitarity.  A scan lowers its points with _lowered and checks them a
-    block at a time (ScanCircuit.require_unitary), with the same error."""
-    steps = _lowered(i, el, registry, model, convention)
-    for _, t in steps:
-        _require_unitary(i, t)
-    return steps
-
-
-def _lowered(i: int, el: dict, registry, model, convention) -> list:
-    """The (label, transform) steps of config element i, not yet checked for unitarity."""
+def _lowered(i: int, el: dict, registry, model, convention) -> ModeTransform:
+    """The transform of config element i, not yet checked for unitarity."""
     try:
-        transforms = lower_element(el, registry, model=model, convention=convention)
+        return lower_element(el, registry, model=model, convention=convention)
     except ElementError as exc:
         raise CircuitError(f"$.elements.{i}: {exc}") from exc
-    return [(t.name or el["kind"], t) for t in transforms]
 
 
 def _require_unitary(i: int, t: ModeTransform):
@@ -127,8 +117,10 @@ def _source_branch(b: int, br: dict, losses) -> SourceBranch:
 def compile_circuit(config) -> Circuit:
     """Lower a validated ExperimentConfig into a runnable circuit.
 
-    Elements are lowered strictly in config order; every transform is
-    checked for unitarity before it is accepted.
+    Elements are lowered strictly in config order, each to one step;
+    every transform is checked for unitarity before it is accepted.  A
+    scan lowers its later points with _lowered and checks them a block at
+    a time (ScanCircuit.require_unitary), with the same error.
     """
     registry = ModeRegistry(
         config.spatial_labels,
@@ -139,7 +131,6 @@ def compile_circuit(config) -> Circuit:
 
     seen_losses = set()
     steps = []
-    element_steps = []
     for i, el in enumerate(config.elements):
         path = f"$.elements.{i}"
         for port in element_ports(el):
@@ -152,9 +143,9 @@ def compile_circuit(config) -> Circuit:
             if not registry.has_spatial(loss):
                 raise CircuitError(f"{path}.loss: unbound loss label {loss!r}")
             seen_losses.add(loss)
-        start = len(steps)
-        steps.extend(_lower(i, el, registry, model, config.convention))
-        element_steps.append((start, len(steps)))
+        t = _lowered(i, el, registry, model, config.convention)
+        _require_unitary(i, t)
+        steps.append((t.name or el["kind"], t))
 
     branches = tuple(
         _source_branch(b, br, seen_losses) for b, br in enumerate(config.source_branches)
@@ -162,11 +153,12 @@ def compile_circuit(config) -> Circuit:
     if not branches:
         raise CircuitError("config declares no source photons")
 
-    return Circuit(registry, branches, tuple(steps), tuple(element_steps))
+    return Circuit(registry, branches, tuple(steps))
 
 
 def run(circuit: Circuit, upto: int | None = None) -> PureState:
-    """Prepare the sources and evolve them through the first `upto` steps.
+    """Prepare the sources and evolve them through the first `upto` steps,
+    one per config element.
 
     The steps are composed into one mode unitary, which is applied once;
     with no steps the prepared input is returned as is.
@@ -209,21 +201,21 @@ class ScanCircuit:
         self.losses = {el["loss"] for el in config.elements if "loss" in el}
         self.inputs = [prepare_product_state(circuit.registry, b.photons) for b in circuit.branches]
         self.plan, fixed = [], []
-        for i, (start, stop) in enumerate(circuit.element_steps):
+        for i, (_, t) in enumerate(circuit.steps):
             if i in self.elements:
                 if fixed:
                     self.plan.append(compose(fixed))
                     fixed = []
                 self.plan.append(i)
             else:
-                fixed.extend(t for _, t in circuit.steps[start:stop])
+                fixed.append(t)
         if fixed:
             self.plan.append(compose(fixed))
 
     def changes(self, config):
-        """({element index: its (label, transform) steps}, {branch index:
-        SourceBranch}) of what one point changes; the steps are not yet
-        checked for unitarity."""
+        """({element index: its transform}, {branch index: SourceBranch})
+        of what one point changes; the transforms are not yet checked for
+        unitarity."""
         model = self.model or OverlapModel(**config.model)
         elements = {
             i: _lowered(i, config.elements[i], self.circuit.registry, model, config.convention)
@@ -233,10 +225,10 @@ class ScanCircuit:
         return elements, branches
 
     def require_unitary(self, points):
-        """Raise, as _lower would for that point alone, for the first of
-        the block's points (their `changes`) that lowered a non-unitary
-        transform."""
-        lowered = [(i, t) for elements, _ in points for i, steps in elements.items() for _, t in steps]
+        """Raise, as compile_circuit would for that point alone, for the
+        first of the block's points (their `changes`) that lowered a
+        non-unitary transform."""
+        lowered = [(i, t) for elements, _ in points for i, t in elements.items()]
         by_size: dict = {}
         for k, (_, t) in enumerate(lowered):
             by_size.setdefault(len(t.modes), []).append(k)
@@ -267,15 +259,6 @@ class ScanCircuit:
         state = states[0] if len(states) == 1 else superpose(states, amplitudes)
         for part in self.plan:
             if isinstance(part, int):
-                part = stack(_one_transform(elements.get(part) or self._steps(part)) for elements, _ in points)
+                part = stack(elements.get(part, circuit.steps[part][1]) for elements, _ in points)
             state = apply_mode_unitary(state, part)
         return state
-
-    def _steps(self, i: int) -> tuple:
-        """The compiled steps of element i."""
-        start, stop = self.circuit.element_steps[i]
-        return self.circuit.steps[start:stop]
-
-
-def _one_transform(steps) -> ModeTransform:
-    return steps[0][1] if len(steps) == 1 else compose(t for _, t in steps)

@@ -240,9 +240,9 @@ def _bin_args(el: dict) -> dict:
 class ElementKind(NamedTuple):
     """Port count, fields and lowering of one config element kind.
 
-    lower(registry, ports, el, model, convention) returns the kind's
-    ModeTransform sequence for the config element dict el; only a kind
-    with reads_model uses the model.
+    lower(registry, ports, el, model, convention) returns the one
+    ModeTransform of the config element dict el; only a kind with
+    reads_model uses the model.
     """
 
     ports: int
@@ -254,44 +254,46 @@ class ElementKind(NamedTuple):
 
 # Every element kind a config may name, in the schema's order.
 ELEMENT_KINDS = {
-    "pbs": ElementKind(2, (), (), lambda reg, p, el, model, conv: [pbs(reg, *p, conv)]),
-    "rpbs": ElementKind(2, (), (), lambda reg, p, el, model, conv: rpbs(reg, *p, conv)),
+    "pbs": ElementKind(2, (), (), lambda reg, p, el, model, conv: pbs(reg, *p, conv)),
+    "rpbs": ElementKind(
+        2, (), (), lambda reg, p, el, model, conv: compose(rpbs(reg, *p, conv), f"rpbs({p[0]},{p[1]})")
+    ),
     "hwp": ElementKind(
         1,
         ("angle_deg",),
         (),
-        lambda reg, p, el, model, conv: [hwp(reg, *p, el["angle_deg"])],
+        lambda reg, p, el, model, conv: hwp(reg, *p, el["angle_deg"]),
     ),
     "polarizer": ElementKind(
         1,
         ("angle_deg", "loss"),
         (),
-        lambda reg, p, el, model, conv: [polarizer(reg, *p, el["angle_deg"], el["loss"])],
+        lambda reg, p, el, model, conv: polarizer(reg, *p, el["angle_deg"], el["loss"]),
     ),
     "phase": ElementKind(
         1,
         (),
         ("phi", "pol"),
-        lambda reg, p, el, model, conv: [phase_shift(reg, *p, el.get("phi", 0.0), pol=el.get("pol"))],
+        lambda reg, p, el, model, conv: phase_shift(reg, *p, el.get("phi", 0.0), pol=el.get("pol")),
     ),
     "beamsplitter": ElementKind(
         2,
         ("transmissivity",),
         (),
-        lambda reg, p, el, model, conv: [beamsplitter(reg, *p, el["transmissivity"])],
+        lambda reg, p, el, model, conv: beamsplitter(reg, *p, el["transmissivity"]),
     ),
     "delay": ElementKind(
         1,
         ("delta_um",),
         ("pol", "bin_map"),
-        lambda reg, p, el, model, conv: [delay(reg, *p, el["delta_um"], model=model, **_bin_args(el))],
+        lambda reg, p, el, model, conv: delay(reg, *p, el["delta_um"], model=model, **_bin_args(el)),
         reads_model=True,
     ),
     "bin_mixer": ElementKind(
         1,
         ("overlap",),
         ("pol", "bin_map"),
-        lambda reg, p, el, model, conv: [bin_mixer(reg, *p, _complex(el["overlap"]), **_bin_args(el))],
+        lambda reg, p, el, model, conv: bin_mixer(reg, *p, _complex(el["overlap"]), **_bin_args(el)),
     ),
 }
 
@@ -309,12 +311,12 @@ def lower_element(
     model: OverlapModel | None = None,
     convention: str = "perm",
 ):
-    """Lower one validated config element to its ModeTransform sequence."""
+    """Lower one validated config element to its one ModeTransform."""
     return ELEMENT_KINDS[el["kind"]].lower(registry, element_ports(el), el, model, convention)
 
 
-def compose(transforms) -> ModeTransform:
-    """Single ModeTransform equal to applying the sequence in order.
+def compose(transforms, name: str = "composite") -> ModeTransform:
+    """Single ModeTransform, named name, equal to applying the sequence in order.
 
     When any transform holds a stack of matrices (one per scan point), so
     does the result.
@@ -324,19 +326,15 @@ def compose(transforms) -> ModeTransform:
         raise ElementError("compose needs at least one transform")
     modes = tuple(sorted({m for t in transforms for m in t.modes}))
     pos = {m: i for i, m in enumerate(modes)}
-    every = list(range(len(modes)))
     total = np.eye(len(modes), dtype=complex)
     for t in transforms:
         # A transform acts only on the rows of its own modes.
         rows = [pos[m] for m in t.modes]
-        if rows == every:
-            total = t.matrix @ total
-            continue
         update = t.matrix @ total[..., rows, :]
         if update.ndim > total.ndim:
             total = np.broadcast_to(total, update.shape[:-2] + total.shape).copy()
         total[..., rows, :] = update
-    return ModeTransform(modes, total, name="composite")
+    return ModeTransform(modes, total, name=name)
 
 
 def stack(transforms) -> ModeTransform:

@@ -39,7 +39,7 @@ from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/traci
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
-from .fock import FockError, GridState, PureState, basis_state, inner_product, kept_pair_pass, superpose
+from .fock import GridState, PureState, basis_state, inner_product, kept_pair_pass, superpose
 from .modes import H, V, ModeId
 
 SUCCESS_PROBABILITY_NOTE = (
@@ -234,11 +234,17 @@ def fusion_delay_config(peak_visibility=1.0) -> dict:
     }
 
 
+# Squared overlaps and visibilities: the builders take their square roots.
+_NON_NEGATIVE_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
+
+
 def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     """The validated config of one preset with its parameters overridden.
 
     Every preset takes `convention` besides the keys of its defaults;
-    any other key raises PresetError.
+    any other key, a negative squared overlap or visibility, or chsh
+    settings that are not four angles, raises PresetError before a
+    config is built.
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -249,7 +255,13 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
                 f"preset {name!r} has no parameter {key!r}; "
                 f"choose from {sorted([*preset.defaults, 'convention'])}"
             )
-    raw = preset.build({**preset.defaults, **params})
+    full = {**preset.defaults, **params}
+    for key, value in full.items():
+        if key in _NON_NEGATIVE_PARAMS and not (isinstance(value, (int, float)) and value >= 0):
+            raise PresetError(f"preset {name!r}: {key} must be a number >= 0, got {value!r}")
+    if "settings" in full and not (isinstance(full["settings"], (list, tuple)) and len(full["settings"]) == 4):
+        raise PresetError(f"preset {name!r}: settings must be four angles (a, a', b, b'), got {full['settings']!r}")
+    raw = preset.build(full)
     if "convention" in params:
         raw["convention"] = params["convention"]
     return ExperimentConfig.from_dict(raw)
@@ -577,6 +589,18 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
     groups = _detector_groups(registry, config.detectors)
     order = ["D1h", "D1v", "D2h", "D2v"]
     table = _group_counts(state, groups, order)
+    # Each term filed once under its counts, as herald_terms would keep it
+    # for a herald requiring exactly those counts.
+    read = sorted({m for name in order for m in groups[name]})
+    read_idx = [registry.index(m) for m in read]
+    group_of = [next(k for k, name in enumerate(order) if m in groups[name]) for m in read]
+    unread = [i not in read_idx for i in range(registry.size)]
+    terms: dict = {}
+    for occ, amp in state.terms.items():
+        pattern = tuple(occ[i] for i in read_idx)
+        counts = tuple(sum(c for g, c in zip(group_of, pattern) if g == k) for k in range(len(order)))
+        emptied = tuple(n * keep for n, keep in zip(occ, unread))
+        terms.setdefault(counts, []).append((pattern, emptied, amp))
     rows = []
     # Rounded so that probabilities equal up to float noise tie and sort by pattern.
     for key in sorted(table, key=lambda k: (-round(table[k], 12), k)):
@@ -585,16 +609,16 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
             continue
         row = {"pattern": dict(zip(order, key)), "probability": prob}
         if any(key):
-            request = _herald_request(groups, {"require": row["pattern"]})
-            try:
-                _, rho = heralded_polarization_dm(state, *request, config.kept)
+            _, rho, bad = kept_pair_pass(registry, terms[key], config.kept)
+            if bad:
+                # The first bad term by pattern, as heralded_polarization_dm reports it.
+                row["kept_support"] = min(bad, key=lambda term: term[0])[1]
+            else:
+                rho = validate_density_matrix(rho)
                 fids = {name: fidelity(rho, vec) for name, vec in BELL_STATES.items()}
                 row["fidelity"] = fids
                 row["concurrence"] = concurrence(rho)
-                best = max(fids, key=fids.get)
-                row["dominant_bell_state"] = best
-            except FockError as exc:
-                row["kept_support"] = str(exc)
+                row["dominant_bell_state"] = max(fids, key=fids.get)
         rows.append(row)
     useful = {
         "hh": (1, 0, 1, 0),
@@ -877,22 +901,8 @@ def write_csv(path: Path, columns, rows):
     path.write_text(csv_text(columns, rows), encoding="utf-8")
 
 
-def _json_default(value):
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def write_json(path: Path, payload: dict):

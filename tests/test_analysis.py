@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from collections import Counter
@@ -520,3 +521,55 @@ def test_herald_table_matches_its_reference_report(tmp_path):
     got = json.loads((tmp_path / "herald-table.report.json").read_text())
     want = json.loads((Path(__file__).parent / "data" / "herald_table_report.json").read_text())
     _assert_same_report(got, want)
+
+
+def _csv_cells(text: str) -> list:
+    """The cells of a CSV, as int, float or string, for _assert_same_report."""
+
+    def cell(value):
+        for kind in (int, float):
+            try:
+                return kind(value)
+            except ValueError:
+                pass
+        return value
+
+    return [[cell(value) for value in row] for row in csv.reader(text.splitlines())]
+
+
+@pytest.mark.parametrize(
+    "preset, curve",
+    [
+        ("eq1-check", False),
+        ("bell-decomposition", False),
+        ("hom-scan", True),
+        ("polarization-correlation", True),
+        ("chsh", False),
+    ],
+)
+def test_preset_matches_its_reference_outputs(tmp_path, preset, curve):
+    """The report, and any curve CSV, of each preset at its default
+    arguments, as written before each config element lowered to one
+    transform."""
+    data = Path(__file__).parent / "data"
+    stem = preset.replace("-", "_")
+    run_preset(preset, out_dir=tmp_path)
+    got = json.loads((tmp_path / f"{preset}.report.json").read_text())
+    _assert_same_report(got, json.loads((data / f"{stem}_report.json").read_text()))
+    if curve:
+        got = _csv_cells((tmp_path / f"{preset}.csv").read_text())
+        _assert_same_report(got, _csv_cells((data / f"{stem}.csv").read_text()))
+
+
+def test_herald_table_files_each_term_once_without_herald_terms(monkeypatch):
+    """The herald table reads its state in one pass, not one herald_terms
+    filter per detector pattern."""
+    import eventready.analysis as analysis
+    import eventready.presets as presets
+
+    calls = []
+    for module in (analysis, presets):
+        original = module.herald_terms
+        monkeypatch.setattr(module, "herald_terms", lambda *a, original=original: calls.append(a) or original(*a))
+    assert run_preset("herald-table").report["patterns"]
+    assert calls == []

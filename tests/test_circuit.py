@@ -11,9 +11,19 @@ from eventready import (
     run,
     superpose,
 )
-from eventready.circuit import CircuitError
-from eventready.modes import ModeId
-from eventready.presets import fusion_scheme_config, two_pbs_config, _bell_pair_state, _pair_product
+from eventready.circuit import CircuitError, check_unitarity
+from eventready.distinguishability import OverlapModel
+from eventready.elements import ELEMENT_KINDS, compose, lower_element, rpbs
+from eventready.fock import ModeTransform
+from eventready.modes import ModeId, ModeRegistry
+from eventready.presets import (
+    PRESET_NAMES,
+    build_preset_config,
+    fusion_scheme_config,
+    two_pbs_config,
+    _bell_pair_state,
+    _pair_product,
+)
 
 from oracles import embed_transform, evolve_state_via_permanent
 
@@ -36,8 +46,7 @@ class TestCompile:
         names = [name for name, _ in circuit.steps]
         assert names[0] == "pbs(A1,A2)"
         assert names[1] == "pbs(B1,B2)"
-        assert len(names) == 2 + 5  # two PBS stages plus the five-part fusion
-        assert all("hwp" in n or "pbs" in n for n in names[2:])
+        assert names[2:] == ["rpbs(A2,B2)"]  # the fusion is one step
 
     def test_unbound_label_rejected(self):
         raw = two_pbs_config()
@@ -78,6 +87,30 @@ class TestCompile:
         for (_, t1), (_, t2) in zip(c1.steps, c2.steps):
             assert t1.modes == t2.modes
             assert np.array_equal(t1.matrix, t2.matrix)
+
+    def test_each_config_element_lowers_to_one_unitary_transform(self):
+        reg = ModeRegistry(["p1", "p2", "loss"], bins=2)
+        examples = {
+            "pbs": {"ports": ["p1", "p2"]},
+            "rpbs": {"ports": ["p1", "p2"]},
+            "hwp": {"port": "p1", "angle_deg": 22.5},
+            "polarizer": {"port": "p1", "angle_deg": 30.0, "loss": "loss"},
+            "phase": {"port": "p2", "phi": 0.3, "pol": "H"},
+            "beamsplitter": {"ports": ["p1", "p2"], "transmissivity": 0.3},
+            "delay": {"port": "p1", "delta_um": 40.0},
+            "bin_mixer": {"port": "p2", "overlap": [0.6, 0.0]},
+        }
+        assert set(examples) == set(ELEMENT_KINDS)
+        for kind, fields in examples.items():
+            t = lower_element({"kind": kind, **fields}, reg, model=OverlapModel())
+            assert isinstance(t, ModeTransform), kind
+            assert check_unitarity(t).ok, kind
+        fusion = lower_element({"kind": "rpbs", **examples["rpbs"]}, reg)
+        assert fusion.name == "rpbs(p1,p2)"
+        assert np.array_equal(fusion.matrix, compose(rpbs(reg, "p1", "p2")).matrix)
+        for name in PRESET_NAMES:
+            config = build_preset_config(name, {})
+            assert len(compile_circuit(config).steps) == len(config.elements), name
 
 
 class TestRun:

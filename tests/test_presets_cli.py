@@ -483,6 +483,32 @@ class TestCli:
         assert built == [] and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "preset, key, value, message",
+        [
+            ("polarization-correlation", "visibility", -0.1, "visibility must be a number >= 0, got -0.1"),
+            ("chsh", "fusion_overlap_sq", -1.0, "fusion_overlap_sq must be a number >= 0, got -1.0"),
+            ("herald-table", "fusion_overlap_sq", -0.5, "fusion_overlap_sq must be a number >= 0, got -0.5"),
+            ("hom-scan", "operating_overlap_sq", -0.94, "operating_overlap_sq must be a number >= 0, got -0.94"),
+            ("fusion-delay-scan", "peak_visibility", -1, "peak_visibility must be a number >= 0, got -1"),
+            ("chsh", "settings", (0.0, 45.0, 22.5), "settings must be four angles (a, a', b, b'), got (0.0, 45.0, 22.5)"),
+        ],
+    )
+    def test_parameter_outside_its_domain_rejected_before_any_work(self, tmp_path, monkeypatch, preset, key, value, message):
+        import dataclasses
+
+        import eventready.presets as presets
+
+        built = []
+        original = presets.PRESETS[preset]
+        monkeypatch.setitem(
+            presets.PRESETS, preset, dataclasses.replace(original, build=lambda p: built.append(p) or original.build(p))
+        )
+        with pytest.raises(PresetError) as exc:
+            run_preset(preset, overrides={key: value}, out_dir=tmp_path)
+        assert str(exc.value) == f"preset {preset!r}: {message}"
+        assert built == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "preset, key",
         [("eq1-check", "amplitudes"), ("hom-scan", "operating_coincidence")],
         ids=["eq1-check", "hom-scan"],
@@ -547,7 +573,7 @@ class TestOutOfRangeDelays:
 
 def test_demo_and_readme_imports_resolve():
     """Every `from eventready... import NAME` in the demos and the README's
-    python blocks names something the package has; nothing is run."""
+    python blocks names something public the package has; nothing is run."""
     root = Path(__file__).resolve().parent.parent
     sources = {p.name: p.read_text() for p in sorted((root / "demos").glob("*.py"))}
     readme = (root / "README.md").read_text()
@@ -562,7 +588,7 @@ def test_demo_and_readme_imports_resolve():
                 missing += [
                     f"{where}: {node.module}.{alias.name}"
                     for alias in node.names
-                    if not hasattr(module, alias.name)
+                    if alias.name.startswith("_") or not hasattr(module, alias.name)
                 ]
     assert missing == []
 

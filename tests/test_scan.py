@@ -341,15 +341,15 @@ class TestSameErrors:
 
 
 def _lowering_with(monkeypatch, kind: str, field: str, bad_values: dict):
-    """Make element `kind` pass each lowered transform through
+    """Make element `kind` pass its lowered transform through
     bad_values[v] when its `field` is v."""
     original = ELEMENT_KINDS[kind]
 
     def lower(reg, ports, el, model, convention):
-        steps = original.lower(reg, ports, el, model, convention)
+        t = original.lower(reg, ports, el, model, convention)
         if el[field] in bad_values:
-            return [bad_values[el[field]](t) for t in steps]
-        return steps
+            return bad_values[el[field]](t)
+        return t
 
     monkeypatch.setitem(ELEMENT_KINDS, kind, original._replace(lower=lower))
 
