@@ -126,14 +126,29 @@ def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10):
     return rho
 
 
-def fidelity(rho: np.ndarray, target: np.ndarray) -> float:
-    """<target|rho|target> for a pure two-qubit target."""
+def _real(value):
+    """A float for one matrix's value, a real array over a stack's."""
+    return float(np.real(value)) if np.ndim(value) == 0 else np.real(value)
+
+
+def _unit_interval(value):
+    """value limited to [0, 1]: a float for one matrix, an array over a stack."""
+    if np.ndim(value) == 0:
+        return min(1.0, max(0.0, float(value)))
+    return np.clip(value, 0.0, 1.0)
+
+
+def fidelity(rho: np.ndarray, target: np.ndarray):
+    """<target|rho|target> for a pure two-qubit target.
+
+    rho is one 4x4 matrix, giving a float, or a stack (..., 4, 4), giving
+    an array; so are the other figures of merit.
+    """
     target = np.asarray(target, dtype=complex).reshape(4)
-    value = float(np.real(target.conj() @ np.asarray(rho, dtype=complex) @ target))
-    return min(1.0, max(0.0, value))
+    return _unit_interval(_real(target.conj() @ np.asarray(rho, dtype=complex) @ target))
 
 
-def concurrence(rho: np.ndarray) -> float:
+def concurrence(rho: np.ndarray):
     """Wootters concurrence via the spin-flip eigenvalue construction.
 
     The spin-flip eigenvalues are computed as the singular values of
@@ -144,11 +159,10 @@ def concurrence(rho: np.ndarray) -> float:
     sy = np.array([[0, -1j], [1j, 0]])
     flip = np.kron(sy, sy)
     evals, evecs = np.linalg.eigh(rho)
-    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
     lams = np.linalg.svd(sqrt_rho @ flip @ sqrt_rho.conj(), compute_uv=False)
-    lams = np.sort(lams)
-    c = lams[-1] - lams[-2] - lams[-3] - lams[-4]
-    return float(max(0.0, min(1.0, c)))
+    lams = np.sort(lams, axis=-1)
+    return _unit_interval(lams[..., -1] - lams[..., -2] - lams[..., -3] - lams[..., -4])
 
 
 def _analyzer_vector(angle_deg: float) -> np.ndarray:
@@ -167,7 +181,7 @@ def analyzer_probabilities(rho: np.ndarray, a_deg: float, b_deg: float):
     for va in (pa, fa):
         for vb in (pb, fb):
             vec = np.kron(va, vb)
-            out.append(float(np.real(vec.conj() @ rho @ vec)))
+            out.append(_real(vec.conj() @ rho @ vec))
     pp, pf, fp, ff = out
     return pp, pf, fp, ff
 

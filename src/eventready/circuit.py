@@ -18,14 +18,18 @@ import numpy as np
 from .distinguishability import OverlapModel, bins_for_reference_overlap
 from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element, stack
 from .fock import (
+    NORM_TOL,
     UNITARY_TOL,
+    FockError,
     GridState,
     ModeTransform,
     PhotonSpec,
     PureState,
     apply_mode_unitary,
-    prepare_product_grid,
+    creator_columns,
+    multiply_out,
     prepare_product_state,
+    push_creators,
     superpose,
     unitarity_deviations,
 )
@@ -181,10 +185,13 @@ class ScanCircuit:
     leaf changes the registry, so each point is compiled alone
     (`own_registry`) and changes nothing.
     `evolve` checks a block's lowered transforms with `require_unitary`,
-    then runs the block as one GridState through `plan`, the element
-    sequence with each run of the other elements composed once.  It
-    applies the parts in turn: a fixed run as one transform, a re-lowered
-    element as the stack of its points' transforms.
+    then evolves the source photons, not the prepared kets: each photon's
+    creator is a column over the block's points, pushed through `plan`,
+    the element sequence with each run of the other elements composed
+    once.  A fixed run is one matrix product, a re-lowered element one
+    product with the stack of its points' transforms.  The pushed creators
+    are multiplied out once (fock.multiply_out).  A fixed branch's creator
+    columns and input norm are computed here, once.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
@@ -199,7 +206,11 @@ class ScanCircuit:
         self.elements = tuple(sorted(elements))
         self.branches = tuple(sorted({head[2] for head in heads if head[:2] == ("sources", "branches")}))
         self.losses = {el["loss"] for el in config.elements if "loss" in el}
-        self.inputs = [prepare_product_state(circuit.registry, b.photons) for b in circuit.branches]
+        self.columns = [creator_columns(circuit.registry, [b.photons]) for b in circuit.branches]
+        self.norms = [_norm(circuit.registry, [(1.0, columns)], 1) for columns in self.columns]
+        self.weights = None  # fixed, unless a branch is scanned
+        if not self.branches:
+            self.weights = self._weights([b.amplitude for b in circuit.branches], self.columns, self.norms, 1)
         self.plan, fixed = [], []
         for i, (_, t) in enumerate(circuit.steps):
             if i in self.elements:
@@ -239,26 +250,57 @@ class ScanCircuit:
         for k in sorted(failed):
             _require_unitary(*lowered[k])
 
+    def _weights(self, amplitudes, columns, norms, points) -> list:
+        """Each branch's weight in the block's state: its amplitude over its
+        input norm and over the norm of the superposed input, which is taken
+        from the un-evolved products.  A lone branch's amplitude is a global
+        phase and is dropped."""
+        if len(columns) == 1:
+            return [1.0 / norms[0]]
+        weights = [a / norm for a, norm in zip(amplitudes, norms)]
+        total = _norm(self.circuit.registry, list(zip(weights, columns)), points)
+        return [w / total for w in weights]
+
     def evolve(self, points) -> GridState:
         """The final states of a block of points, given their `changes`.
 
-        The plan's parts are applied one at a time, so no stack is ever
-        multiplied into a composite.
+        FockError is raised where the evolved norm drifts from 1 by more
+        than NORM_TOL.
         """
         self.require_unitary(points)
-        circuit, n = self.circuit, len(points)
-        states, amplitudes = [], []
-        for b, branch in enumerate(circuit.branches):
-            if b in self.branches:
-                per_point = [branches.get(b, branch) for _, branches in points]
-                states.append(prepare_product_grid(circuit.registry, [br.photons for br in per_point]))
-                amplitudes.append(np.array([br.amplitude for br in per_point]))
-            else:
-                states.append(GridState.broadcast(self.inputs[b], n))
-                amplitudes.append(branch.amplitude)
-        state = states[0] if len(states) == 1 else superpose(states, amplitudes)
+        circuit, registry, n = self.circuit, self.circuit.registry, len(points)
+        columns = self.columns
+        if self.branches:
+            columns, norms = list(self.columns), list(self.norms)
+            amplitudes = [b.amplitude for b in circuit.branches]
+            for b in self.branches:
+                per_point = [branches.get(b, circuit.branches[b]) for _, branches in points]
+                columns[b] = creator_columns(registry, [br.photons for br in per_point])
+                amplitudes[b] = np.array([br.amplitude for br in per_point])
+                norms[b] = _norm(registry, [(1.0, columns[b])], n)
+            weights = self._weights(amplitudes, columns, norms, n)
+        else:
+            weights = self.weights
+        width = max(c.shape[2] for c in columns)
+        pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
         for part in self.plan:
             if isinstance(part, int):
                 part = stack(elements.get(part, circuit.steps[part][1]) for elements, _ in points)
-            state = apply_mode_unitary(state, part)
+            pushed = push_creators(registry, pushed, part)
+        starts = np.cumsum([0] + [c.shape[1] for c in columns])
+        state = multiply_out(registry, [(w, pushed[:, i:j]) for w, i, j in zip(weights, starts, starts[1:])], n)
+        after = state.norm()
+        drift = np.abs(after - 1.0)
+        if drift.max() > NORM_TOL:
+            k = int(drift.argmax())
+            raise FockError(f"norm drifted 1.000000000000 -> {after[k]:.12f} under the scan's elements")
         return state
+
+
+def _norm(registry, branches, points) -> np.ndarray:
+    """The norm at each point of multiply_out(registry, branches, points);
+    FockError where it is 0."""
+    norm = multiply_out(registry, branches, points).norm()
+    if not norm.all():
+        raise FockError("cannot normalize the zero state")
+    return norm

@@ -3,19 +3,23 @@
 States are stored as a sparse map from occupation vectors (one count per
 registered mode) to complex amplitudes.  Occupation kets are normalized,
 so a term with counts n is the creator monomial  prod_j (a_j^dag)^{n_j} / sqrt(n_j!)
-acting on vacuum.  One primitive, _apply_creation, builds every state:
-it applies a linear combination of creators to a sparse ket map.  Source
-photons are prepared with it, and a mode unitary U evolves a ket by
-mapping each creator a_j^dag to its column image sum_i U[i, j] a_i^dag,
-which reproduces the permanent formula
-<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).
+acting on vacuum.  A mode unitary U maps each creator a_j^dag to its
+column image sum_i U[i, j] a_i^dag, which reproduces the permanent formula
+<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).  Two constructions
+build states on this rule:
 
-A scan evolves many points of one circuit at once.  _apply_creation
-works for any amplitude type, so a GridState keeps one amplitude array
-per occupation, one entry per scan point, and a creator whose
-coefficients differ between points carries arrays too: the same code
-evolves a single state with Python complex amplitudes and a grid with
-1-D numpy arrays.
+- _apply_creation applies a linear combination of creators to a sparse
+  ket map.  prepare_product_state builds a single state with it, and
+  apply_mode_unitary evolves any state by re-expanding every ket.
+- A scan evolves many points of one circuit at once, and its inputs are
+  products of one-photon creators.  Each photon's creator is a dense
+  (modes, points) column (creator_columns), which push_creators carries
+  through a mode unitary, or a stack with one unitary per point, as one
+  matrix product.  multiply_out then expands the product of the pushed
+  creators once, into a GridState: one amplitude array per occupation,
+  one entry per scan point.  prepare_product_grid is its case with no
+  unitary.  This is the creation form of Heurtel et al., "Strong
+  simulation of linear optical processes", CPC 291, 108848 (2023).
 """
 
 from __future__ import annotations
@@ -212,20 +216,108 @@ def _check_budget(registry: ModeRegistry, n_photons: int):
 def prepare_product_grid(registry: ModeRegistry, photon_grid) -> "GridState":
     """prepare_product_state at every scan point at once.
 
-    photon_grid holds, per point, the same number of photons.  The k-th
-    photon's creator gets one coefficient array per mode, over the points.
+    photon_grid holds, per point, the same number of photons.
     """
     photon_grid = [list(photons) for photons in photon_grid]
-    _check_budget(registry, len(photon_grid[0]))
+    columns = creator_columns(registry, photon_grid)
+    return multiply_out(registry, [(1.0, columns)], len(photon_grid)).normalized()
+
+
+def creator_columns(registry: ModeRegistry, photon_grid) -> np.ndarray:
+    """Each photon's creator at every point, as the columns of an array
+    (modes, photons, points); photon_grid holds, per point, the same
+    number of photons, at most the registry's budget."""
+    _check_budget(registry, max(len(photons) for photons in photon_grid))
     ops = [[_creation_op_vector(registry, p) for p in photons] for photons in photon_grid]
-    terms = vacuum(registry).terms
-    for point_ops in zip(*ops):
-        # Registry order is the order _creation_op_vector lists its modes in.
-        modes = sorted(set().union(*point_ops))
-        terms = _apply_creation(
-            registry, terms, {i: np.array([op.get(i, 0j) for op in point_ops]) for i in modes}
-        )
-    return GridState(registry, terms, len(photon_grid)).pruned().normalized()
+    columns = np.zeros((registry.size, len(ops[0]), len(ops)), dtype=complex)
+    for k, point_ops in enumerate(ops):
+        for p, op in enumerate(point_ops):
+            columns[list(op), p, k] = list(op.values())
+    return columns
+
+
+def push_creators(registry: ModeRegistry, columns: np.ndarray, t: "ModeTransform") -> np.ndarray:
+    """Creator columns (modes, photons, width) after the mode unitary t:
+    their rows on t.modes are multiplied by t's matrix in one product, or
+    at each point by that point's matrix of a stack.  Width 1 means the
+    same column at every point, and stays so under a single matrix."""
+    idxs = np.array([registry.index(m) for m in t.modes])
+    rows = columns[idxs]
+    if t.matrix.ndim == 2:
+        image = (t.matrix @ rows.reshape(len(idxs), -1)).reshape(rows.shape)
+    else:
+        image = (t.matrix @ rows.transpose(2, 0, 1)).transpose(1, 2, 0)
+    pushed = np.array(np.broadcast_to(columns, columns.shape[:2] + image.shape[2:]))
+    pushed[idxs] = image
+    return pushed
+
+
+def multiply_out(registry: ModeRegistry, branches, points: int) -> "GridState":
+    """sum_b w_b prod_k (sum_i C_b[i, k] a_i^dag) |vacuum> at every point,
+    pruned at PRUNE_TOL.
+
+    branches holds (w_b, C_b): a weight, a number or an array over the
+    points, and the branch's creator columns (modes, photons, width), of
+    width `points`, or 1 if the same at every point.  The product is taken
+    photon by photon, with each partial product keyed by its sorted tuple
+    of mode indices and equal keys summed, so its size stays within
+    terms x support x points.  Since (a^dag)^n |vacuum> = sqrt(n!) |n>,
+    each occupation then gets the factor sqrt(prod_j n_j!).
+    """
+    keys, amplitudes = [], []
+    for weight, columns in branches:
+        k, c = _creator_product(columns)
+        keys.append(k)
+        amplitudes.append(np.broadcast_to(c, (len(c), points)) * np.reshape(weight, (1, -1)))
+    photon_counts = sorted({k.shape[1] for k in keys})
+    if len(photon_counts) > 1:
+        raise FockError(f"superpose mixes photon numbers {photon_counts}")
+    if len(keys) > 1:
+        keys, amplitudes = _summed(np.concatenate(keys), np.concatenate(amplitudes))
+    else:
+        keys, amplitudes = keys[0], amplitudes[0]
+    # A run of r equal modes in a sorted key contributes 1 * 2 * ... * r = r!.
+    run, factor = np.ones(len(keys)), np.ones(len(keys))
+    for left, right in zip(keys.T, keys.T[1:]):
+        run = np.where(left == right, run + 1.0, 1.0)
+        factor *= run
+    amplitudes *= np.sqrt(factor)[:, None]
+    amplitudes[~(abs(amplitudes) > PRUNE_TOL)] = 0
+    kept = amplitudes.any(axis=1)
+    keys, amplitudes = keys[kept], amplitudes[kept]
+    occupations = np.zeros((len(keys), registry.size), dtype=np.uint8)
+    for column in keys.T:
+        occupations[np.arange(len(keys)), column] += 1
+    # A row of counts as bytes iterates to the ints of its occupation tuple.
+    rows, size = occupations.tobytes(), registry.size
+    terms = {tuple(rows[i : i + size]): a for i, a in zip(range(0, len(rows), size), amplitudes)}
+    return GridState(registry, terms, points)
+
+
+def _creator_product(columns):
+    """(keys, coefficients) of the product of the creator columns: one
+    row per distinct sorted tuple of mode indices, in lexicographic
+    order, with its coefficient at each point."""
+    keys = np.zeros((1, 0), dtype=np.intp)
+    coefficients = np.ones((1, 1), dtype=complex)
+    for column in columns.transpose(1, 0, 2):
+        support = np.flatnonzero(column.any(axis=1))
+        keys = np.concatenate([np.repeat(keys, len(support), axis=0), np.tile(support, len(keys))[:, None]], axis=1)
+        keys.sort(axis=1)
+        # Passed on, not kept, so the unsorted products are freed once sorted.
+        keys, coefficients = _summed(keys, (coefficients[:, None, :] * column[support][None]).reshape(len(keys), -1))
+    return keys, coefficients
+
+
+def _summed(keys, coefficients):
+    """The distinct rows of keys in lexicographic order, each with the sum
+    of its rows' coefficients."""
+    order = np.lexsort(keys.T[::-1])
+    keys, coefficients = keys[order], coefficients[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return keys[starts], np.add.reduceat(coefficients, starts, axis=0)
 
 
 def superpose(states, amplitudes, normalize: bool = True) -> PureState:
@@ -389,10 +481,8 @@ class GridState:
         )
 
     def norm(self) -> np.ndarray:
-        total = np.zeros(self.points)
-        for a in self.terms.values():
-            total = total + abs(a) ** 2
-        return np.sqrt(total)
+        amplitudes = np.array(list(self.terms.values())).reshape(-1, self.points)
+        return np.sqrt((abs(amplitudes) ** 2).sum(axis=0))
 
     def pruned(self, tol: float = PRUNE_TOL) -> "GridState":
         """PureState.pruned at every point: amplitudes within tol become 0."""

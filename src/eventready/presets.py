@@ -238,13 +238,27 @@ def fusion_delay_config(peak_visibility=1.0) -> dict:
 _NON_NEGATIVE_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
 
 
+def _is_finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _is_chsh_reference(reference) -> bool:
+    """A dict whose 'S', if given, is a finite number and whose 'E', if
+    given, maps names to finite numbers."""
+    if not isinstance(reference, dict):
+        return False
+    e = reference.get("E", {})
+    return _is_finite(reference.get("S", 0.0)) and isinstance(e, dict) and all(map(_is_finite, e.values()))
+
+
 def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     """The validated config of one preset with its parameters overridden.
 
     Every preset takes `convention` besides the keys of its defaults;
-    any other key, a negative squared overlap or visibility, or chsh
-    settings that are not four angles, raises PresetError before a
-    config is built.
+    any other key, a negative squared overlap or visibility, chsh
+    settings that are not four finite angles, or a chsh reference that is
+    not null or a dict of finite 'S' and 'E' values, raises PresetError
+    before a config is built.
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -259,8 +273,15 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     for key, value in full.items():
         if key in _NON_NEGATIVE_PARAMS and not (isinstance(value, (int, float)) and value >= 0):
             raise PresetError(f"preset {name!r}: {key} must be a number >= 0, got {value!r}")
-    if "settings" in full and not (isinstance(full["settings"], (list, tuple)) and len(full["settings"]) == 4):
-        raise PresetError(f"preset {name!r}: settings must be four angles (a, a', b, b'), got {full['settings']!r}")
+    settings = full.get("settings", (0.0,) * 4)
+    if not (isinstance(settings, (list, tuple)) and len(settings) == 4 and all(map(_is_finite, settings))):
+        raise PresetError(f"preset {name!r}: settings must be four angles (a, a', b, b'), got {settings!r}")
+    reference = full.get("reference")
+    if reference is not None and not _is_chsh_reference(reference):
+        raise PresetError(
+            f"preset {name!r}: reference must be null or a dict with a finite 'S' "
+            f"and an 'E' dict of finite numbers, got {reference!r}"
+        )
     raw = preset.build(full)
     if "convention" in params:
         raw["convention"] = params["convention"]
@@ -328,17 +349,31 @@ def _observables(points: list, state: GridState, groups: dict) -> list:
             rows[j][f"p_{spec['name']}"] = p
             if k == 0 and kept and p > 0 and not any(amp[j] for *_, amp in bad):
                 first[j] = (p, validate_density_matrix(rho[j]))
-    for obs, point, (prob, rho) in zip(rows, points, first):
-        if rho is None:
-            if kept and point.heralds:
-                obs.update(dict.fromkeys([*(f"fidelity_{name}" for name in BELL_STATES), "concurrence"], math.nan))
-            continue
-        obs.update({f"fidelity_{name}": fidelity(rho, vec) for name, vec in BELL_STATES.items()})
-        obs["concurrence"] = concurrence(rho)
-        if point.analyzers:
-            pp, pf, fp, ff = analyzer_probabilities(rho, point.analyzers["theta_a_deg"], point.analyzers["theta_b_deg"])
-            obs.update(p_pass_pass=pp, p_pass_fail=pf, p_fail_pass=fp, p_fail_fail=ff)
-            obs.update(correlation_E=pp + ff - pf - fp, coincidence_probability=prob * pp)
+    valid = []  # the points with a rho
+    for j, (obs, point, (_, rho)) in enumerate(zip(rows, points, first)):
+        if rho is not None:
+            valid.append(j)
+        elif kept and point.heralds:
+            obs.update(dict.fromkeys([*(f"fidelity_{name}" for name in BELL_STATES), "concurrence"], math.nan))
+    if not valid:
+        return rows
+    # Each figure of merit once over the stack of rhos, and the analyzer
+    # probabilities once per distinct setting.
+    rhos = np.stack([first[j][1] for j in valid])
+    merit = {f"fidelity_{name}": fidelity(rhos, vec) for name, vec in BELL_STATES.items()}
+    merit["concurrence"] = concurrence(rhos)
+    settings: dict = {}
+    for k, j in enumerate(valid):
+        rows[j].update({key: float(values[k]) for key, values in merit.items()})
+        if points[j].analyzers:
+            setting = (points[j].analyzers["theta_a_deg"], points[j].analyzers["theta_b_deg"])
+            settings.setdefault(setting, []).append((k, j))
+    for setting, pairs in settings.items():
+        probabilities = analyzer_probabilities(rhos[[k for k, _ in pairs]], *setting)
+        for (_, j), (pp, pf, fp, ff) in zip(pairs, zip(*probabilities)):
+            pp, pf, fp, ff = float(pp), float(pf), float(fp), float(ff)
+            rows[j].update(p_pass_pass=pp, p_pass_fail=pf, p_fail_pass=fp, p_fail_fail=ff)
+            rows[j].update(correlation_E=pp + ff - pf - fp, coincidence_probability=first[j][0] * pp)
     return rows
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from eventready import (
     prepare_product_state,
     superpose,
 )
+from eventready.circuit import Circuit, ScanCircuit, SourceBranch
 from eventready.elements import stack
 from eventready.fock import PureState, prepare_product_grid
+from eventready.modes import H
 
 from oracles import (
     embed_transform,
@@ -303,6 +306,83 @@ class TestGridProperties:
         assert stacked.modes == reg.modes[:3]
         for matrix, t in zip(stacked.matrix, (first, second)):
             assert np.allclose(matrix, compose([t, ModeTransform(reg.modes[:3], np.eye(3))]).matrix)
+
+
+@st.composite
+def scan_grid_cases(draw):
+    """grid_cases with photons that may share one mode, and possibly a
+    second source branch of as many photons; each branch has an amplitude
+    per point."""
+    reg, photon_grid, sequences = draw(grid_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points, n_photons = len(photon_grid), len(photon_grid[0])
+    grids = [photon_grid]
+    if draw(st.booleans()):
+        labels = draw(st.lists(st.sampled_from(reg.spatial_labels), min_size=n_photons, max_size=n_photons))
+        grids.append(
+            [[PhotonSpec(label, _random_amplitudes(rng, 2), _random_amplitudes(rng, reg.bins)) for label in labels]
+             for _ in range(points)]
+        )
+    if draw(st.booleans()):
+        # The first photons of the first branch all on one mode, at every point.
+        mode = draw(st.sampled_from(reg.modes))
+        pol = (1.0, 0.0) if mode.pol == H else (0.0, 1.0)
+        bins = tuple(float(b == mode.bin) for b in range(mode.bin + 1))
+        shared = draw(st.integers(min(2, n_photons), n_photons))
+        grids[0] = [[PhotonSpec(mode.spatial, pol, bins)] * shared + photons[shared:] for photons in grids[0]]
+    amplitudes = [rng.uniform(0.2, 1.0, points) * np.exp(2j * np.pi * rng.uniform(size=points)) for _ in grids]
+    return reg, grids, amplitudes, sequences
+
+
+def _scan_circuit_evolve(reg, grids, amplitudes, sequences):
+    """The block state of ScanCircuit.evolve: every branch scanned, and
+    each step re-lowered where its matrix differs between points."""
+    per_point = [
+        i for i, t in enumerate(sequences[0])
+        if any(not np.array_equal(sequence[i].matrix, t.matrix) for sequence in sequences)
+    ]
+    branches = tuple(SourceBranch(complex(a[0]), tuple(grid[0])) for a, grid in zip(amplitudes, grids))
+    circuit = Circuit(reg, branches, tuple((f"u{i}", t) for i, t in enumerate(sequences[0])))
+    config = SimpleNamespace(model={}, elements=[{} for _ in sequences[0]])
+    leaves = [["elements", i, "matrix"] for i in per_point]
+    leaves += [["sources", "branches", b, "amplitude"] for b in range(len(grids))]
+    changes = [
+        (
+            {i: sequence[i] for i in per_point},
+            {b: SourceBranch(complex(a[k]), tuple(grid[k])) for b, (a, grid) in enumerate(zip(amplitudes, grids))},
+        )
+        for k, sequence in enumerate(sequences)
+    ]
+    return ScanCircuit(circuit, config, leaves).evolve(changes)
+
+
+class TestScanEvolution:
+    """ScanCircuit.evolve pushes each photon's creator through the plan and
+    multiplies them out once; it must give the prepared-ket evolution."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(scan_grid_cases())
+    def test_creator_evolution_matches_ket_evolution_and_permanents(self, case):
+        reg, grids, amplitudes, sequences = case
+        evolved = _scan_circuit_evolve(reg, grids, amplitudes, sequences)
+        prepared = [prepare_product_grid(reg, grid) for grid in grids]
+        # A lone branch's amplitude is a global phase, dropped on both paths.
+        source = prepared[0] if len(prepared) == 1 else superpose(prepared, amplitudes)
+        kets = apply_mode_unitary(source, compose([stack(column) for column in zip(*sequences)]))
+        assert set(evolved.terms) == set(kets.terms)
+        for occ, amp in kets.terms.items():
+            assert np.all(np.abs(evolved.terms[occ] - amp) < 1e-12)
+        for k, sequence in enumerate(sequences):
+            states = [prepare_product_state(reg, grid[k]) for grid in grids]
+            state = states[0] if len(states) == 1 else superpose(states, [a[k] for a in amplitudes])
+            composite = compose(sequence)
+            u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
+            oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
+            got = _point(evolved, k)
+            assert set(got.terms) == set(oracle)
+            for occ, amp in oracle.items():
+                assert abs(got.terms[occ] - amp) < 1e-12
+        assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
 
 
 class TestInnerProduct:

@@ -29,6 +29,9 @@ from eventready.presets import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+# Subprocesses import the package from this checkout, however pytest was started.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+REFERENCE_DOMAIN = "reference must be null or a dict with a finite 'S' and an 'E' dict of finite numbers"
 
 
 class TestScan:
@@ -452,7 +455,9 @@ class TestCli:
 
     def test_usage_error_and_help_exit_codes_from_the_shell(self):
         def cli(*args):
-            return subprocess.run([sys.executable, "-m", "eventready.cli", *args], capture_output=True, text=True)
+            return subprocess.run(
+                [sys.executable, "-m", "eventready.cli", *args], capture_output=True, text=True, env=SRC_ENV
+            )
 
         bad = cli("--preset", "nope")
         assert bad.returncode == 1
@@ -465,6 +470,7 @@ class TestCli:
             [sys.executable, "-m", "eventready.cli", "--preset", "eq1-check", "--out", str(tmp_path)],
             capture_output=True,
             text=True,
+            env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr
 
@@ -491,6 +497,11 @@ class TestCli:
             ("hom-scan", "operating_overlap_sq", -0.94, "operating_overlap_sq must be a number >= 0, got -0.94"),
             ("fusion-delay-scan", "peak_visibility", -1, "peak_visibility must be a number >= 0, got -1"),
             ("chsh", "settings", (0.0, 45.0, 22.5), "settings must be four angles (a, a', b, b'), got (0.0, 45.0, 22.5)"),
+            ("chsh", "settings", ("a", 1, 2, 3), "settings must be four angles (a, a', b, b'), got ('a', 1, 2, 3)"),
+            ("chsh", "settings", (math.nan, 45.0, 22.5, 67.5), "settings must be four angles (a, a', b, b'), got (nan, 45.0, 22.5, 67.5)"),
+            ("chsh", "reference", 5, f"{REFERENCE_DOMAIN}, got 5"),
+            ("chsh", "reference", {"S": "2.8"}, f"{REFERENCE_DOMAIN}, got {{'S': '2.8'}}"),
+            ("chsh", "reference", {"E": {"ab": None}}, f"{REFERENCE_DOMAIN}, got {{'E': {{'ab': None}}}}"),
         ],
     )
     def test_parameter_outside_its_domain_rejected_before_any_work(self, tmp_path, monkeypatch, preset, key, value, message):

@@ -22,10 +22,10 @@ import eventready.config as config_module
 import eventready.presets as presets
 from eventready import ExperimentConfig
 from eventready.cli import main
-from eventready.circuit import CircuitError
+from eventready.circuit import CircuitError, ScanCircuit, SourceBranch, compile_circuit
 from eventready.config import ConfigError, LeafCheck, validate_config_dict
 from eventready.elements import ELEMENT_KINDS, ElementError
-from eventready.fock import ModeTransform
+from eventready.fock import FockError, ModeTransform
 from eventready.presets import (
     MAX_SCAN_POINTS,
     PresetError,
@@ -177,26 +177,26 @@ class TestGridMatchesPerPointPath:
         assert rows[0]["p_coincidence"] != rows[1]["p_coincidence"]
 
     def test_blocks_cover_the_grid_in_order(self, monkeypatch):
-        composed, applied = [], []
-        compose, apply_mode_unitary = circuit_module.compose, circuit_module.apply_mode_unitary
+        composed, pushed = [], []
+        compose, push_creators = circuit_module.compose, circuit_module.push_creators
 
         def composing(transforms):
             transforms = list(transforms)
             composed.extend(t.matrix.ndim for t in transforms)
             return compose(transforms)
 
-        def applying(state, t):
-            applied.append(t.matrix.ndim)
-            return apply_mode_unitary(state, t)
+        def pushing(registry, columns, t):
+            pushed.append(t.matrix.ndim)
+            return push_creators(registry, columns, t)
 
         monkeypatch.setattr(circuit_module, "compose", composing)
-        monkeypatch.setattr(circuit_module, "apply_mode_unitary", applying)
+        monkeypatch.setattr(circuit_module, "push_creators", pushing)
         raw = fusion_delay_config()
         spec = "-50:50:0.5"  # 201 points: three full blocks of 64 and one of 9
         rows = scan(ExperimentConfig.from_dict(raw), "elements.0.delta_um", spec)
-        # Each block applies its stacked delay, then the other seven elements,
-        # composed once per scan; no stack is composed.
-        assert applied == [3, 2] * 4
+        # Each block pushes its creators through its stacked delay, then the
+        # other seven elements, composed once per scan; no stack is composed.
+        assert pushed == [3, 2] * 4
         assert composed == [2] * 7
         assert [r["param"] for r in rows] == parse_range(spec)
         _assert_rows_match(rows[60:70], _per_point_rows(raw, "elements.0.delta_um", "-20:-15.5:0.5"))
@@ -395,6 +395,33 @@ class TestPerBlockUnitarity:
             scan(ExperimentConfig.from_dict(raw), path, spec)
         assert str(scanned.value) == str(alone.value)
         assert "non-unitary lowering" in str(scanned.value)
+
+
+class TestBlockChecks:
+    """A block evolves its source photons, with the checks of the ket path."""
+
+    def test_photons_over_the_budget_fail_as_before(self):
+        config = ExperimentConfig.from_dict(fusion_scheme_config())
+        grid = ScanCircuit(compile_circuit(config), config, [["sources", "branches", 0, "photons", 0, "overlap"]])
+        branch = grid.circuit.branches[0]
+        crowded = SourceBranch(branch.amplitude, branch.photons + branch.photons[:1])
+        with pytest.raises(FockError, match=r"^5 photons exceed the budget of 4$"):
+            grid.evolve([({}, {0: crowded})] * 2)
+
+    def test_zero_input_state_fails_as_before(self):
+        raw = hom_config()
+        branch = raw["sources"]["branches"][0]
+        raw["sources"]["branches"] = [dict(branch, amplitude=[1.0, 0.0]), dict(branch, amplitude=[0.5, 0.0])]
+        # At amplitude -1 the two equal branches cancel.
+        with pytest.raises(FockError, match=r"^cannot normalize the zero state$"):
+            scan(ExperimentConfig.from_dict(raw), "sources.branches.1.amplitude.0", "-1.5:0:0.5")
+
+    def test_norm_drift_past_its_tolerance_raises(self, monkeypatch):
+        raw, path, spec = fusion_delay_config(), "elements.0.delta_um", "-10:10:1"
+        _lowering_with(monkeypatch, "delay", "delta_um", {parse_range(spec)[6]: _scaled})
+        monkeypatch.setattr(ScanCircuit, "require_unitary", lambda self, points: None)
+        with pytest.raises(FockError, match=r"^norm drifted 1\.000000000000 -> "):
+            scan(ExperimentConfig.from_dict(raw), path, spec)
 
 
 class TestRangeLimits:
