@@ -4,7 +4,9 @@ Physical detectors do not resolve temporal bins, so a herald requires a
 count per detector group (a spatial label, optionally one polarization).
 Each exact pattern on the read modes that is consistent with those counts
 conditions onto a pure state; the herald's density matrix sums them, in
-one pass over the terms the herald keeps (fock.kept_pair_pass).
+one pass over the terms the herald keeps (fock.kept_pair_pass).  Every
+reader works on a GridState's occupation and amplitude matrices; a
+PureState is read as a one-point grid.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockError, PureState, kept_pair_pass
+from .fock import FockError, GridState, PureState, distinct_rows, kept_pair_pass, kept_pair_violation, one_point_grid
 from .fock import partial_trace_to_polarization  # noqa: F401 -- unused, bench/tracing.py wraps it here
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -36,67 +38,69 @@ class HeraldError(ValueError):
     pass
 
 
-def outcome_distribution(state: PureState, detector_modes):
+def outcome_distribution(state, detector_modes):
     """Marginal probabilities of exact count patterns on detector modes.
 
     Returns a sorted list of ((counts tuple aligned with sorted detector
-    modes), probability); zero-probability patterns never appear.  For a
-    GridState each probability is an array over its points, 0 at the
-    points where the pattern does not occur.
+    modes), probability); zero-probability patterns never appear.  state
+    is a PureState, giving float probabilities, or a GridState, giving
+    each probability as an array over its points, 0 at the points where
+    the pattern does not occur.
     """
-    modes = tuple(sorted(set(detector_modes)))
-    idxs = [state.registry.index(m) for m in modes]
-    probs: dict = {}
-    for occ, amp in state.terms.items():
-        key = tuple(occ[i] for i in idxs)
-        probs[key] = probs.get(key, 0.0) + abs(amp) ** 2
-    return sorted(probs.items())
+    grid = state if isinstance(state, GridState) else one_point_grid(state)
+    # The registry lists its modes sorted, so sorted indices are sorted modes.
+    idxs = sorted({state.registry.index(m) for m in detector_modes})
+    patterns, inverse = distinct_rows(grid.occupations[:, idxs])
+    probs = np.zeros((len(patterns), grid.points))
+    np.add.at(probs, inverse, grid.probabilities)
+    if grid is not state:
+        probs = probs[:, 0].tolist()
+    return list(zip(map(tuple, patterns.tolist()), probs))
 
 
-def herald_terms(state, group_requirements: dict, read_out):
-    """The terms of state that a herald keeps, in state order.
+def herald_terms(state: GridState, group_requirements: dict, read_out):
+    """(patterns, kept): the rows of state that a herald keeps, in state
+    order, with the read modes emptied, and their counts on the sorted
+    read modes.
 
     group_requirements maps a group name to (modes tuple, exact count).
     The modes of read_out and of every required group are read; read
     modes outside the groups must be empty, and some read mode must not.
-    Yields (pattern on the sorted read modes, occupation with the read
-    modes emptied, amplitude) for each matching term.
     """
-    registry = state.registry
+    registry, occupations = state.registry, state.occupations
     read = set(read_out).union(*(modes for modes, _ in group_requirements.values()))
-    read_idx = [registry.index(m) for m in sorted(read)]
-    groups = [([registry.index(m) for m in modes], count) for modes, count in group_requirements.values()]
-    grouped = {i for idxs, _ in groups for i in idxs}
-    zero_idx = [i for i in read_idx if i not in grouped]
-    for occ, amp in state.terms.items():
-        if any(occ[i] for i in zero_idx):
-            continue
-        if any(sum(occ[i] for i in idxs) != count for idxs, count in groups):
-            continue
-        pattern = tuple(occ[i] for i in read_idx)
-        if not any(pattern):
-            continue
-        emptied = list(occ)
-        for i in read_idx:
-            emptied[i] = 0
-        yield pattern, tuple(emptied), amp
+    read_idx = sorted(registry.index(m) for m in read)
+    keep = occupations[:, read_idx].any(axis=1)
+    grouped = set()
+    for modes, count in group_requirements.values():
+        idxs = [registry.index(m) for m in modes]
+        grouped.update(idxs)
+        keep &= occupations[:, idxs].sum(axis=1) == count
+    keep &= ~occupations[:, [i for i in read_idx if i not in grouped]].any(axis=1)
+    emptied = occupations[keep]
+    patterns = emptied[:, read_idx]
+    emptied[:, read_idx] = 0
+    return patterns, GridState(registry, emptied, state.amplitudes[keep], state.probabilities[keep])
 
 
 def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
     """(probability, conditional PureState with the read modes emptied) of
     each exact pattern of herald_terms, sorted by pattern."""
-    probs: dict = {}
-    buckets: dict = {}
-    for pattern, emptied, amp in herald_terms(state, group_requirements, read_out):
-        probs[pattern] = probs.get(pattern, 0.0) + abs(amp) ** 2
-        buckets.setdefault(pattern, {})[emptied] = amp
-    if not buckets:
+    patterns, kept = herald_terms(one_point_grid(state), group_requirements, read_out)
+    if not len(patterns):
         raise HeraldError(HERALD_IMPOSSIBLE)
+    distinct, inverse = distinct_rows(patterns)
+    amplitudes = kept.amplitudes[:, 0]
+    probs = np.zeros(len(distinct))
+    np.add.at(probs, inverse, kept.probabilities[:, 0])
     outcomes = []
-    for pattern in sorted(buckets):
-        scale = 1.0 / math.sqrt(probs[pattern])
-        terms = {occ: amp * scale for occ, amp in buckets[pattern].items()}
-        outcomes.append((probs[pattern], PureState(state.registry, terms)))
+    for k, prob in enumerate(probs.tolist()):
+        scale = 1.0 / math.sqrt(prob)
+        rows = inverse == k
+        terms = {
+            tuple(occ): amp * scale for occ, amp in zip(kept.occupations[rows].tolist(), amplitudes[rows].tolist())
+        }
+        outcomes.append((prob, PureState(state.registry, terms)))
     return outcomes
 
 
@@ -104,25 +108,38 @@ def heralded_polarization_dm(state: PureState, group_requirements: dict, read_ou
     """Total herald probability and the bin-traced kept-pair density matrix;
     FockError for the first term, by pattern, whose kept support is not
     one photon per arm (partial_trace_to_polarization's message)."""
-    terms = herald_terms(state, group_requirements, read_out)
-    total, rho, bad = kept_pair_pass(state.registry, terms, kept_spatial)
-    if not total:
+    patterns, kept = herald_terms(one_point_grid(state), group_requirements, read_out)
+    total, rho, bad = kept_pair_pass(kept, kept_spatial, patterns)
+    if not total[0]:
         raise HeraldError(HERALD_IMPOSSIBLE)
-    if bad:
-        raise FockError(min(bad, key=lambda term: term[0])[1])
-    return total, validate_density_matrix(rho)
+    if bad.any():
+        raise FockError(kept_pair_violation(kept, bad, kept_spatial, patterns))
+    return float(total[0]), validate_density_matrix(rho[0])
 
 
 def validate_density_matrix(rho: np.ndarray, atol: float = 1e-10):
+    """rho, a 4x4 density matrix or a stack (..., 4, 4) of them.
+
+    ValueError names the first check that the first invalid matrix, in
+    C order, fails: Hermitian, unit trace, no negative eigenvalue.
+    """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -atol:
-        raise ValueError("density matrix has a negative eigenvalue")
+    flat = rho.reshape(-1, 4, 4)
+    traces = np.trace(flat, axis1=1, axis2=2)
+    failed = np.array([
+        np.abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2)) > 1e-12,
+        abs(traces.real - 1.0) > 1e-12,
+        np.linalg.eigvalsh(flat).min(axis=1) < -atol,
+    ])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        raise ValueError([
+            "density matrix is not Hermitian",
+            f"density matrix trace {traces[k]} != 1",
+            "density matrix has a negative eigenvalue",
+        ][int(failed[:, k].argmax())])
     return rho
 
 

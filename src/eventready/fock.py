@@ -10,16 +10,22 @@ build states on this rule:
 
 - _apply_creation applies a linear combination of creators to a sparse
   ket map.  prepare_product_state builds a single state with it, and
-  apply_mode_unitary evolves any state by re-expanding every ket.
+  apply_mode_unitary evolves a PureState by re-expanding every ket.
 - A scan evolves many points of one circuit at once, and its inputs are
   products of one-photon creators.  Each photon's creator is a dense
   (modes, points) column (creator_columns), which push_creators carries
   through a mode unitary, or a stack with one unitary per point, as one
   matrix product.  multiply_out then expands the product of the pushed
-  creators once, into a GridState: one amplitude array per occupation,
-  one entry per scan point.  prepare_product_grid is its case with no
-  unitary.  This is the creation form of Heurtel et al., "Strong
+  creators once, into a GridState: a (terms, modes) occupation matrix and
+  a (terms, points) amplitude matrix.  prepare_product_grid is its case
+  with no unitary.  This is the creation form of Heurtel et al., "Strong
   simulation of linear optical processes", CPC 291, 108848 (2023).
+
+Heralds and traces read a GridState's matrices with column masks
+(analysis.herald_terms, kept_pair_pass); a PureState is read as a
+one-point grid (one_point_grid).  Every sum over terms is taken in row
+order (ordered_sum), so a one-point grid gives the bits of a loop over
+its PureState's terms.
 """
 
 from __future__ import annotations
@@ -176,10 +182,7 @@ def _creation_op_vector(registry: ModeRegistry, photon: PhotonSpec):
 
 
 def _apply_creation(registry: ModeRegistry, state_terms: dict, op: dict) -> dict:
-    """Apply one creation operator (linear combination) to normalized kets.
-
-    Amplitudes and coefficients may be numbers or arrays over scan points.
-    """
+    """Apply one creation operator (linear combination) to normalized kets."""
     out = {}
     for occ, amp in state_terms.items():
         for idx, coeff in op.items():
@@ -288,10 +291,7 @@ def multiply_out(registry: ModeRegistry, branches, points: int) -> "GridState":
     occupations = np.zeros((len(keys), registry.size), dtype=np.uint8)
     for column in keys.T:
         occupations[np.arange(len(keys)), column] += 1
-    # A row of counts as bytes iterates to the ints of its occupation tuple.
-    rows, size = occupations.tobytes(), registry.size
-    terms = {tuple(rows[i : i + size]): a for i, a in zip(range(0, len(rows), size), amplitudes)}
-    return GridState(registry, terms, points)
+    return GridState(registry, occupations, amplitudes)
 
 
 def _creator_product(columns):
@@ -312,20 +312,42 @@ def _creator_product(columns):
 def _summed(keys, coefficients):
     """The distinct rows of keys in lexicographic order, each with the sum
     of its rows' coefficients."""
-    order = np.lexsort(keys.T[::-1])
-    keys, coefficients = keys[order], coefficients[order]
+    order, keys, new = _runs(keys)
+    starts = np.flatnonzero(new)
+    return keys[starts], np.add.reduceat(coefficients[order], starts, axis=0)
+
+
+def _runs(keys):
+    """(order, keys[order], new): the stable lexicographic order of the
+    rows of keys, and which rows of keys[order] start a run of equal rows."""
+    order = np.lexsort(keys.T[::-1]) if keys.shape[1] else np.arange(len(keys))
+    keys = keys[order]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return keys[starts], np.add.reduceat(coefficients, starts, axis=0)
+    return order, keys, new
+
+
+def distinct_rows(matrix):
+    """(distinct, inverse): the distinct rows of matrix in lexicographic
+    order, and the index of each row of matrix among them."""
+    order, ordered, new = _runs(matrix)
+    inverse = np.empty(len(matrix), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
+def ordered_sum(values):
+    """values summed over their first axis, one row after another.
+
+    numpy's .sum adds pairwise along a contiguous axis, as it does for a
+    one-point grid, which can change the last bit against a loop over a
+    PureState's terms.
+    """
+    return np.cumsum(values, axis=0)[-1] if len(values) else np.zeros(values.shape[1:])
 
 
 def superpose(states, amplitudes, normalize: bool = True) -> PureState:
-    """Linear combination of pure states over one registry.
-
-    GridStates combine point by point; an amplitude may then also be an
-    array over the points.
-    """
+    """Linear combination of pure states over one registry."""
     states = list(states)
     if not states:
         raise FockError("superpose needs at least one state")
@@ -336,7 +358,7 @@ def superpose(states, amplitudes, normalize: bool = True) -> PureState:
         if st.registry != registry:
             raise FockError("superpose: registry mismatch")
         photon_counts.add(st.total_photons())
-        c = amp if isinstance(amp, np.ndarray) else complex(amp)
+        c = complex(amp)
         for occ, a in st.terms.items():
             terms[occ] = terms.get(occ, 0.0j) + c * a
     if len(photon_counts) > 1:
@@ -395,33 +417,22 @@ def unitarity_deviations(matrix: np.ndarray) -> np.ndarray:
 
 
 def _column_images(matrix: np.ndarray, idxs) -> list:
-    """Per local creator j, its image {registry index: U[i, j]}; for a
-    stack of matrices each U[i, j] is an array over the points."""
-    if matrix.ndim == 2:
-        return [
-            {idxs[i]: c for i, c in enumerate(column) if c != 0}
-            for column in matrix.T.tolist()
-        ]
-    columns = np.ascontiguousarray(np.moveaxis(matrix, 0, -1).swapaxes(0, 1))
-    nonzero = columns.any(axis=2)
+    """Per local creator j, its image {registry index: U[i, j]}."""
     return [
-        {idxs[i]: columns[j, i] for i in np.flatnonzero(nonzero[j])}
-        for j in range(len(idxs))
+        {idxs[i]: c for i, c in enumerate(column) if c != 0}
+        for column in matrix.T.tolist()
     ]
 
 
-def apply_mode_unitary(state, t: ModeTransform):
+def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
     """Exact evolution of a sparse state under a mode unitary.
 
     Each ket is a creator monomial.  Its counts n_j on t.modes are zeroed
     to give a template ket, its amplitude is divided by prod sqrt(n_j!),
     and the column image {registry index: U[i, j]} of each local creator
     is applied n_j times with _apply_creation.  Modes outside t.modes are
-    untouched; the output norm equals the input norm.
-
-    state is a PureState, or a GridState evolved point by point under a
-    single matrix or a stack with one matrix per point; unitarity, norm
-    drift and pruning are then checked at every point.
+    untouched; the output norm equals the input norm.  t holds one
+    matrix; a scan evolves a stack with ScanCircuit.evolve.
     """
     registry = state.registry
     deviation = t.unitarity_deviation()
@@ -447,60 +458,69 @@ def apply_mode_unitary(state, t: ModeTransform):
         for key, a in terms.items():
             out_terms[key] = out_terms.get(key, 0.0j) + a
     out = replace(state, terms=out_terms).pruned()
-    before, after = np.atleast_1d(state.norm()), np.atleast_1d(out.norm())
-    drift = np.abs(after - before)
-    if drift.max() > NORM_TOL:
-        k = int(drift.argmax())
+    before, after = state.norm(), out.norm()
+    if abs(after - before) > NORM_TOL:
         raise FockError(
-            f"norm drifted {before[k]:.12f} -> {after[k]:.12f} "
+            f"norm drifted {before:.12f} -> {after:.12f} "
             f"under {t.name or '(unnamed)'}"
         )
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class GridState:
-    """One PureState per scan point, over a shared registry.
+    """One pure state per scan point, over a shared registry, as matrices.
 
-    terms maps an occupation to a 1-D complex array with its amplitude at
-    each of the `points` points; an amplitude of exactly 0 means the term
-    is absent at that point.
+    occupations is a (terms, modes) uint8 matrix: each row holds one
+    term's photon count in every registered mode, in registry order.
+    amplitudes is a (terms, points) complex matrix: the same row holds
+    that term's amplitude at each point, exactly 0 where the term is
+    absent.  multiply_out's rows come in the lexicographic order of their
+    sorted tuples of mode indices, with no two rows equal; broadcast keeps
+    a PureState's term order.  probabilities holds |amplitudes|^2, computed
+    once for every reader.
     """
 
     registry: ModeRegistry
-    terms: dict
-    points: int
+    occupations: np.ndarray
+    amplitudes: np.ndarray
+    probabilities: np.ndarray = None
 
-    total_photons = PureState.total_photons
+    def __post_init__(self):
+        if self.probabilities is None:
+            self.probabilities = abs(self.amplitudes) ** 2
+
+    @property
+    def points(self) -> int:
+        return self.amplitudes.shape[1]
 
     @staticmethod
     def broadcast(state: PureState, points: int) -> "GridState":
-        """The same state at every point."""
-        return GridState(
-            state.registry, {occ: np.full(points, a) for occ, a in state.terms.items()}, points
-        )
+        """The same state at every point, its terms in their dict order."""
+        occupations = np.array(list(state.terms), dtype=np.uint8).reshape(len(state.terms), state.registry.size)
+        amplitudes = np.array(list(state.terms.values()), dtype=complex).reshape(-1, 1)
+        return GridState(state.registry, occupations, np.repeat(amplitudes, points, axis=1))
 
     def norm(self) -> np.ndarray:
-        amplitudes = np.array(list(self.terms.values())).reshape(-1, self.points)
-        return np.sqrt((abs(amplitudes) ** 2).sum(axis=0))
-
-    def pruned(self, tol: float = PRUNE_TOL) -> "GridState":
-        """PureState.pruned at every point: amplitudes within tol become 0."""
-        terms = {}
-        for occ, a in self.terms.items():
-            a = np.where(abs(a) > tol, a, 0j)
-            if a.any():
-                terms[occ] = a
-        return GridState(self.registry, terms, self.points)
+        return np.sqrt(self.probabilities.sum(axis=0))
 
     def normalized(self) -> "GridState":
         n = self.norm()
         if not n.all():
             raise FockError("cannot normalize the zero state")
-        return GridState(self.registry, {o: a / n for o, a in self.terms.items()}, self.points)
+        return GridState(self.registry, self.occupations, self.amplitudes / n)
 
 
-POL_BASIS = ("HH", "HV", "VH", "VV")
+def one_point_grid(state: PureState) -> GridState:
+    """state as a one-point GridState, for a reader that takes a PureState.
+
+    Its probabilities are Python's abs(a) ** 2, as a loop over the terms
+    computes them; numpy's differ in the last bit for some amplitudes, and
+    broadcast, which evaluate_config reads, keeps numpy's.
+    """
+    grid = GridState.broadcast(state, 1)
+    probabilities = np.array([abs(a) ** 2 for a in state.terms.values()]).reshape(-1, 1)
+    return GridState(grid.registry, grid.occupations, grid.amplitudes, probabilities)
 
 
 def partial_trace_to_polarization(state: PureState, kept_spatial) -> np.ndarray:
@@ -510,39 +530,78 @@ def partial_trace_to_polarization(state: PureState, kept_spatial) -> np.ndarray:
     everywhere else; the temporal-bin index of each kept photon is traced
     out.  Basis order is (HH, HV, VH, VV), first arm then second.
     """
-    terms = (((), occ, amp) for occ, amp in state.terms.items())
-    norm_sq, rho, bad = kept_pair_pass(state.registry, terms, kept_spatial)
-    if bad:
-        raise FockError(bad[0][1])
-    if not norm_sq:
+    grid = one_point_grid(state)
+    norm_sq, rho, bad = kept_pair_pass(grid, kept_spatial)
+    if bad.any():
+        raise FockError(kept_pair_violation(grid, bad, kept_spatial))
+    if not norm_sq[0]:
         raise FockError("kept-pair state is empty")
-    return rho
+    return rho[0]
 
 
-def kept_pair_pass(registry: ModeRegistry, terms, kept_spatial):
-    """(p, rho, bad) of (pattern, occupation, amplitude) terms, whose read
-    modes are emptied and counted in pattern, in one pass.
+def kept_pair_pass(state: GridState, kept_spatial, patterns=None):
+    """(p, rho, bad) of a GridState whose read modes are emptied; row t's
+    counts on them are patterns[t] (None: nothing was read).
 
-    p sums |amplitude|^2.  A term with one photon in each kept arm and
-    vacuum elsewhere adds its amplitude to the (HH, HV, VH, VV) vector v of
-    its pattern and kept bins; rho = sum v v+ / p (0 where p is).  Every
-    other term is in bad as (pattern, why, amplitude).  Amplitudes may be
-    arrays over scan points, and p and rho then are too.
+    p sums |amplitude|^2 over the rows, at each point.  A row with one
+    photon in each kept arm and vacuum elsewhere adds its amplitudes to the
+    (HH, HV, VH, VV) vector v of its pattern and kept bins; rho = sum v v+
+    / p at each point (0 where p is).  bad marks every other row, and
+    kept_pair_violation words why.  Rows are added in order and the
+    vectors kept in order of first appearance, so a one-point grid gives
+    the bits of a loop over its PureState's terms.
     """
-    kept_idx = {registry.index(m): m for arm in kept_spatial for m in registry.group(arm)}
-    p, vectors, bad = 0.0, {}, []
-    for pattern, occ, amp in terms:
-        p = p + abs(amp) ** 2
-        try:
-            ma, mb = _kept_pair(registry, occ, kept_idx, kept_spatial)
-        except FockError as exc:
-            bad.append((pattern, str(exc), amp))
-            continue
-        v = vectors.setdefault((pattern, ma.bin, mb.bin), np.zeros((4, *np.shape(amp)), dtype=complex))
-        v[POL_BASIS.index(ma.pol + mb.pol)] += amp
-    v = np.array(list(vectors.values())).reshape(len(vectors), 4, *np.shape(p))
-    rho = np.einsum("ki...,kj...->...ij", v, v.conj())
-    return p, rho / np.where(p > 0, p, 1.0)[..., None, None], bad
+    registry, occupations = state.registry, state.occupations
+    if patterns is None:
+        patterns = np.zeros((len(occupations), 0), dtype=np.uint8)
+    arms = _arm_slices(registry, kept_spatial)
+    outside = np.ones(registry.size, dtype=bool)
+    for arm in arms:
+        outside[arm] = False
+    good = ~occupations[:, outside].any(axis=1)
+    places = []
+    for arm in arms:
+        good &= occupations[:, arm].sum(axis=1) == 1
+        places.append(occupations[:, arm].argmax(axis=1))
+    rows = np.flatnonzero(good)
+    # A kept photon's place in its arm is its polarization (H, V) times the bins, plus its bin.
+    pols, bins = zip(*(np.divmod(place[rows], registry.bins) for place in places))
+    order, _, new = _runs(np.column_stack([patterns[rows], *bins]))
+    first = order[new]  # the stable sort keeps each vector's first row first
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vector = np.empty(len(rows), dtype=np.intp)
+    vector[order] = rank[np.cumsum(new) - 1]
+    v = np.zeros((len(first), 4, state.points), dtype=complex)
+    np.add.at(v, (vector, 2 * pols[0] + pols[1]), state.amplitudes[rows])
+    p = ordered_sum(state.probabilities)
+    rho = np.einsum("ki...,kj...->...ij", v, v.conj()) / np.where(p > 0, p, 1.0)[:, None, None]
+    # einsum lays the points out fastest; matmul rounds a strided matrix
+    # differently, so each point's rho is made contiguous.
+    return p, np.ascontiguousarray(rho), ~good
+
+
+def _arm_slices(registry: ModeRegistry, kept_spatial) -> list:
+    """The registry's slice of each kept arm's modes, which the registry
+    orders by (label, polarization, bin): H bins, then V bins."""
+    for arm in kept_spatial:
+        registry.require_spatial(arm)
+    return [slice(i, i + 2 * registry.bins) for i in (registry.index(ModeId(arm, H, 0)) for arm in kept_spatial)]
+
+
+def kept_pair_violation(state: GridState, bad, kept_spatial, patterns=None) -> str:
+    """Why the first row that bad marks, by pattern, is off the kept pair
+    (rows of one pattern in order): _kept_pair's message."""
+    rows = np.flatnonzero(bad)
+    if patterns is not None and patterns.shape[1]:
+        rows = rows[np.lexsort(patterns[rows].T[::-1])]
+    registry = state.registry
+    arms = _arm_slices(registry, kept_spatial)
+    kept_idx = {i: registry.modes[i] for arm in arms for i in range(arm.start, arm.stop)}
+    try:
+        _kept_pair(registry, state.occupations[rows[0]].tolist(), kept_idx, kept_spatial)
+    except FockError as exc:
+        return str(exc)
 
 
 def _kept_pair(registry: ModeRegistry, occ, kept_idx: dict, kept_spatial):

@@ -39,7 +39,8 @@ from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/traci
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
-from .fock import GridState, PureState, basis_state, inner_product, kept_pair_pass, superpose
+from .fock import GridState, PureState, basis_state, distinct_rows, inner_product, kept_pair_pass, kept_pair_violation
+from .fock import one_point_grid, ordered_sum, superpose
 from .modes import H, V, ModeId
 
 SUCCESS_PROBABILITY_NOTE = (
@@ -329,37 +330,38 @@ def _observables(points: list, state: GridState, groups: dict) -> list:
     """Every applicable observable of each point (config) of a block, from
     the GridState of their final states, in one pass per distinct herald
     spec.  Where the first herald cannot fire, or fires on terms off the
-    kept pair, fidelities read NaN and there are no analyzer keys."""
+    kept pair, fidelities read NaN and there are no analyzer keys.  The
+    block's rhos are validated in one call, which raises for the first
+    invalid point."""
     rows = [{} for _ in points]
-    first = [(0.0, None)] * len(points)  # (probability, rho) under the first herald
+    first = [None] * len(points)  # (probability, rho) under the first herald
     kept = points[0].kept
     for k in range(len(points[0].heralds)):
-        passes = {}  # herald spec, as JSON: (probability, rho, bad terms) over the block
+        passes = {}  # herald spec, as JSON: (probability, rho, off the pair) at each point
         for j, point in enumerate(points):
             spec = point.heralds[k]
             key = json.dumps(spec, sort_keys=True)
             if key not in passes:
-                terms = herald_terms(state, *_herald_request(groups, spec))
+                patterns, heralded = herald_terms(state, *_herald_request(groups, spec))
                 if kept:
-                    passes[key] = kept_pair_pass(state.registry, terms, kept)
+                    prob, rho, bad = kept_pair_pass(heralded, kept, patterns)
+                    passes[key] = prob, rho, (heralded.amplitudes[bad] != 0).any(axis=0)
                 else:
-                    passes[key] = sum(abs(amp) ** 2 for *_, amp in terms), None, []
-            prob, rho, bad = passes[key]
-            p = float(np.broadcast_to(prob, len(points))[j])
+                    passes[key] = ordered_sum(heralded.probabilities), None, None
+            prob, rho, off_pair = passes[key]
+            p = float(prob[j])
             rows[j][f"p_{spec['name']}"] = p
-            if k == 0 and kept and p > 0 and not any(amp[j] for *_, amp in bad):
-                first[j] = (p, validate_density_matrix(rho[j]))
-    valid = []  # the points with a rho
-    for j, (obs, point, (_, rho)) in enumerate(zip(rows, points, first)):
-        if rho is not None:
-            valid.append(j)
-        elif kept and point.heralds:
+            if k == 0 and kept and p > 0 and not off_pair[j]:
+                first[j] = (p, rho[j])
+    for obs, point, pair in zip(rows, points, first):
+        if pair is None and kept and point.heralds:
             obs.update(dict.fromkeys([*(f"fidelity_{name}" for name in BELL_STATES), "concurrence"], math.nan))
+    valid = [j for j, pair in enumerate(first) if pair]  # the points with a rho
     if not valid:
         return rows
     # Each figure of merit once over the stack of rhos, and the analyzer
     # probabilities once per distinct setting.
-    rhos = np.stack([first[j][1] for j in valid])
+    rhos = validate_density_matrix(np.stack([first[j][1] for j in valid]))
     merit = {f"fidelity_{name}": fidelity(rhos, vec) for name, vec in BELL_STATES.items()}
     merit["concurrence"] = concurrence(rhos)
     settings: dict = {}
@@ -438,14 +440,14 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
-    The first point is validated in full and compiled into a ScanCircuit,
-    which reads from the scan's leaves what each point changes.  Every
-    later point has only its scanned leaves checked (LeafCheck) and
-    re-lowers the elements and re-reads the branches those leaves lie
-    under; their unitarity is checked with the block, before any error of
-    a later point is raised.  In a `bins` or `photon_budget` scan every
-    point has its own registry, so it is compiled again and starts a new
-    block.
+    config is already validated, so every point, the first included, has
+    only its scanned leaves checked (LeafCheck).  The first point is
+    compiled into a ScanCircuit, which reads from the scan's leaves what
+    each point changes.  Every later point re-lowers the elements and
+    re-reads the branches those leaves lie under; their unitarity is
+    checked with the block, before any error of a later point is raised.
+    In a `bins` or `photon_budget` scan every point has its own registry,
+    so it is compiled again and starts a new block.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -453,28 +455,26 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
         raise PresetError("scan needs at least one parameter path")
     base = config.to_dict()
     leaves = [_path_keys(base, p) for p in paths]
-    check = grid = None
+    check = LeafCheck(leaves)
+    grid = None
     block: list = []
     for value in values:
         raw = base
         for keys in leaves:
             raw = _with_leaf(raw, keys, value)
         changes = None  # until the point has a compiled registry
-        if check is None:
-            point = ExperimentConfig.from_dict(raw)
-            check = LeafCheck(leaves)
-        else:
-            try:
-                violations = check(raw)
-                if violations:
-                    raise ConfigError(violations)
-                point = ExperimentConfig._from_valid(raw)
-                if not grid.own_registry:
-                    changes = grid.changes(point)
-            except ValueError:
-                # Errors come in grid order: a non-unitary point of the block first.
+        try:
+            violations = check(raw)
+            if violations:
+                raise ConfigError(violations)
+            point = ExperimentConfig._from_valid(raw)
+            if grid is not None and not grid.own_registry:
+                changes = grid.changes(point)
+        except ValueError:
+            # Errors come in grid order: a non-unitary point of the block first.
+            if block:
                 grid.require_unitary([c for _, _, c in block])
-                raise
+            raise
         if block and (changes is None or len(block) == SCAN_BLOCK):
             yield _evolve_block(grid, block, groups)
             block = []
@@ -494,8 +494,11 @@ def _evolve_block(grid: ScanCircuit, block: list, groups: dict):
 def scan(config: ExperimentConfig, path: str, range_spec: str):
     """One observable row per parameter value, in ascending order.
 
-    Several comma-separated paths move together through the same values,
-    e.g. both photons of a delayed pair sharing one overlap.
+    config is a validated ExperimentConfig (ExperimentConfig.from_dict,
+    parse_config or build_preset_config); the points are checked only at
+    the scanned leaves.  Several comma-separated paths move together
+    through the same values, e.g. both photons of a delayed pair sharing
+    one overlap.
     """
     rows = []
     for values, points, grid, groups in _scan_blocks(config, path, range_spec):
@@ -625,17 +628,21 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
     order = ["D1h", "D1v", "D2h", "D2v"]
     table = _group_counts(state, groups, order)
     # Each term filed once under its counts, as herald_terms would keep it
-    # for a herald requiring exactly those counts.
+    # for a herald requiring exactly those counts: the counts are the
+    # points of one grid, and a term is 0 at every point but its own.
     read = sorted({m for name in order for m in groups[name]})
     read_idx = [registry.index(m) for m in read]
-    group_of = [next(k for k, name in enumerate(order) if m in groups[name]) for m in read]
-    unread = [i not in read_idx for i in range(registry.size)]
-    terms: dict = {}
-    for occ, amp in state.terms.items():
-        pattern = tuple(occ[i] for i in read_idx)
-        counts = tuple(sum(c for g, c in zip(group_of, pattern) if g == k) for k in range(len(order)))
-        emptied = tuple(n * keep for n, keep in zip(occ, unread))
-        terms.setdefault(counts, []).append((pattern, emptied, amp))
+    group_of = np.array([next(k for k, name in enumerate(order) if m in groups[name]) for m in read])
+    grid = one_point_grid(state)
+    patterns = grid.occupations[:, read_idx]
+    counts = np.stack([patterns[:, group_of == k].sum(axis=1) for k in range(len(order))], axis=1)
+    counts, point = distinct_rows(counts)
+    own = point[:, None] == np.arange(len(counts))
+    emptied = grid.occupations.copy()
+    emptied[:, read_idx] = 0
+    filed = GridState(registry, emptied, np.where(own, grid.amplitudes, 0j), np.where(own, grid.probabilities, 0.0))
+    _, rhos, bad = kept_pair_pass(filed, config.kept, patterns)
+    points = {key: k for k, key in enumerate(map(tuple, counts.tolist()))}
     rows = []
     # Rounded so that probabilities equal up to float noise tie and sort by pattern.
     for key in sorted(table, key=lambda k: (-round(table[k], 12), k)):
@@ -644,12 +651,12 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
             continue
         row = {"pattern": dict(zip(order, key)), "probability": prob}
         if any(key):
-            _, rho, bad = kept_pair_pass(registry, terms[key], config.kept)
-            if bad:
+            off_pair = bad & (point == points[key])
+            if off_pair.any():
                 # The first bad term by pattern, as heralded_polarization_dm reports it.
-                row["kept_support"] = min(bad, key=lambda term: term[0])[1]
+                row["kept_support"] = kept_pair_violation(filed, off_pair, config.kept, patterns)
             else:
-                rho = validate_density_matrix(rho)
+                rho = validate_density_matrix(rhos[points[key]])
                 fids = {name: fidelity(rho, vec) for name, vec in BELL_STATES.items()}
                 row["fidelity"] = fids
                 row["concurrence"] = concurrence(rho)

@@ -33,9 +33,16 @@ from eventready import (
     superpose,
     visibility,
 )
-from eventready.analysis import HeraldError, analyzer_probabilities
+from eventready.analysis import HeraldError, analyzer_probabilities, validate_density_matrix
 from eventready.fock import FockError
-from eventready.presets import fusion_scheme_config, polarizer_variant_config, _detector_groups, run_preset
+from eventready.presets import (
+    _detector_groups,
+    _herald_request,
+    build_preset_config,
+    fusion_scheme_config,
+    polarizer_variant_config,
+    run_preset,
+)
 
 from oracles import heralded_rho_via_projector, random_unitary
 
@@ -252,6 +259,75 @@ class TestFigureOfMerit:
         rho /= np.trace(rho).real
         probs = analyzer_probabilities(rho, 17.0, 56.0)
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+
+def _random_rho(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+# Each breaks one check of validate_density_matrix.
+INVALID_RHOS = {
+    "hermitian": lambda rho: rho + np.triu(np.full((4, 4), 1e-9), 1),
+    "trace": lambda rho: rho * 1.001,
+    "eigenvalue": lambda rho: np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex),
+}
+
+
+class TestValidateDensityMatrix:
+    @pytest.mark.parametrize("kind", sorted(INVALID_RHOS))
+    @pytest.mark.parametrize("k", [0, 2, 5])
+    def test_stack_raises_its_first_invalid_matrix_message(self, kind, k):
+        rng = np.random.default_rng(k)
+        rhos = np.stack([_random_rho(rng) for _ in range(6)])
+        bad = INVALID_RHOS[kind](rhos[k])
+        with pytest.raises(ValueError) as alone:
+            validate_density_matrix(bad)
+        rhos[k] = bad
+        if k < 5:
+            # A later matrix that fails another check does not win.
+            rhos[5] = INVALID_RHOS["trace" if kind != "trace" else "hermitian"](rhos[5])
+        for stack in (rhos, rhos.reshape(2, 3, 4, 4)):
+            with pytest.raises(ValueError) as stacked:
+                validate_density_matrix(stack)
+            assert str(stacked.value) == str(alone.value)
+
+    def test_valid_matrix_and_stack_pass_unchanged(self):
+        rng = np.random.default_rng(1)
+        rhos = np.stack([_random_rho(rng) for _ in range(4)])
+        assert np.array_equal(validate_density_matrix(rhos), rhos)
+        assert np.array_equal(validate_density_matrix(rhos[2]), rhos[2])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 3, 3), (4, 4, 2)])
+    def test_wrong_shape_is_named(self, shape):
+        with pytest.raises(ValueError, match=rf"^density matrix must be 4x4, got \({', '.join(map(str, shape))},?\)$"):
+            validate_density_matrix(np.zeros(shape))
+
+
+def test_herald_probability_adds_terms_in_order():
+    """A PureState is heralded as a one-point grid whose kept terms are
+    added one after another, as a loop over its terms adds them.  For this
+    state numpy's pairwise sum of the same values differs in the last bit."""
+    config = build_preset_config("polarization-correlation", {})
+    circuit = compile_circuit(config)
+    state, reg = run(circuit), circuit.registry
+    requirements, read = _herald_request(_detector_groups(reg, config.detectors), config.heralds[0])
+    read_idx = {reg.index(m) for m in read}
+    grouped = {reg.index(m) for modes, _ in requirements.values() for m in modes}
+    kept = [
+        abs(amp) ** 2
+        for occ, amp in state.terms.items()
+        if all(sum(occ[reg.index(m)] for m in modes) == n for modes, n in requirements.values())
+        and not any(occ[i] for i in read_idx - grouped)
+        and any(occ[i] for i in read_idx)
+    ]
+    in_order = 0.0
+    for weight in kept:
+        in_order += weight
+    assert np.array(kept).reshape(-1, 1).sum(axis=0)[0] != in_order
+    total, _ = heralded_polarization_dm(state, requirements, read, config.kept)
+    assert total == in_order
 
 
 class TestChsh:

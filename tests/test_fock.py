@@ -23,7 +23,15 @@ from eventready import (
 )
 from eventready.circuit import Circuit, ScanCircuit, SourceBranch
 from eventready.elements import stack
-from eventready.fock import PureState, prepare_product_grid
+from eventready.analysis import HeraldError, heralded_polarization_dm, herald_terms, outcome_distribution
+from eventready.fock import (
+    PureState,
+    creator_columns,
+    kept_pair_pass,
+    multiply_out,
+    prepare_product_grid,
+    push_creators,
+)
 from eventready.modes import H
 
 from oracles import (
@@ -270,7 +278,25 @@ def grid_cases(draw):
 
 def _point(grid, k: int) -> PureState:
     """The state at point k of a GridState: its terms present there."""
-    return PureState(grid.registry, {occ: complex(a[k]) for occ, a in grid.terms.items() if a[k]})
+    return PureState(
+        grid.registry,
+        {tuple(occ): a for occ, a in zip(grid.occupations.tolist(), grid.amplitudes[:, k].tolist()) if a},
+    )
+
+
+def _pushed_grid(reg, photon_grid, steps):
+    """The block's photons' creators pushed through steps in turn, then
+    multiplied out and normalized."""
+    columns = creator_columns(reg, photon_grid)
+    for step in steps:
+        columns = push_creators(reg, columns, step)
+    return multiply_out(reg, [(1.0, columns)], len(photon_grid)).normalized()
+
+
+def _assert_same_state(got: PureState, want: dict):
+    assert set(got.terms) == set(want)
+    for occ, amp in want.items():
+        assert abs(got.terms[occ] - amp) < 1e-12
 
 
 class TestGridProperties:
@@ -280,21 +306,20 @@ class TestGridProperties:
         reg, photon_grid, sequences = case
         grid = prepare_product_grid(reg, photon_grid)
         steps = [stack(column) for column in zip(*sequences)]
-        evolved = apply_mode_unitary(grid, compose(steps))
-        in_turn = grid
-        for step in steps:
-            in_turn = apply_mode_unitary(in_turn, step)
+        evolved = _pushed_grid(reg, photon_grid, [compose(steps)])
+        in_turn = _pushed_grid(reg, photon_grid, steps)
+        rows = [dict(zip(map(tuple, g.occupations.tolist()), g.amplitudes)) for g in (evolved, in_turn)]
         zero = np.zeros(grid.points)
-        for occ in set(evolved.terms) | set(in_turn.terms):
-            assert np.all(np.abs(in_turn.terms.get(occ, zero) - evolved.terms.get(occ, zero)) < 1e-12)
+        for occ in rows[0].keys() | rows[1].keys():
+            assert np.all(np.abs(rows[1].get(occ, zero) - rows[0].get(occ, zero)) < 1e-12)
         for k, (photons, sequence) in enumerate(zip(photon_grid, sequences)):
-            for got, want in (
-                (_point(grid, k), prepare_product_state(reg, photons)),
-                (_point(evolved, k), apply_mode_unitary(prepare_product_state(reg, photons), compose(sequence))),
-            ):
-                assert set(got.terms) == set(want.terms)
-                for occ, amp in want.terms.items():
-                    assert abs(got.terms[occ] - amp) < 1e-12
+            state = prepare_product_state(reg, photons)
+            _assert_same_state(_point(grid, k), state.terms)
+            composite = compose(sequence)
+            _assert_same_state(_point(evolved, k), apply_mode_unitary(state, composite).terms)
+            u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
+            oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
+            _assert_same_state(_point(evolved, k), oracle)
         assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
 
     def test_stack_lifts_points_with_different_modes(self):
@@ -365,24 +390,72 @@ class TestScanEvolution:
     def test_creator_evolution_matches_ket_evolution_and_permanents(self, case):
         reg, grids, amplitudes, sequences = case
         evolved = _scan_circuit_evolve(reg, grids, amplitudes, sequences)
-        prepared = [prepare_product_grid(reg, grid) for grid in grids]
-        # A lone branch's amplitude is a global phase, dropped on both paths.
-        source = prepared[0] if len(prepared) == 1 else superpose(prepared, amplitudes)
-        kets = apply_mode_unitary(source, compose([stack(column) for column in zip(*sequences)]))
-        assert set(evolved.terms) == set(kets.terms)
-        for occ, amp in kets.terms.items():
-            assert np.all(np.abs(evolved.terms[occ] - amp) < 1e-12)
         for k, sequence in enumerate(sequences):
             states = [prepare_product_state(reg, grid[k]) for grid in grids]
+            # A lone branch's amplitude is a global phase, dropped on both paths.
             state = states[0] if len(states) == 1 else superpose(states, [a[k] for a in amplitudes])
             composite = compose(sequence)
+            got = _point(evolved, k)
+            _assert_same_state(got, apply_mode_unitary(state, composite).terms)
             u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
             oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
-            got = _point(evolved, k)
-            assert set(got.terms) == set(oracle)
-            for occ, amp in oracle.items():
-                assert abs(got.terms[occ] - amp) < 1e-12
+            _assert_same_state(got, oracle)
         assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
+
+
+def _point_state(reg, grids, amplitudes, sequence, k) -> PureState:
+    """Point k of a scan_grid_cases block, prepared and evolved alone."""
+    states = [prepare_product_state(reg, grid[k]) for grid in grids]
+    # A lone branch's amplitude is a global phase, dropped on both paths.
+    state = states[0] if len(states) == 1 else superpose(states, [a[k] for a in amplitudes])
+    return apply_mode_unitary(state, compose(sequence))
+
+
+@st.composite
+def scan_herald_cases(draw):
+    """scan_grid_cases with read modes, the first `split` of them one
+    detector group that must count `count` photons."""
+    reg, grids, amplitudes, sequences = draw(scan_grid_cases())
+    read = draw(st.lists(st.sampled_from(reg.modes), min_size=1, unique=True))
+    split = draw(st.integers(1, len(read)))
+    count = draw(st.integers(0, len(grids[0][0])))
+    return reg, grids, amplitudes, sequences, read, {"g": (tuple(read[:split]), count)}
+
+
+class TestGridReaders:
+    """A block's outcome distribution and herald pass read its occupation
+    and amplitude matrices with column masks; at every point they must
+    give what the PureState readers give for that point alone."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(scan_herald_cases())
+    def test_block_readers_match_each_point(self, case):
+        reg, grids, amplitudes, sequences, read, groups = case
+        evolved = _scan_circuit_evolve(reg, grids, amplitudes, sequences)
+        kept = (reg.spatial_labels[0], reg.spatial_labels[-1])
+        outcomes = outcome_distribution(evolved, read)
+        patterns, heralded = herald_terms(evolved, groups, read)
+        p, rho, bad = kept_pair_pass(heralded, kept, patterns)
+        # matmul rounds a strided matrix differently, so each rho is contiguous.
+        assert rho.flags.c_contiguous
+        off_pair = (heralded.amplitudes[bad] != 0).any(axis=0)
+        for k, sequence in enumerate(sequences):
+            state = _point_state(reg, grids, amplitudes, sequence, k)
+            want = dict(outcome_distribution(state, read))
+            got = {pattern: prob[k] for pattern, prob in outcomes if prob[k]}
+            assert got.keys() == want.keys()
+            assert all(abs(got[pattern] - prob) < 1e-12 for pattern, prob in want.items())
+            try:
+                total, want_rho = heralded_polarization_dm(state, groups, read, kept)
+            except HeraldError:
+                assert p[k] == 0
+                continue
+            except FockError:
+                assert off_pair[k]
+                continue
+            assert not off_pair[k]
+            assert abs(p[k] - total) < 1e-12
+            assert np.abs(rho[k] - want_rho).max() < 1e-12
 
 
 class TestInnerProduct:

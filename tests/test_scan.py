@@ -299,10 +299,11 @@ class TestSameErrors:
         )
         result = run_preset("fusion-delay-scan")
         assert result.report["points"] == 1201
-        # The preset's config and the scan's first point, each validated in full.
-        assert calls == {"validate": 2, "cross": 2}
+        # Only the preset's config is validated in full; the scan's first
+        # point, like every later one, has its scanned leaf checked.
+        assert calls == {"validate": 1, "cross": 1}
 
-    def test_scan_validates_twice_and_compiles_once(self, monkeypatch):
+    def test_scan_validates_once_and_compiles_once(self, monkeypatch):
         calls = {"validate": 0, "compile": 0, "lower": 0}
 
         def counting(name, fn):
@@ -319,7 +320,7 @@ class TestSameErrors:
         monkeypatch.setattr(circuit_module, "lower_element", counting("lower", circuit_module.lower_element))
         result = run_preset("fusion-delay-scan")
         assert result.report["points"] == 1201
-        assert calls["validate"] <= 2
+        assert calls["validate"] == 1
         assert calls["compile"] == 1
         assert calls["lower"] <= 8 + 1201
 
@@ -484,3 +485,13 @@ class TestReferenceOutputs:
         cfg_path.write_text(json.dumps(build_preset_config("polarization-correlation", {}).to_dict()))
         assert main(["--config", str(cfg_path), "--scan", f"{FUSION_OVERLAPS}=0.5:1.0:0.02", "--out", str(tmp_path)]) == 0
         _assert_csv_matches((tmp_path / "scan.csv").read_text(), DATA / "overlap_scan.csv")
+
+    def test_fusion_overlap_scan_with_analyzers(self, tmp_path):
+        """The benchmark's herald scan: 26 overlap points of the
+        polarization-correlation config with analyzers set."""
+        raw = build_preset_config("polarization-correlation", {}).to_dict()
+        raw["analyzers"] = {"theta_a_deg": 0.0, "theta_b_deg": 45.0}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", f"{FUSION_OVERLAPS}=0.43:0.94:0.02", "--out", str(tmp_path)]) == 0
+        _assert_csv_matches((tmp_path / "scan.csv").read_text(), DATA / "overlap_scan_analyzers.csv")
