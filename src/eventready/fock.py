@@ -476,8 +476,8 @@ class GridState:
     amplitudes is a (terms, points) complex matrix: the same row holds
     that term's amplitude at each point, exactly 0 where the term is
     absent.  multiply_out's rows come in the lexicographic order of their
-    sorted tuples of mode indices, with no two rows equal; broadcast keeps
-    a PureState's term order.  probabilities holds |amplitudes|^2, computed
+    sorted tuples of mode indices, with no two rows equal; one_point_grid
+    keeps a PureState's term order.  probabilities holds |amplitudes|^2, computed
     once for every reader.
     """
 
@@ -494,13 +494,6 @@ class GridState:
     def points(self) -> int:
         return self.amplitudes.shape[1]
 
-    @staticmethod
-    def broadcast(state: PureState, points: int) -> "GridState":
-        """The same state at every point, its terms in their dict order."""
-        occupations = np.array(list(state.terms), dtype=np.uint8).reshape(len(state.terms), state.registry.size)
-        amplitudes = np.array(list(state.terms.values()), dtype=complex).reshape(-1, 1)
-        return GridState(state.registry, occupations, np.repeat(amplitudes, points, axis=1))
-
     def norm(self) -> np.ndarray:
         return np.sqrt(self.probabilities.sum(axis=0))
 
@@ -512,15 +505,16 @@ class GridState:
 
 
 def one_point_grid(state: PureState) -> GridState:
-    """state as a one-point GridState, for a reader that takes a PureState.
+    """state as a one-point GridState, its terms in their dict order, for a
+    reader that takes a PureState.
 
     Its probabilities are Python's abs(a) ** 2, as a loop over the terms
-    computes them; numpy's differ in the last bit for some amplitudes, and
-    broadcast, which evaluate_config reads, keeps numpy's.
+    computes them; numpy's differ in the last bit for some amplitudes.
     """
-    grid = GridState.broadcast(state, 1)
+    occupations = np.array(list(state.terms), dtype=np.uint8).reshape(len(state.terms), state.registry.size)
+    amplitudes = np.array(list(state.terms.values()), dtype=complex).reshape(-1, 1)
     probabilities = np.array([abs(a) ** 2 for a in state.terms.values()]).reshape(-1, 1)
-    return GridState(grid.registry, grid.occupations, grid.amplitudes, probabilities)
+    return GridState(state.registry, occupations, amplitudes, probabilities)
 
 
 def partial_trace_to_polarization(state: PureState, kept_spatial) -> np.ndarray:

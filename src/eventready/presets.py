@@ -322,7 +322,9 @@ def _heralded_pair(config: ExperimentConfig):
 def evaluate_config(config: ExperimentConfig) -> dict:
     """Run one config and report every applicable observable."""
     circuit = compile_circuit(config)
-    state = GridState.broadcast(run(circuit), 1)
+    point = one_point_grid(run(circuit))
+    # numpy's |a|^2 (GridState's own), as a scan block computes it.
+    state = GridState(point.registry, point.occupations, point.amplitudes)
     return _observables([config], state, _detector_groups(circuit.registry, config.detectors))[0]
 
 
@@ -420,11 +422,20 @@ def _path_keys(raw: dict, path: str) -> list:
         node = node[keys[-1]]
     keys.append(_path_key(node, leaf, path, leaf=True))
     # An absent leaf is allowed: optional numeric fields (e.g. a photon's
-    # overlap) default away when 1.0; schema validation rejects junk keys.
+    # overlap) default away when 1.0; _scan_blocks validates such a scan's
+    # first point in full, which rejects junk keys.
     current = node.get(keys[-1], 0.0) if isinstance(node, dict) else node[keys[-1]]
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise PresetError(f"scan path {path!r} does not address a numeric field")
     return keys
+
+
+def _has_leaf(raw: dict, keys) -> bool:
+    """Whether raw holds a value at keys, which _path_keys returned."""
+    *parents, leaf = keys
+    for key in parents:
+        raw = raw[key]
+    return not isinstance(raw, dict) or leaf in raw
 
 
 def _with_leaf(node, keys, value):
@@ -440,14 +451,17 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
-    config is already validated, so every point, the first included, has
-    only its scanned leaves checked (LeafCheck).  The first point is
-    compiled into a ScanCircuit, which reads from the scan's leaves what
-    each point changes.  Every later point re-lowers the elements and
-    re-reads the branches those leaves lie under; their unitarity is
-    checked with the block, before any error of a later point is raised.
-    In a `bins` or `photon_budget` scan every point has its own registry,
-    so it is compiled again and starts a new block.
+    config is already validated, so each point has only its scanned
+    leaves checked (LeafCheck).  The exception is a leaf absent from
+    config: the first point then adds a key, which the schema may not know
+    or which may clash with another field, so it is validated in full;
+    every later point has the same keys.  The first point is compiled into
+    a ScanCircuit, which reads from the scan's leaves what each point
+    changes.  Every later point re-lowers the elements and re-reads the
+    branches those leaves lie under; their unitarity is checked with the
+    block, before any error of a later point is raised.  In a `bins` or
+    `photon_budget` scan every point has its own registry, so it is
+    compiled again and starts a new block.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -455,7 +469,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
         raise PresetError("scan needs at least one parameter path")
     base = config.to_dict()
     leaves = [_path_keys(base, p) for p in paths]
-    check = LeafCheck(leaves)
+    check = LeafCheck(leaves) if all(_has_leaf(base, keys) for keys in leaves) else None
     grid = None
     block: list = []
     for value in values:
@@ -464,10 +478,14 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
             raw = _with_leaf(raw, keys, value)
         changes = None  # until the point has a compiled registry
         try:
-            violations = check(raw)
-            if violations:
-                raise ConfigError(violations)
-            point = ExperimentConfig._from_valid(raw)
+            if check is None:
+                point = ExperimentConfig.from_dict(raw)
+                check = LeafCheck(leaves)
+            else:
+                violations = check(raw)
+                if violations:
+                    raise ConfigError(violations)
+                point = ExperimentConfig._from_valid(raw)
             if grid is not None and not grid.own_registry:
                 changes = grid.changes(point)
         except ValueError:
@@ -496,9 +514,10 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
 
     config is a validated ExperimentConfig (ExperimentConfig.from_dict,
     parse_config or build_preset_config); the points are checked only at
-    the scanned leaves.  Several comma-separated paths move together
-    through the same values, e.g. both photons of a delayed pair sharing
-    one overlap.
+    the scanned leaves, save the first when a scanned leaf is absent from
+    config, which is validated in full.  Several comma-separated paths
+    move together through the same values, e.g. both photons of a delayed
+    pair sharing one overlap.
     """
     rows = []
     for values, points, grid, groups in _scan_blocks(config, path, range_spec):

@@ -1,8 +1,8 @@
 """Compile-once scans: the grid path against the per-point path.
 
-A scan validates its first point in full, checks only the scanned leaves
-of every later point, compiles once per mode registry and evolves its
-points in blocks.  These tests hold it to the per-point path: the same
+A scan checks only the scanned leaves of its points (its first point in
+full when a scanned leaf is absent from the config), compiles once per
+mode registry and evolves its points in blocks.  These tests hold it to the per-point path: the same
 rows, the same error messages, and the committed reference outputs.
 """
 
@@ -224,6 +224,41 @@ class TestSameErrors:
         assert main(["--config", str(cfg_path), "--scan", f"{path}={spec}"]) == 1
         err = capsys.readouterr().err
         assert err == "".join(f"eventready: config error: {v}\n" for v in expected)
+
+    @pytest.mark.parametrize(
+        "raw, path, message",
+        [
+            (hom_config(), "junk", "$: Additional properties are not allowed ('junk' was unexpected)"),
+            (
+                hom_config(),
+                "sources.branches.0.photons.0.junk",
+                "$.sources.branches.0.photons.0: Additional properties are not allowed ('junk' was unexpected)",
+            ),
+            (
+                {**hom_config(), "analyzers": {"theta_a_deg": 0.0, "theta_b_deg": 45.0}},
+                "analyzers.junk",
+                "$.analyzers: Additional properties are not allowed ('junk' was unexpected)",
+            ),
+            (hom_config(), "elements.0.transmissivity", "$.elements.0.transmissivity: not a field of pbs"),
+            (
+                _set(hom_config(), "sources.branches.0.photons.0.bins", [1.0]),
+                "sources.branches.0.photons.0.overlap",
+                "$.sources.branches.0.photons.0: set bins or overlap, not both",
+            ),
+        ],
+        ids=["top-level-junk", "photon-junk", "analyzer-junk", "element-field", "bins-and-overlap"],
+    )
+    def test_absent_leaf_gives_the_first_points_full_validation_messages(self, tmp_path, capsys, raw, path, message):
+        # The scanned key is absent from the config: the first point adds it.
+        assert validate_config_dict(raw) == []
+        assert validate_config_dict(_set(raw, path, 0.0)) == [message]
+        with pytest.raises(ConfigError) as exc:
+            scan(ExperimentConfig.from_dict(raw), path, "0:1:0.5")
+        assert exc.value.violations == [message]
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", f"{path}=0:1:0.5"]) == 1
+        assert capsys.readouterr().err == f"eventready: config error: {message}\n"
 
     @pytest.mark.parametrize(
         "path, value",
