@@ -404,7 +404,10 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
 def sample_counts(distribution, shots: int, seed: int):
     """Deterministic multinomial count sampling for a list of (pattern, probability).
 
-    The counts always sum to shots.
+    The counts always sum to shots.  A probability may also be a list
+    over the points of a block: each pattern then gets a list of counts,
+    and point i is drawn as sample_counts(its patterns of positive
+    probability, shots, seed + i) draws it, bit for bit.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -412,12 +415,14 @@ def sample_counts(distribution, shots: int, seed: int):
     probs = np.array([p for _, p in distribution], dtype=float)
     if probs.size and (probs < -1e-12).any():
         raise ValueError("negative probability in distribution")
-    total = float(probs.sum())
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, not 1")
-    rng = np.random.default_rng(seed)
-    if shots == 0:
-        counts = np.zeros(len(patterns), dtype=int)
-    else:
-        counts = rng.multinomial(shots, probs / total)
-    return list(zip(patterns, counts.tolist()))
+    block = probs.ndim == 2
+    counts = np.zeros(probs.shape if block else (len(patterns), 1), dtype=int)
+    for k, column in enumerate(probs.T.tolist() if block else [probs.tolist()]):
+        rows = [i for i, p in enumerate(column) if p > 0 or not block]
+        p = np.array([column[i] for i in rows], dtype=float)
+        total = float(np.add.reduce(p))  # p.sum(), without its Python wrapper
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+        if shots:
+            counts[rows, k] = np.random.default_rng(seed + k).multinomial(shots, p / total)
+    return list(zip(patterns, (counts if block else counts[:, 0]).tolist()))

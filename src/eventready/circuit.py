@@ -4,9 +4,9 @@ Circuits are immutable after compilation; `run` is a pure function, so
 scan points can be evaluated independently.  A scan compiles once and
 evolves its points together with `ScanCircuit`, which re-lowers only the
 elements and re-reads only the source branches that the scan's paths
-change, and checks their unitarity a block of points at a time.  Every
-config element lowers to one transform, so a circuit has one step per
-element.
+change, each element once per block of points, and checks their
+unitarity a block at a time.  Every config element lowers to one
+transform, so a circuit has one step per element.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
-from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element, stack
+from .config import _with_leaves
+from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element
 from .fock import (
     NORM_TOL,
     UNITARY_TOL,
@@ -31,7 +32,6 @@ from .fock import (
     prepare_product_state,
     push_creators,
     superpose,
-    unitarity_deviations,
 )
 from .modes import ModeRegistry
 
@@ -123,8 +123,8 @@ def compile_circuit(config) -> Circuit:
 
     Elements are lowered strictly in config order, each to one step;
     every transform is checked for unitarity before it is accepted.  A
-    scan lowers its later points with _lowered and checks them a block at
-    a time (ScanCircuit.require_unitary), with the same error.
+    scan lowers a block of points at once with _lowered and checks the
+    block's stacks with the same error (ScanCircuit.require_unitary).
     """
     registry = ModeRegistry(
         config.spatial_labels,
@@ -177,27 +177,25 @@ def run(circuit: Circuit, upto: int | None = None) -> PureState:
 class ScanCircuit:
     """A circuit compiled once for a scan, and the evolution of its points.
 
-    A point is a validated config that differs from the compiled one only
-    at the scan's leaves (lists of config keys), which fix what it changes:
-    a leaf under `elements.I` re-lowers element I through lower_element, a
-    `model` leaf each element whose kind `reads_model`, and one under
-    `sources.branches.B` re-reads branch B.  A `bins` or `photon_budget`
-    leaf changes the registry, so each point is compiled alone
-    (`own_registry`) and changes nothing.
-    `evolve` checks a block's lowered transforms with `require_unitary`,
-    then evolves the source photons, not the prepared kets: each photon's
-    creator is a column over the block's points, pushed through `plan`,
-    the element sequence with each run of the other elements composed
-    once.  A fixed run is one matrix product, a re-lowered element one
-    product with the stack of its points' transforms.  The pushed creators
-    are multiplied out once (fock.multiply_out).  A fixed branch's creator
-    columns and input norm are computed here, once.
+    A point differs from the compiled config only at the scan's leaves
+    (lists of config keys), which take one value per point and fix what a
+    block changes (`changes`): a leaf under `elements.I` re-lowers element
+    I, a `model` leaf each element whose kind `reads_model`, each once per
+    block with an array of values; a leaf under `sources.branches.B`
+    re-reads branch B.  A `bins`, `photon_budget` or `bin_map` leaf moves
+    modes, so each point is compiled alone (`per_point`).  `evolve` checks
+    a block's stacks, then pushes each source photon's creator, a column
+    over the points, through `plan`: each run of the other elements,
+    composed once, and each re-lowered element's stack.  The pushed
+    creators are multiplied out once (fock.multiply_out).  A fixed
+    branch's creator columns and input norm are computed here, once.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
         self.circuit = circuit
-        self.own_registry = any(keys[0] in ("bins", "photon_budget") for keys in leaves)
-        heads = set() if self.own_registry else {tuple(keys[:3]) for keys in leaves}
+        registry = any(keys[0] in ("bins", "photon_budget") for keys in leaves)
+        self.per_point = registry or any(keys[2:3] == ["bin_map"] for keys in leaves)
+        heads = set() if registry else {tuple(keys[:3]) for keys in leaves}
         elements = {head[1] for head in heads if head[0] == "elements"}
         # A scanned model is read at every point, a fixed one here.
         self.model = None if any(head[0] == "model" for head in heads) else OverlapModel(**config.model)
@@ -205,6 +203,10 @@ class ScanCircuit:
             elements |= {i for i, el in enumerate(config.elements) if ELEMENT_KINDS[el["kind"]].reads_model}
         self.elements = tuple(sorted(elements))
         self.branches = tuple(sorted({head[2] for head in heads if head[:2] == ("sources", "branches")}))
+        # A block's column: the raw elements, with an array of values at each element leaf.
+        self.raw_elements = config.elements
+        self.leaves = [] if self.per_point else [keys[1:] for keys in leaves if keys[0] == "elements"]
+        self.convention = config.convention
         self.losses = {el["loss"] for el in config.elements if "loss" in el}
         self.columns = [creator_columns(circuit.registry, [b.photons]) for b in circuit.branches]
         self.norms = [_norm(circuit.registry, [(1.0, columns)], 1) for columns in self.columns]
@@ -223,32 +225,28 @@ class ScanCircuit:
         if fixed:
             self.plan.append(compose(fixed))
 
-    def changes(self, config):
-        """({element index: its transform}, {branch index: SourceBranch})
-        of what one point changes; the transforms are not yet checked for
-        unitarity."""
-        model = self.model or OverlapModel(**config.model)
-        elements = {
-            i: _lowered(i, config.elements[i], self.circuit.registry, model, config.convention)
-            for i in self.elements
-        }
-        branches = {b: _source_branch(b, config.source_branches[b], self.losses) for b in self.branches}
+    def changes(self, values, points):
+        """({element index: its stack of transforms}, {branch index: its
+        SourceBranch at each point}) of a block, given the leaves' values
+        and, where a model or branch is scanned, the points' own configs;
+        the stacks are not yet checked for unitarity."""
+        column = _with_leaves(self.raw_elements, self.leaves, np.array(values, dtype=float))
+        model = self.model or np.array([OverlapModel(**point.model) for point in points])
+        registry = self.circuit.registry
+        elements = {i: _as_stack(_lowered(i, column[i], registry, model, self.convention)) for i in self.elements}
+        branches = {b: [_source_branch(b, p.source_branches[b], self.losses) for p in points] for b in self.branches}
         return elements, branches
 
-    def require_unitary(self, points):
-        """Raise, as compile_circuit would for that point alone, for the
-        first of the block's points (their `changes`) that lowered a
-        non-unitary transform."""
-        lowered = [(i, t) for elements, _ in points for i, t in elements.items()]
-        by_size: dict = {}
-        for k, (_, t) in enumerate(lowered):
-            by_size.setdefault(len(t.modes), []).append(k)
-        failed = []
-        for ks in by_size.values():
-            deviations = unitarity_deviations(np.stack([lowered[k][1].matrix for k in ks]))
-            failed += [k for k, deviation in zip(ks, deviations) if not deviation < UNITARY_TOL]
-        for k in sorted(failed):
-            _require_unitary(*lowered[k])
+    def lowered(self, config) -> list:
+        """[(element index, transform)] of what one point (a config) re-lowers, lowered alone."""
+        model, registry = self.model or OverlapModel(**config.model), self.circuit.registry
+        return [(i, _lowered(i, config.elements[i], registry, model, config.convention)) for i in self.elements]
+
+    def require_unitary(self, lowered):
+        """Raise, as compile_circuit does, for the first (element index,
+        transform or stack) of lowered that is not unitary."""
+        for i, t in lowered:
+            _require_unitary(i, t)
 
     def _weights(self, amplitudes, columns, norms, points) -> list:
         """Each branch's weight in the block's state: its amplitude over its
@@ -261,22 +259,21 @@ class ScanCircuit:
         total = _norm(self.circuit.registry, list(zip(weights, columns)), points)
         return [w / total for w in weights]
 
-    def evolve(self, points) -> GridState:
-        """The final states of a block of points, given their `changes`.
+    def evolve(self, elements: dict, branches: dict, n: int) -> GridState:
+        """The final states of a block of n points, given its `changes`.
 
         FockError is raised where the evolved norm drifts from 1 by more
         than NORM_TOL.
         """
-        self.require_unitary(points)
-        circuit, registry, n = self.circuit, self.circuit.registry, len(points)
+        self.require_unitary(elements.items())
+        circuit, registry = self.circuit, self.circuit.registry
         columns = self.columns
         if self.branches:
             columns, norms = list(self.columns), list(self.norms)
             amplitudes = [b.amplitude for b in circuit.branches]
             for b in self.branches:
-                per_point = [branches.get(b, circuit.branches[b]) for _, branches in points]
-                columns[b] = creator_columns(registry, [br.photons for br in per_point])
-                amplitudes[b] = np.array([br.amplitude for br in per_point])
+                columns[b] = creator_columns(registry, [br.photons for br in branches[b]])
+                amplitudes[b] = np.array([br.amplitude for br in branches[b]])
                 norms[b] = _norm(registry, [(1.0, columns[b])], n)
             weights = self._weights(amplitudes, columns, norms, n)
         else:
@@ -285,7 +282,7 @@ class ScanCircuit:
         pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
         for part in self.plan:
             if isinstance(part, int):
-                part = stack(elements.get(part, circuit.steps[part][1]) for elements, _ in points)
+                part = elements[part]
             pushed = push_creators(registry, pushed, part)
         starts = np.cumsum([0] + [c.shape[1] for c in columns])
         state = multiply_out(registry, [(w, pushed[:, i:j]) for w, i, j in zip(weights, starts, starts[1:])], n)
@@ -295,6 +292,16 @@ class ScanCircuit:
             k = int(drift.argmax())
             raise FockError(f"norm drifted 1.000000000000 -> {after[k]:.12f} under the scan's elements")
         return state
+
+
+def _as_stack(t: ModeTransform) -> ModeTransform:
+    """t as a stack (one matrix is a stack of one) over its modes in
+    sorted order, as compose orders them, so each sum over modes in a
+    push keeps its bits."""
+    order = np.array(sorted(range(len(t.modes)), key=t.modes.__getitem__))
+    matrix = t.matrix if t.matrix.ndim == 3 else t.matrix[None]
+    matrix = np.ascontiguousarray(matrix[:, order[:, None], order])
+    return ModeTransform(tuple(t.modes[j] for j in order), matrix, name=t.name)
 
 
 def _norm(registry, branches, points) -> np.ndarray:

@@ -378,6 +378,15 @@ def validate_config_dict(raw: dict):
     return problems
 
 
+def _with_leaves(node, leaves, value):
+    """A copy of the raw config node with value at each leaf (a list of
+    keys); every subtree off those paths is shared, not copied."""
+    for key, *rest in leaves:
+        node = dict(node) if isinstance(node, dict) else list(node)
+        node[key] = _with_leaves(node[key], [rest], value) if rest else value
+    return node
+
+
 def _subschema(keys):
     """(n, schema): the part of CONFIG_SCHEMA that checks the value at
     keys[:n].  That is the leaf itself, unless the walk meets an anyOf
@@ -413,14 +422,21 @@ class LeafCheck:
     others read keys, labels and ports, which every point shares with the
     valid config.  The result is the message list validate_config_dict
     gives for the same config.
+
+    Where every leaf's subschema is a plain bounded number and no
+    cross-reference check runs (`column`), `passes` checks a whole column
+    of values at once: its bounds at the least and the greatest value.
     """
 
     def __init__(self, leaves):
         leaves = [tuple(keys) for keys in leaves]
-        self._checks = {}
+        self._checks, numbers = {}, []
         for keys in leaves:
             n, schema = _subschema(keys)
             self._checks[keys[:n]] = jsonschema.Draft202012Validator(schema)
+            bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+            if n == len(keys) and schema.get("type") in ("number", "integer") and set(schema) <= bounds:
+                numbers.append(schema["type"])  # a plain bounded number
         # (branch, photon) of each scanned photon field.
         self._photons = {
             (keys[2], keys[4])
@@ -429,6 +445,15 @@ class LeafCheck:
         }
         self._budget = ("photon_budget",) in leaves
         self._bins = ("bins",) in leaves
+        self.column = len(numbers) == len(leaves) and not (self._photons or self._budget or self._bins)
+        self._integers = "integer" in numbers
+
+    def passes(self, values) -> bool:
+        """Whether no point, with one of a scan's float values at every
+        leaf, has a violation; only where `column`."""
+        ends = (min(values), max(values))  # all finite if both are
+        integral = not self._integers or all(value.is_integer() for value in values)
+        return integral and all(math.isfinite(x) and v.is_valid(x) for x in ends for v in self._checks.values())
 
     def __call__(self, raw: dict) -> list:
         errors, problems = [], []

@@ -17,7 +17,7 @@ Polarization conventions, fixed across the package:
 
 from __future__ import annotations
 
-import functools
+import itertools
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -35,9 +35,36 @@ class ElementError(ValueError):
     pass
 
 
-def _complex(value) -> complex:
-    """A config's complex number: a plain number or an [re, im] pair."""
-    return complex(*value) if isinstance(value, (list, tuple)) else complex(value)
+def _at_points(fn, *fields):
+    """fn(*fields); or, where a field is a NumPy array over a scan's points
+    (a list is a config value), the array of fn at each point, each in
+    Python arithmetic, as that point alone computes it."""
+    if not any(isinstance(f, np.ndarray) for f in fields):
+        return fn(*fields)
+    columns = [f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in fields]
+    return np.array([fn(*values) for values in zip(*columns)])
+
+
+def _shown(value, spec: str = "") -> str:
+    """A field as a transform's name shows it; '...' for a stack's values."""
+    return "..." if isinstance(value, np.ndarray) else format(value, spec)
+
+
+def _complex(value):
+    """A config's complex number: a plain number or an [re, im] pair; an
+    array of them where a part is an array over a scan's points."""
+    return _at_points(complex, *(value if isinstance(value, (list, tuple)) else [value]))
+
+
+def _diagonal(block, modes, name: str) -> ModeTransform:
+    """The transform applying block, k x k or a stack of them, to each
+    successive k of modes."""
+    block = np.asarray(block, dtype=complex)
+    k, n = block.shape[-1], len(modes)
+    m = np.zeros(block.shape[:-2] + (n // k, k, n // k, k), dtype=complex)
+    g = np.arange(n // k)
+    m[..., g, :, g, :] = block
+    return ModeTransform(tuple(modes), m.reshape(block.shape[:-2] + (n, n)), name=name)
 
 
 def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2, name: str) -> ModeTransform:
@@ -45,17 +72,8 @@ def _pair_block(registry: ModeRegistry, s1: str, s2: str, block2, name: str) -> 
 
     block2 is 4x4 over ((s1,V), (s1,H), (s2,V), (s2,H)).
     """
-    modes = []
-    for b in range(registry.bins):
-        modes.extend(
-            [ModeId(s1, V, b), ModeId(s1, H, b), ModeId(s2, V, b), ModeId(s2, H, b)]
-        )
-    n = len(modes)
-    m = np.zeros((n, n), dtype=complex)
-    for b in range(registry.bins):
-        o = 4 * b
-        m[o : o + 4, o : o + 4] = block2
-    return ModeTransform(tuple(modes), m, name=name)
+    modes = [ModeId(s, p, b) for b in range(registry.bins) for s in (s1, s2) for p in (V, H)]
+    return _diagonal(block2, modes, name)
 
 
 def pbs(registry: ModeRegistry, s1: str, s2: str, convention: str = "perm") -> ModeTransform:
@@ -68,32 +86,21 @@ def pbs(registry: ModeRegistry, s1: str, s2: str, convention: str = "perm") -> M
         raise ElementError(f"unknown PBS convention {convention!r}")
     r = 1j if convention == "i-reflect" else 1.0
     # Basis (s1 V, s1 H, s2 V, s2 H): V components swap, H stay.
-    block = np.array(
-        [
-            [0, 0, r, 0],
-            [0, 1, 0, 0],
-            [r, 0, 0, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
+    block = [[0, 0, r, 0], [0, 1, 0, 0], [r, 0, 0, 0], [0, 0, 0, 1]]
     return _pair_block(registry, s1, s2, block, f"pbs({s1},{s2})")
 
 
 def hwp(registry: ModeRegistry, s: str, plate_angle_deg: float) -> ModeTransform:
     """Half-wave plate on one spatial label, plate angle in degrees."""
     registry.require_spatial(s)
-    t2 = 2.0 * math.radians(plate_angle_deg)
-    c, sn = math.cos(t2), math.sin(t2)
-    jones = np.array([[c, sn], [sn, -c]], dtype=complex)  # (V, H) basis
-    modes = []
-    for b in range(registry.bins):
-        modes.extend([ModeId(s, V, b), ModeId(s, H, b)])
-    m = np.zeros((len(modes), len(modes)), dtype=complex)
-    for b in range(registry.bins):
-        o = 2 * b
-        m[o : o + 2, o : o + 2] = jones
-    return ModeTransform(tuple(modes), m, name=f"hwp({s},{plate_angle_deg})")
+
+    def jones(angle):  # (V, H) basis
+        t2 = 2.0 * math.radians(angle)
+        c, sn = math.cos(t2), math.sin(t2)
+        return [[c, sn], [sn, -c]]
+
+    modes = [ModeId(s, p, b) for b in range(registry.bins) for p in (V, H)]
+    return _diagonal(_at_points(jones, plate_angle_deg), modes, f"hwp({s},{_shown(plate_angle_deg)})")
 
 
 def rpbs(registry: ModeRegistry, s1: str, s2: str, convention: str = "perm"):
@@ -123,42 +130,39 @@ def polarizer(registry: ModeRegistry, s: str, pass_angle_deg: float, loss: str) 
     registry.require_spatial(loss)
     if loss == s:
         raise ElementError("polarizer loss label must differ from its port")
-    a = math.radians(pass_angle_deg)
-    p = np.array([math.cos(a), math.sin(a)])  # pass axis, (V, H)
-    o = np.array([-math.sin(a), math.cos(a)])  # orthogonal axis
-    keep = np.outer(p, p)
-    swap = np.outer(o, o)
-    block = np.block([[keep, swap], [swap, keep]]).astype(complex)
-    return _pair_block(registry, s, loss, block, f"polarizer({s},{pass_angle_deg})")
+
+    def block(angle):  # [[keep, swap], [swap, keep]], the projectors on the two axes
+        a = math.radians(angle)
+        p = (math.cos(a), math.sin(a))  # pass axis, (V, H)
+        o = (-math.sin(a), math.cos(a))  # orthogonal axis
+        keep, swap = [[x * y for y in p] for x in p], [[x * y for y in o] for x in o]
+        return [k + w for k, w in zip(keep, swap)] + [w + k for w, k in zip(swap, keep)]
+
+    name = f"polarizer({s},{_shown(pass_angle_deg)})"
+    return _pair_block(registry, s, loss, _at_points(block, pass_angle_deg), name)
 
 
 def phase_shift(registry: ModeRegistry, s: str, phi: float, pol: str | None = None) -> ModeTransform:
     """Diagonal phase e^{i phi} on one spatial label (optionally one pol)."""
     registry.require_spatial(s)
-    modes = registry.group(s, pol=pol)
-    m = np.diag([np.exp(1j * phi)] * len(modes))
-    return ModeTransform(tuple(modes), m, name=f"phase({s},{phi:.4f})")
+    e = _at_points(lambda p: [[np.exp(1j * p)]], phi)
+    return _diagonal(e, registry.group(s, pol=pol), f"phase({s},{_shown(phi, '.4f')})")
 
 
 def beamsplitter(registry: ModeRegistry, s1: str, s2: str, transmissivity: float) -> ModeTransform:
     """Polarization-insensitive two-mode coupler with real amplitudes."""
     if s1 == s2:
         raise ElementError("beamsplitter needs two distinct spatial labels")
-    if not 0.0 <= transmissivity <= 1.0:
-        raise ElementError(f"transmissivity {transmissivity} outside [0, 1]")
-    t = math.sqrt(transmissivity)
-    r = math.sqrt(1.0 - transmissivity)
-    # Rotation-like coupler: T = 1 is the identity.
-    block = np.array(
-        [
-            [t, 0, r, 0],
-            [0, t, 0, r],
-            [-r, 0, t, 0],
-            [0, -r, 0, t],
-        ],
-        dtype=complex,
-    )
-    return _pair_block(registry, s1, s2, block, f"beamsplitter({s1},{s2},{transmissivity})")
+
+    def block(transmissivity):
+        if not 0.0 <= transmissivity <= 1.0:
+            raise ElementError(f"transmissivity {transmissivity} outside [0, 1]")
+        t, r = math.sqrt(transmissivity), math.sqrt(1.0 - transmissivity)
+        # Rotation-like coupler: T = 1 is the identity.
+        return [[t, 0, r, 0], [0, t, 0, r], [-r, 0, t, 0], [0, -r, 0, t]]
+
+    name = f"beamsplitter({s1},{s2},{_shown(transmissivity)})"
+    return _pair_block(registry, s1, s2, _at_points(block, transmissivity), name)
 
 
 def bin_mixer(
@@ -181,10 +185,15 @@ def bin_mixer(
 def _bin_block(registry: ModeRegistry, s: str, overlap, pol, bin_map, name: str) -> ModeTransform:
     """The transform of bin_mixer, under the given name."""
     registry.require_spatial(s)
-    v = complex(overlap)
-    if abs(v) > 1.0 + 1e-12:
-        raise ElementError(f"overlap magnitude {abs(v)} exceeds 1")
-    sres = math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
+
+    def mixer(overlap):
+        v = complex(overlap)
+        if abs(v) > 1.0 + 1e-12:
+            raise ElementError(f"overlap magnitude {abs(v)} exceeds 1")
+        sres = math.sqrt(max(0.0, 1.0 - abs(v) ** 2))
+        return [[v, -sres], [sres, v.conjugate()]]
+
+    block = _at_points(mixer, overlap)
     if bin_map is None:
         bin_map = {0: 1}
     srcs = sorted(int(k) for k in bin_map)
@@ -194,22 +203,9 @@ def _bin_block(registry: ModeRegistry, s: str, overlap, pol, bin_map, name: str)
     for b in srcs + dsts:
         if not 0 <= b < registry.bins:
             raise ElementError(f"bin {b} outside registry range 0..{registry.bins - 1}")
-    modes = _bin_modes(s, (H, V) if pol is None else (pol,), tuple(zip(srcs, dsts)))
-    # The same 2x2 block on each (source, destination) pair of modes.
-    pairs = len(modes) // 2
-    m = np.zeros((pairs, 2, pairs, 2), dtype=complex)
-    k = np.arange(pairs)
-    m[k, :, k, :] = [[v, -sres], [sres, v.conjugate()]]
-    return ModeTransform(modes, m.reshape(2 * pairs, 2 * pairs), name=name)
-
-
-@functools.lru_cache(maxsize=256)
-def _bin_modes(s: str, pols: tuple, pairs: tuple) -> tuple:
-    """The modes of a bin block: per polarization, each (source, destination) bin pair.
-
-    A scan re-lowers its delay at every point, so the tuple is built once.
-    """
-    return tuple(ModeId(s, p, b) for p in pols for pair in pairs for b in pair)
+    # The same 2x2 block on each (source, destination) pair of modes, per polarization.
+    modes = [ModeId(s, p, b) for p in ((H, V) if pol is None else (pol,)) for pair in zip(srcs, dsts) for b in pair]
+    return _diagonal(block, modes, name)
 
 
 def delay(
@@ -222,10 +218,10 @@ def delay(
 ) -> ModeTransform:
     """Path delay: bin rewrite with overlap v(delta) plus its fringe phase."""
     try:
-        v = overlap_from_delay(delta_um, model)
+        v = _at_points(overlap_from_delay, delta_um, model)
     except (OverlapError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ElementError(str(exc)) from exc
-    return _bin_block(registry, s, v, pol, bin_map, f"delay({s},{delta_um}um)")
+    return _bin_block(registry, s, v, pol, bin_map, f"delay({s},{_shown(delta_um)}um)")
 
 
 def _bin_args(el: dict) -> dict:
@@ -242,7 +238,10 @@ class ElementKind(NamedTuple):
 
     lower(registry, ports, el, model, convention) returns the one
     ModeTransform of the config element dict el; only a kind with
-    reads_model uses the model.
+    reads_model uses the model.  A numeric field of el (or a part of an
+    [re, im] pair) may be an array over a scan's points, and model an
+    array of OverlapModels, one per point: the transform then stacks one
+    matrix per point, equal to that point's own (_at_points).
     """
 
     ports: int
@@ -311,7 +310,8 @@ def lower_element(
     model: OverlapModel | None = None,
     convention: str = "perm",
 ):
-    """Lower one validated config element to its one ModeTransform."""
+    """Lower one validated config element to its one ModeTransform, a
+    stack where a field is an array over a scan's points (ElementKind)."""
     return ELEMENT_KINDS[el["kind"]].lower(registry, element_ports(el), el, model, convention)
 
 
@@ -335,27 +335,3 @@ def compose(transforms, name: str = "composite") -> ModeTransform:
             total = np.broadcast_to(total, update.shape[:-2] + total.shape).copy()
         total[..., rows, :] = update
     return ModeTransform(modes, total, name=name)
-
-
-def stack(transforms) -> ModeTransform:
-    """One transform per scan point, as one ModeTransform whose matrix
-    stacks them, each lifted to the union of their modes."""
-    transforms = list(transforms)
-    # The points of each distinct mode layout.  A scan's points usually
-    # share one layout tuple, which compares by identity at once, while
-    # hashing it would cost more per point than the assignment below.
-    points: list[tuple[tuple, list[int]]] = []
-    for k, t in enumerate(transforms):
-        for layout, ks in points:
-            if t.modes == layout:
-                ks.append(k)
-                break
-        else:
-            points.append((t.modes, [k]))
-    modes = tuple(sorted({m for layout, _ in points for m in layout}))
-    pos = {m: i for i, m in enumerate(modes)}
-    total = np.tile(np.eye(len(modes), dtype=complex), (len(transforms), 1, 1))
-    for layout, ks in points:
-        rows = [pos[m] for m in layout]
-        total[np.ix_(ks, rows, rows)] = np.stack([transforms[k].matrix for k in ks])
-    return ModeTransform(modes, total, name="stack")

@@ -90,15 +90,12 @@ class PureState:
     def amplitude(self, occupation) -> complex:
         return self.terms.get(tuple(occupation), 0.0 + 0.0j)
 
+    def _label(self, occ) -> str:
+        return " ".join(f"{m}={n}" for m, n in zip(self.registry.modes, occ) if n) or "vacuum"
+
     def dump_amplitudes(self) -> dict:
         """JSON-ready amplitude listing: occupation label -> [re, im]."""
-        out = {}
-        for occ, amp in self.sorted_terms():
-            label = " ".join(
-                f"{m}={n}" for m, n in zip(self.registry.modes, occ) if n
-            ) or "vacuum"
-            out[label] = [amp.real, amp.imag]
-        return out
+        return {self._label(occ): [amp.real, amp.imag] for occ, amp in self.sorted_terms()}
 
     def count_in(self, occ, modes) -> int:
         idx = self.registry.index
@@ -107,10 +104,7 @@ class PureState:
     def __repr__(self):
         lines = [f"PureState({len(self.terms)} terms, norm {self.norm():.6f})"]
         for occ, amp in self.sorted_terms()[:12]:
-            label = " ".join(
-                f"{m}={n}" for m, n in zip(self.registry.modes, occ) if n
-            ) or "vacuum"
-            lines.append(f"  {amp:+.4f}  |{label}>")
+            lines.append(f"  {amp:+.4f}  |{self._label(occ)}>")
         if len(self.terms) > 12:
             lines.append(f"  ... {len(self.terms) - 12} more")
         return "\n".join(lines)
@@ -407,13 +401,8 @@ class ModeTransform:
 
     def unitarity_deviation(self) -> float:
         """max |U+U - I|, over every point of a stack."""
-        return float(unitarity_deviations(self.matrix).max())
-
-
-def unitarity_deviations(matrix: np.ndarray) -> np.ndarray:
-    """max |U+U - I| of a matrix, or of each matrix of a stack."""
-    adjoint = np.conjugate(matrix.swapaxes(-1, -2), order="C")
-    return np.abs(adjoint @ matrix - np.eye(matrix.shape[-1])).max(axis=(-2, -1))
+        adjoint = np.conjugate(self.matrix.swapaxes(-1, -2), order="C")
+        return float(np.abs(adjoint @ self.matrix - np.eye(len(self.modes))).max())
 
 
 def _column_images(matrix: np.ndarray, idxs) -> list:

@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/tracing.py wraps it here
 from .circuit import ScanCircuit, compile_circuit, run
-from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck, _with_leaves
 from .distinguishability import OverlapModel
 from .fock import GridState, PureState, basis_state, distinct_rows, inner_product, kept_pair_pass, kept_pair_violation
 from .fock import one_point_grid, ordered_sum, superpose
@@ -235,8 +235,10 @@ def fusion_delay_config(peak_visibility=1.0) -> dict:
     }
 
 
-# Squared overlaps and visibilities: the builders take their square roots.
-_NON_NEGATIVE_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
+# Squared overlaps and visibilities, in [0, 1]: the builders take their square roots.
+_UNIT_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
+# Range parameters and the fewest points each needs: the delay fringe fit has four parameters.
+_RANGE_PARAMS = {"scan": 2, "delta_range": 5}
 
 
 def _is_finite(value) -> bool:
@@ -256,7 +258,8 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     """The validated config of one preset with its parameters overridden.
 
     Every preset takes `convention` besides the keys of its defaults;
-    any other key, a negative squared overlap or visibility, chsh
+    any other key, a squared overlap or visibility outside [0, 1], a
+    range that is not a start:stop:step string of enough points, chsh
     settings that are not four finite angles, or a chsh reference that is
     not null or a dict of finite 'S' and 'E' values, raises PresetError
     before a config is built.
@@ -272,8 +275,18 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
             )
     full = {**preset.defaults, **params}
     for key, value in full.items():
-        if key in _NON_NEGATIVE_PARAMS and not (isinstance(value, (int, float)) and value >= 0):
+        if key in _UNIT_PARAMS and not (isinstance(value, (int, float)) and value >= 0):
             raise PresetError(f"preset {name!r}: {key} must be a number >= 0, got {value!r}")
+        if key in _UNIT_PARAMS and value > 1:
+            raise PresetError(f"preset {name!r}: {key} must be <= 1, got {value!r}")
+        least = _RANGE_PARAMS.get(key)
+        if least:
+            try:
+                points = len(parse_range(value)) if isinstance(value, str) else 0
+            except PresetError as exc:
+                raise PresetError(f"preset {name!r}: {key}: {exc}") from None
+            if points < least:
+                raise PresetError(f"preset {name!r}: {key} must be a range of {least} or more points, got {value!r}")
     settings = full.get("settings", (0.0,) * 4)
     if not (isinstance(settings, (list, tuple)) and len(settings) == 4 and all(map(_is_finite, settings))):
         raise PresetError(f"preset {name!r}: settings must be four angles (a, a', b, b'), got {settings!r}")
@@ -413,8 +426,9 @@ def _path_key(node, part: str, path: str, leaf: bool = False):
     raise PresetError(f"scan path {path!r}: no field {part!r}")
 
 
-def _path_keys(raw: dict, path: str) -> list:
-    """The keys and indices of a scan path, which must name a numeric field of raw."""
+def _path_keys(raw: dict, path: str) -> tuple:
+    """(keys, present): the keys and indices of a scan path, which must
+    name a numeric field of raw, and whether raw holds that field."""
     *parents, leaf = path.split(".")
     keys, node = [], raw
     for part in parents:
@@ -424,89 +438,72 @@ def _path_keys(raw: dict, path: str) -> list:
     # An absent leaf is allowed: optional numeric fields (e.g. a photon's
     # overlap) default away when 1.0; _scan_blocks validates such a scan's
     # first point in full, which rejects junk keys.
-    current = node.get(keys[-1], 0.0) if isinstance(node, dict) else node[keys[-1]]
+    present = not isinstance(node, dict) or keys[-1] in node
+    current = node[keys[-1]] if present else 0.0
     if not isinstance(current, (int, float)) or isinstance(current, bool):
         raise PresetError(f"scan path {path!r} does not address a numeric field")
-    return keys
+    return keys, present
 
 
-def _has_leaf(raw: dict, keys) -> bool:
-    """Whether raw holds a value at keys, which _path_keys returned."""
-    *parents, leaf = keys
-    for key in parents:
-        raw = raw[key]
-    return not isinstance(raw, dict) or leaf in raw
-
-
-def _with_leaf(node, keys, value):
-    """A copy of node with the field at keys set to value; every subtree
-    off that path is shared, not copied."""
-    key, *rest = keys
-    out = dict(node) if isinstance(node, dict) else list(node)
-    out[key] = _with_leaf(node[key], rest, value) if rest else value
-    return out
+def _checked(check: LeafCheck, raw: dict) -> ExperimentConfig:
+    violations = check(raw)
+    if violations:
+        raise ConfigError(violations)
+    return ExperimentConfig._from_valid(raw)
 
 
 def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
-    config is already validated, so each point has only its scanned
-    leaves checked (LeafCheck).  The exception is a leaf absent from
-    config: the first point then adds a key, which the schema may not know
-    or which may clash with another field, so it is validated in full;
-    every later point has the same keys.  The first point is compiled into
-    a ScanCircuit, which reads from the scan's leaves what each point
-    changes.  Every later point re-lowers the elements and re-reads the
-    branches those leaves lie under; their unitarity is checked with the
-    block, before any error of a later point is raised.  In a `bins` or
-    `photon_budget` scan every point has its own registry, so it is
-    compiled again and starts a new block.
+    config is already validated, so a point has only its scanned leaves
+    checked (LeafCheck).  The exception is a leaf absent from config: the
+    first point then adds a key, which the schema may not know or which
+    may clash with another field, so it is validated in full.  The first
+    point is compiled into a ScanCircuit.  A block's values are lowered
+    and evolved at once, and checked at once where LeafCheck allows
+    (`column`) and no point needs a config of its own (`heralds`,
+    `analyzers`, `model`, `sources`).  A failing block is redone point by
+    point, so its first bad point raises its own error.  A `bins`,
+    `photon_budget` or `bin_map` scan compiles each point alone.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
     if not paths:
         raise PresetError("scan needs at least one parameter path")
     base = config.to_dict()
-    leaves = [_path_keys(base, p) for p in paths]
-    check = LeafCheck(leaves) if all(_has_leaf(base, keys) for keys in leaves) else None
-    grid = None
-    block: list = []
-    for value in values:
-        raw = base
-        for keys in leaves:
-            raw = _with_leaf(raw, keys, value)
-        changes = None  # until the point has a compiled registry
+    leaves, present = zip(*(_path_keys(base, p) for p in paths))
+    if not all(present):
+        ExperimentConfig.from_dict(_with_leaves(base, leaves, values[0]))
+    check = LeafCheck(leaves)
+    point = _checked(check, _with_leaves(base, leaves, values[0]))
+    grid = ScanCircuit(compile_circuit(point), point, leaves)
+    # A point's own config is read where the observables, model or a branch read a scanned field.
+    per_config = any(keys[0] in ("heralds", "analyzers", "model", "sources") for keys in leaves)
+    size = 1 if grid.per_point else SCAN_BLOCK
+    for start in range(0, len(values), size):
+        block = values[start : start + size]
         try:
-            if check is None:
-                point = ExperimentConfig.from_dict(raw)
-                check = LeafCheck(leaves)
+            if start and grid.per_point:
+                point = _checked(check, _with_leaves(base, leaves, block[0]))
+                grid = ScanCircuit(compile_circuit(point), point, leaves)
+            if not check.column or per_config:
+                points = [_checked(check, _with_leaves(base, leaves, value)) for value in block]
+            elif check.passes(block):
+                points = [point] * len(block)
             else:
-                violations = check(raw)
-                if violations:
-                    raise ConfigError(violations)
-                point = ExperimentConfig._from_valid(raw)
-            if grid is not None and not grid.own_registry:
-                changes = grid.changes(point)
+                raise ConfigError([f"a value of {path!r} fails its check"])
+            state = grid.evolve(*grid.changes(block, points), len(block))
         except ValueError:
-            # Errors come in grid order: a non-unitary point of the block first.
-            if block:
-                grid.require_unitary([c for _, _, c in block])
+            # Point by point; `finally` raises an earlier non-unitary point first.
+            lowered = []
+            try:
+                for value in block:
+                    lowered += grid.lowered(_checked(check, _with_leaves(base, leaves, value)))
+            finally:
+                grid.require_unitary(lowered)
             raise
-        if block and (changes is None or len(block) == SCAN_BLOCK):
-            yield _evolve_block(grid, block, groups)
-            block = []
-        if changes is None:
-            grid = ScanCircuit(compile_circuit(point), point, leaves)
-            groups = _detector_groups(grid.circuit.registry, point.detectors)
-            changes = ({}, {})
-        block.append((value, point, changes))
-    yield _evolve_block(grid, block, groups)
-
-
-def _evolve_block(grid: ScanCircuit, block: list, groups: dict):
-    values, points, changes = zip(*block)
-    return values, points, grid.evolve(changes), groups
+        yield block, points, state, _detector_groups(grid.circuit.registry, point.detectors)
 
 
 def scan(config: ExperimentConfig, path: str, range_spec: str):
@@ -514,7 +511,8 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
 
     config is a validated ExperimentConfig (ExperimentConfig.from_dict,
     parse_config or build_preset_config); the points are checked only at
-    the scanned leaves, save the first when a scanned leaf is absent from
+    the scanned leaves, a block of them at once where each is a plain
+    bounded number, save the first when a scanned leaf is absent from
     config, which is validated in full.  Several comma-separated paths
     move together through the same values, e.g. both photons of a delayed
     pair sharing one overlap.
@@ -730,16 +728,15 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
     effective_period = model.fringe_period_um / 2.0
     curve = []
     for values, _, grid, groups in _scan_blocks(config, "elements.0.delta_um", params["delta_range"]):
-        table = {key: p.tolist() for key, p in _group_counts(grid, groups, ("D1", "D2")).items()}
+        table = sorted((key, p.tolist()) for key, p in _group_counts(grid, groups, ("D1", "D2")).items())
+        coincidences = dict(table).get((1, 1), [0.0] * len(values))
+        if shots:  # point i of the scan is drawn with seed + i
+            sampled = dict(sample_counts(table, shots, seed + len(curve))).get((1, 1), [0] * len(values))
         for k, delta in enumerate(values):
-            counts = {key: p[k] for key, p in table.items() if p[k] > 0}
-            row = {"delta_um": delta, "p_coincidence": counts.get((1, 1), 0.0)}
+            row = {"delta_um": delta, "p_coincidence": coincidences[k]}
             if shots:
-                i = len(curve)
-                n = dict(sample_counts(sorted(counts.items()), shots, seed + i)).get((1, 1), 0)
-                row["counts_coincidence"] = n
-                row["error_coincidence"] = math.sqrt(max(1, n))
-                row["shots"] = shots
+                n = sampled[k]
+                row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
             curve.append(row)
     deltas = [r["delta_um"] for r in curve]
     fit_analytic = fit_delay_fringe(

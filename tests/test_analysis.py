@@ -428,6 +428,24 @@ class TestSampleCounts:
         with pytest.raises(ValueError, match="sum"):
             sample_counts([("a", 0.4), ("b", 0.4)], 10, seed=1)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**31), st.integers(0, 10_000), st.randoms())
+    def test_block_equals_each_point_drawn_with_its_seed(self, patterns, points, seed, shots, rnd):
+        # Each point's probabilities, some exactly 0, summing to 1 up to rounding.
+        table = np.array([[rnd.choice([0.0, rnd.random()]) for _ in range(points)] for _ in range(patterns)])
+        table[rnd.randrange(patterns)] += 1e-3
+        table /= table.sum(axis=0)
+        distribution = [(f"p{j}", column.tolist()) for j, column in enumerate(table)]
+        block = dict(sample_counts(distribution, shots, seed))
+        for i in range(points):
+            alone = dict(sample_counts([(key, p[i]) for key, p in distribution if p[i] > 0], shots, seed + i))
+            assert {key: counts[i] for key, counts in block.items()} == {key: alone.get(key, 0) for key in block}
+
+    def test_block_rejects_its_first_bad_point(self):
+        distribution = [("a", [0.5, 0.4, 0.3]), ("b", [0.5, 0.4, 0.3])]
+        with pytest.raises(ValueError, match=r"^probabilities sum to 0\.8, not 1$"):
+            sample_counts(distribution, 10, seed=1)
+
 
 class TestHeraldProbabilitiesComplete:
     def test_group_probabilities_cover_everything(self):

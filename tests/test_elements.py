@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventready import (
     ModeId,
@@ -22,7 +24,7 @@ from eventready import (
     rpbs,
 )
 from eventready.distinguishability import OverlapModel
-from eventready.elements import ElementError
+from eventready.elements import ElementError, lower_element
 
 
 @pytest.fixture
@@ -253,3 +255,63 @@ class TestUnitarity:
         report = check_unitarity(t)
         assert not report.ok
         assert report.max_deviation == pytest.approx(2.01e-2, rel=0.01)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# Per scanned field: the element without it, the field ("model": an array
+# of OverlapModels instead), and a strategy for its values.
+COLUMN_CASES = {
+    "delay-delta": ({"kind": "delay", "port": "p1", "bin_map": {"0": 1}}, "delta_um", _floats(-900.0, 900.0)),
+    "delay-model": ({"kind": "delay", "port": "p1", "delta_um": 130.0}, "model", _floats(1.0, 400.0)),
+    "hwp": ({"kind": "hwp", "port": "p2"}, "angle_deg", _floats(-400.0, 400.0)),
+    "polarizer": ({"kind": "polarizer", "port": "p1", "loss": "loss"}, "angle_deg", _floats(-400.0, 400.0)),
+    "phase": ({"kind": "phase", "port": "p1", "pol": "V"}, "phi", _floats(-10.0, 10.0)),
+    "beamsplitter": ({"kind": "beamsplitter", "ports": ["p1", "p2"]}, "transmissivity", _floats(0.0, 1.0)),
+    "bin-mixer": ({"kind": "bin_mixer", "port": "p2"}, "overlap", _floats(-1.0, 1.0)),
+    "bin-mixer-re": ({"kind": "bin_mixer", "port": "p2", "pol": "H"}, "overlap.0", _floats(-0.7, 0.7)),
+    "bin-mixer-im": ({"kind": "bin_mixer", "port": "p2"}, "overlap.1", _floats(-0.7, 0.7)),
+}
+
+
+@st.composite
+def column_cases(draw):
+    el, field, values = COLUMN_CASES[draw(st.sampled_from(sorted(COLUMN_CASES)))]
+    return el, field, draw(st.lists(values, min_size=1, max_size=6))
+
+
+def _with_field(el: dict, field: str, value):
+    """el with value at field, or at one part of an [re, im] field (the other part 0.3)."""
+    name, _, part = field.partition(".")
+    if part:
+        value = [value, 0.3] if part == "0" else [0.3, value]
+    return {**el, name: value}
+
+
+class TestColumnLowering:
+    """A field given as an array over a scan's points lowers, in one call,
+    to the stack of the matrices its values lower to one at a time."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(column_cases())
+    def test_stacked_lowering_equals_each_value_lowered_alone(self, case):
+        el, field, values = case
+        reg = ModeRegistry(["p1", "p2", "loss"], bins=2)
+        if field == "model":
+            models = [OverlapModel(coherence_length_um=v) for v in values]
+            stacked = lower_element(el, reg, model=np.array(models))
+            alone = [lower_element(el, reg, model=m) for m in models]
+        else:
+            stacked = lower_element(_with_field(el, field, np.array(values)), reg, model=OverlapModel())
+            alone = [lower_element(_with_field(el, field, v), reg, model=OverlapModel()) for v in values]
+        assert all(t.modes == stacked.modes for t in alone)
+        assert stacked.matrix.shape == (len(values), len(stacked.modes), len(stacked.modes))
+        assert np.array_equal(stacked.matrix, np.stack([t.matrix for t in alone]))
+
+    def test_a_bad_value_in_a_stack_raises_its_own_error(self):
+        reg = ModeRegistry(["p1", "p2", "loss"], bins=2)
+        el = {"kind": "beamsplitter", "ports": ["p1", "p2"], "transmissivity": np.array([0.2, 1.5, -1.0])}
+        with pytest.raises(ElementError, match=r"^transmissivity 1\.5 outside \[0, 1\]$"):
+            lower_element(el, reg)

@@ -22,7 +22,6 @@ from eventready import (
     superpose,
 )
 from eventready.circuit import Circuit, ScanCircuit, SourceBranch
-from eventready.elements import stack
 from eventready.analysis import HeraldError, heralded_polarization_dm, herald_terms, outcome_distribution
 from eventready.fock import (
     PureState,
@@ -305,7 +304,8 @@ class TestGridProperties:
     def test_grid_evolution_matches_each_point(self, case):
         reg, photon_grid, sequences = case
         grid = prepare_product_grid(reg, photon_grid)
-        steps = [stack(column) for column in zip(*sequences)]
+        # Every point of a step acts on the same modes.
+        steps = [ModeTransform(column[0].modes, np.stack([t.matrix for t in column])) for column in zip(*sequences)]
         evolved = _pushed_grid(reg, photon_grid, [compose(steps)])
         in_turn = _pushed_grid(reg, photon_grid, steps)
         rows = [dict(zip(map(tuple, g.occupations.tolist()), g.amplitudes)) for g in (evolved, in_turn)]
@@ -321,16 +321,6 @@ class TestGridProperties:
             oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
             _assert_same_state(_point(evolved, k), oracle)
         assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
-
-    def test_stack_lifts_points_with_different_modes(self):
-        reg = single_bin_registry(["a", "b"])
-        rng = np.random.default_rng(3)
-        first = ModeTransform(reg.modes[:2], random_unitary(2, rng))
-        second = ModeTransform(reg.modes[1:3], random_unitary(2, rng))
-        stacked = stack([first, second])
-        assert stacked.modes == reg.modes[:3]
-        for matrix, t in zip(stacked.matrix, (first, second)):
-            assert np.allclose(matrix, compose([t, ModeTransform(reg.modes[:3], np.eye(3))]).matrix)
 
 
 @st.composite
@@ -368,17 +358,15 @@ def _scan_circuit_evolve(reg, grids, amplitudes, sequences):
     ]
     branches = tuple(SourceBranch(complex(a[0]), tuple(grid[0])) for a, grid in zip(amplitudes, grids))
     circuit = Circuit(reg, branches, tuple((f"u{i}", t) for i, t in enumerate(sequences[0])))
-    config = SimpleNamespace(model={}, elements=[{} for _ in sequences[0]])
+    config = SimpleNamespace(model={}, elements=[{} for _ in sequences[0]], source_branches=[], convention="perm")
     leaves = [["elements", i, "matrix"] for i in per_point]
     leaves += [["sources", "branches", b, "amplitude"] for b in range(len(grids))]
-    changes = [
-        (
-            {i: sequence[i] for i in per_point},
-            {b: SourceBranch(complex(a[k]), tuple(grid[k])) for b, (a, grid) in enumerate(zip(amplitudes, grids))},
-        )
-        for k, sequence in enumerate(sequences)
-    ]
-    return ScanCircuit(circuit, config, leaves).evolve(changes)
+    elements = {i: ModeTransform(sequences[0][i].modes, np.stack([s[i].matrix for s in sequences])) for i in per_point}
+    branches = {
+        b: [SourceBranch(complex(a[k]), tuple(grid[k])) for k in range(len(sequences))]
+        for b, (a, grid) in enumerate(zip(amplitudes, grids))
+    }
+    return ScanCircuit(circuit, config, leaves).evolve(elements, branches, len(sequences))
 
 
 class TestScanEvolution:

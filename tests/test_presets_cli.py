@@ -502,6 +502,15 @@ class TestCli:
             ("chsh", "reference", 5, f"{REFERENCE_DOMAIN}, got 5"),
             ("chsh", "reference", {"S": "2.8"}, f"{REFERENCE_DOMAIN}, got {{'S': '2.8'}}"),
             ("chsh", "reference", {"E": {"ab": None}}, f"{REFERENCE_DOMAIN}, got {{'E': {{'ab': None}}}}"),
+            ("polarization-correlation", "visibility", 1.2, "visibility must be <= 1, got 1.2"),
+            ("chsh", "fusion_overlap_sq", 1.5, "fusion_overlap_sq must be <= 1, got 1.5"),
+            ("hom-scan", "operating_overlap_sq", 1.01, "operating_overlap_sq must be <= 1, got 1.01"),
+            ("fusion-delay-scan", "peak_visibility", 2, "peak_visibility must be <= 1, got 2"),
+            ("fusion-delay-scan", "delta_range", 5, "delta_range must be a range of 5 or more points, got 5"),
+            ("fusion-delay-scan", "delta_range", "0:1:1", "delta_range must be a range of 5 or more points, got '0:1:1'"),
+            ("fusion-delay-scan", "delta_range", "0:1", "delta_range: bad range spec '0:1', expected start:stop:step"),
+            ("hom-scan", "scan", None, "scan must be a range of 2 or more points, got None"),
+            ("hom-scan", "scan", "0:inf:0.1", "scan: range '0:inf:0.1' has a non-finite start, stop or step"),
         ],
     )
     def test_parameter_outside_its_domain_rejected_before_any_work(self, tmp_path, monkeypatch, preset, key, value, message):

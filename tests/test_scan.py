@@ -13,6 +13,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,23 +157,17 @@ class TestGridMatchesPerPointPath:
 
     @pytest.mark.parametrize("block", [1, presets.SCAN_BLOCK])
     def test_bin_map_scan_mixes_mode_layouts(self, monkeypatch, block):
-        # Each bin_map value moves the delay onto other modes, so one block
-        # stacks transforms of up to three mode layouts.
+        # Each bin_map value moves the delay onto other modes, so each of
+        # the three points is compiled on its own.
         raw = fusion_delay_config(peak_visibility=0.8)
         raw["elements"][0].update(delta_um=150.0, bin_map={"0": 2})
         path, spec = "elements.0.bin_map.0", "1:3:1"
-        layouts = []
-        original = circuit_module.stack
-
-        def counting(transforms):
-            transforms = list(transforms)
-            layouts.append(len({t.modes for t in transforms}))
-            return original(transforms)
-
-        monkeypatch.setattr(circuit_module, "stack", counting)
+        compiled = []
+        original = presets.compile_circuit
+        monkeypatch.setattr(presets, "compile_circuit", lambda c: compiled.append(c.elements[0]["bin_map"]) or original(c))
         monkeypatch.setattr(presets, "SCAN_BLOCK", block)
         rows = scan(ExperimentConfig.from_dict(raw), path, spec)
-        assert layouts == ([1, 1, 1] if block == 1 else [3])
+        assert compiled == [{"0": 1.0}, {"0": 2.0}, {"0": 3.0}]
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
         assert rows[0]["p_coincidence"] != rows[1]["p_coincidence"]
 
@@ -357,32 +352,43 @@ class TestSameErrors:
         assert result.report["points"] == 1201
         assert calls["validate"] == 1
         assert calls["compile"] == 1
-        assert calls["lower"] <= 8 + 1201
+        # The compiled first point lowers every element once, then each
+        # block of the 1201 points lowers the delay once.
+        assert calls["lower"] == 8 + math.ceil(1201 / presets.SCAN_BLOCK)
 
     @pytest.mark.parametrize(
-        "path, spec, per_point",
+        "path, spec, per_block",
         [("model.coherence_length_um", "100:300:50", 1), ("heralds.0.require.D1", "0:3:1", 0)],
         ids=["model", "herald"],
     )
-    def test_scan_paths_fix_what_every_point_re_lowers(self, monkeypatch, path, spec, per_point):
+    def test_scan_paths_fix_what_every_point_re_lowers(self, monkeypatch, path, spec, per_block):
         raw = _delayed_config()
         assert len(raw["elements"]) == 8
         lowered = []
         original = circuit_module.lower_element
         monkeypatch.setattr(circuit_module, "lower_element", lambda el, *a, **kw: lowered.append(el) or original(el, *a, **kw))
         rows = scan(ExperimentConfig.from_dict(raw), path, spec)
-        # The compiled first point lowers every element once.
-        assert len(lowered) == 8 + (len(rows) - 1) * per_point
+        # The compiled first point lowers every element once; the one block
+        # of points lowers the delay, which reads the model, once.
+        assert len(rows) <= presets.SCAN_BLOCK
+        assert len(lowered) == 8 + per_block
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
 
 
 def _lowering_with(monkeypatch, kind: str, field: str, bad_values: dict):
     """Make element `kind` pass its lowered transform through
-    bad_values[v] when its `field` is v."""
+    bad_values[v] when its `field` is v; in a block's stack, the matrix of
+    each point where it is v."""
     original = ELEMENT_KINDS[kind]
 
     def lower(reg, ports, el, model, convention):
         t = original.lower(reg, ports, el, model, convention)
+        if isinstance(el[field], np.ndarray):
+            matrices = [
+                bad_values[v](ModeTransform(t.modes, m, name=t.name)).matrix if v in bad_values else m
+                for v, m in zip(el[field].tolist(), t.matrix)
+            ]
+            return ModeTransform(t.modes, np.stack(matrices), name=t.name)
         if el[field] in bad_values:
             return bad_values[el[field]](t)
         return t
@@ -442,7 +448,7 @@ class TestBlockChecks:
         branch = grid.circuit.branches[0]
         crowded = SourceBranch(branch.amplitude, branch.photons + branch.photons[:1])
         with pytest.raises(FockError, match=r"^5 photons exceed the budget of 4$"):
-            grid.evolve([({}, {0: crowded})] * 2)
+            grid.evolve({}, {0: [crowded] * 2}, 2)
 
     def test_zero_input_state_fails_as_before(self):
         raw = hom_config()
