@@ -11,6 +11,7 @@ transform, so a circuit has one step per element.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .fock import (
     creator_columns,
     multiply_out,
     prepare_product_state,
+    product_norm,
     push_creators,
     superpose,
 )
@@ -81,16 +83,24 @@ class Circuit:
 
 
 def _photon_from_source(src: dict) -> PhotonSpec:
+    """A raw photon's PhotonSpec, with arrays of amplitudes where a field holds an array over points."""
     spatial = src["spatial"]
     if "pol_amps" in src:
         pol = tuple(_complex(c) for c in src["pol_amps"])
     else:
-        pol = PhotonSpec.from_angle(spatial, float(src.get("pol_angle_deg", 45.0))).pol_amps
+        pol = _entries(lambda a: PhotonSpec.from_angle(spatial, float(a)).pol_amps, src.get("pol_angle_deg", 45.0))
     if "bins" in src:
         bins = tuple(_complex(b) for b in src["bins"])
     else:
-        bins = bins_for_reference_overlap(_complex(src.get("overlap", 1.0)))
+        bins = _entries(bins_for_reference_overlap, _complex(src.get("overlap", 1.0)))
     return PhotonSpec(spatial, pol, bins)
+
+
+def _entries(fn, value) -> tuple:
+    """fn(value); for an array, the tuple of arrays of fn's entries, 0 past a shorter tuple's end."""
+    if not isinstance(value, np.ndarray):
+        return fn(value)
+    return tuple(np.array(e) for e in itertools.zip_longest(*map(fn, value.tolist()), fillvalue=0.0))
 
 
 def _lowered(i: int, el: dict, registry, model, convention) -> ModeTransform:
@@ -182,13 +192,14 @@ class ScanCircuit:
     block changes (`changes`): a leaf under `elements.I` re-lowers element
     I, a `model` leaf each element whose kind `reads_model`, each once per
     block with an array of values; a leaf under `sources.branches.B`
-    re-reads branch B.  A `bins`, `photon_budget` or `bin_map` leaf moves
-    modes, so each point is compiled alone (`per_point`).  `evolve` checks
-    a block's stacks, then pushes each source photon's creator, a column
-    over the points, through `plan`: each run of the other elements,
-    composed once, and each re-lowered element's stack.  The pushed
-    creators are multiplied out once (fock.multiply_out).  A fixed
-    branch's creator columns and input norm are computed here, once.
+    rebuilds branch B's amplitude and creators the same way.  A `bins`,
+    `photon_budget` or `bin_map` leaf moves modes, so each point is
+    compiled alone (`per_point`).  `evolve` checks a block's stacks, then
+    pushes each source photon's creator, a column over the points, through
+    `plan`: each run of the other elements, composed once, and each
+    re-lowered element's stack.  It checks their norm (fock.product_norm)
+    and multiplies them out once (fock.multiply_out), into the rows the
+    block's heralds keep if given.  Fixed branches' creators are built here.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
@@ -203,16 +214,14 @@ class ScanCircuit:
             elements |= {i for i, el in enumerate(config.elements) if ELEMENT_KINDS[el["kind"]].reads_model}
         self.elements = tuple(sorted(elements))
         self.branches = tuple(sorted({head[2] for head in heads if head[:2] == ("sources", "branches")}))
-        # A block's column: the raw elements, with an array of values at each element leaf.
-        self.raw_elements = config.elements
-        self.leaves = [] if self.per_point else [keys[1:] for keys in leaves if keys[0] == "elements"]
+        # A block's column: the raw elements and branches, with an array of values at each leaf.
+        self.raw = {"elements": config.elements, "sources": {"branches": config.source_branches}}
+        self.leaves = [] if self.per_point else [keys for keys in leaves if keys[0] in self.raw]
         self.convention = config.convention
-        self.losses = {el["loss"] for el in config.elements if "loss" in el}
-        self.columns = [creator_columns(circuit.registry, [b.photons]) for b in circuit.branches]
-        self.norms = [_norm(circuit.registry, [(1.0, columns)], 1) for columns in self.columns]
-        self.weights = None  # fixed, unless a branch is scanned
-        if not self.branches:
-            self.weights = self._weights([b.amplitude for b in circuit.branches], self.columns, self.norms, 1)
+        # (amplitude, creator columns) of each branch no leaf changes, and the weights if none does.
+        self.fixed = {b: (branch.amplitude, creator_columns(circuit.registry, branch.photons))
+                      for b, branch in enumerate(circuit.branches) if b not in self.branches}
+        self.weights = None if self.branches else self._weights(list(self.fixed.values()), 1)
         self.plan, fixed = [], []
         for i, (_, t) in enumerate(circuit.steps):
             if i in self.elements:
@@ -226,16 +235,19 @@ class ScanCircuit:
             self.plan.append(compose(fixed))
 
     def changes(self, values, points):
-        """({element index: its stack of transforms}, {branch index: its
-        SourceBranch at each point}) of a block, given the leaves' values
-        and, where a model or branch is scanned, the points' own configs;
-        the stacks are not yet checked for unitarity."""
-        column = _with_leaves(self.raw_elements, self.leaves, np.array(values, dtype=float))
+        """({element index: its stack of transforms}, {branch index: (its
+        amplitude, its creator columns) over the points}) of a block,
+        given the leaves' values and, where a model is scanned, the
+        points' own configs; the stacks are not yet checked for unitarity."""
+        values = np.array(values, dtype=float)
+        column = _with_leaves(self.raw, self.leaves, values)
+        els, sources = column["elements"], column["sources"]["branches"]
         model = self.model or np.array([OverlapModel(**point.model) for point in points])
         registry = self.circuit.registry
-        elements = {i: _as_stack(_lowered(i, column[i], registry, model, self.convention)) for i in self.elements}
-        branches = {b: [_source_branch(b, p.source_branches[b], self.losses) for p in points] for b in self.branches}
-        return elements, branches
+        elements = {i: _as_stack(_lowered(i, els[i], registry, model, self.convention)) for i in self.elements}
+        amplitudes = {b: np.full(len(values), _complex(sources[b].get("amplitude", 1.0))) for b in self.branches}
+        photons = {b: [_photon_from_source(src) for src in sources[b]["photons"]] for b in self.branches}
+        return elements, {b: (a, creator_columns(registry, photons[b], len(values))) for b, a in amplitudes.items()}
 
     def lowered(self, config) -> list:
         """[(element index, transform)] of what one point (a config) re-lowers, lowered alone."""
@@ -248,36 +260,28 @@ class ScanCircuit:
         for i, t in lowered:
             _require_unitary(i, t)
 
-    def _weights(self, amplitudes, columns, norms, points) -> list:
-        """Each branch's weight in the block's state: its amplitude over its
-        input norm and over the norm of the superposed input, which is taken
-        from the un-evolved products.  A lone branch's amplitude is a global
-        phase and is dropped."""
-        if len(columns) == 1:
+    def _weights(self, branches, points) -> list:
+        """Each branch's weight in the block's state, given its (amplitude,
+        creator columns): its amplitude over its input norm and over the
+        norm of the superposed input, which is taken from the un-evolved
+        products.  A lone branch's amplitude is a global phase and is dropped."""
+        norms = [_norm(self.circuit.registry, [(1.0, c)], c.shape[2]) for _, c in branches]
+        if len(branches) == 1:
             return [1.0 / norms[0]]
-        weights = [a / norm for a, norm in zip(amplitudes, norms)]
-        total = _norm(self.circuit.registry, list(zip(weights, columns)), points)
+        weights = [a / norm for (a, _), norm in zip(branches, norms)]
+        total = _norm(self.circuit.registry, [(w, c) for w, (_, c) in zip(weights, branches)], points)
         return [w / total for w in weights]
 
-    def evolve(self, elements: dict, branches: dict, n: int) -> GridState:
-        """The final states of a block of n points, given its `changes`.
-
+    def evolve(self, elements: dict, branches: dict, n: int, heralds=None) -> GridState:
+        """The final states of a block of n points, given its `changes`;
+        with heralds (herald_terms' requests), only the rows they keep.
         FockError is raised where the evolved norm drifts from 1 by more
         than NORM_TOL.
         """
         self.require_unitary(elements.items())
-        circuit, registry = self.circuit, self.circuit.registry
-        columns = self.columns
-        if self.branches:
-            columns, norms = list(self.columns), list(self.norms)
-            amplitudes = [b.amplitude for b in circuit.branches]
-            for b in self.branches:
-                columns[b] = creator_columns(registry, [br.photons for br in branches[b]])
-                amplitudes[b] = np.array([br.amplitude for br in branches[b]])
-                norms[b] = _norm(registry, [(1.0, columns[b])], n)
-            weights = self._weights(amplitudes, columns, norms, n)
-        else:
-            weights = self.weights
+        registry = self.circuit.registry
+        sources = [source for _, source in sorted({**self.fixed, **branches}.items())]
+        weights, columns = self.weights or self._weights(sources, n), [c for _, c in sources]
         width = max(c.shape[2] for c in columns)
         pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
         for part in self.plan:
@@ -285,13 +289,13 @@ class ScanCircuit:
                 part = elements[part]
             pushed = push_creators(registry, pushed, part)
         starts = np.cumsum([0] + [c.shape[1] for c in columns])
-        state = multiply_out(registry, [(w, pushed[:, i:j]) for w, i, j in zip(weights, starts, starts[1:])], n)
-        after = state.norm()
+        parts = [(w, pushed[:, i:j]) for w, i, j in zip(weights, starts, starts[1:])]
+        after = product_norm(parts)
         drift = np.abs(after - 1.0)
         if drift.max() > NORM_TOL:
             k = int(drift.argmax())
             raise FockError(f"norm drifted 1.000000000000 -> {after[k]:.12f} under the scan's elements")
-        return state
+        return multiply_out(registry, parts, n, heralds)
 
 
 def _as_stack(t: ModeTransform) -> ModeTransform:

@@ -423,13 +423,15 @@ class LeafCheck:
     valid config.  The result is the message list validate_config_dict
     gives for the same config.
 
-    Where every leaf's subschema is a plain bounded number and no
-    cross-reference check runs (`column`), `passes` checks a whole column
-    of values at once: its bounds at the least and the greatest value.
+    Where every leaf's subschema is a plain bounded or a complex number
+    and no `bins` or `photon_budget` is scanned (`column`), `passes` checks
+    a column of values at once: bounds at its least and greatest value, a
+    photon (norms, overlap, bins: each holds on an interval of magnitudes)
+    at its values of least and greatest magnitude.
     """
 
     def __init__(self, leaves):
-        leaves = [tuple(keys) for keys in leaves]
+        self._leaves = leaves = [tuple(keys) for keys in leaves]
         self._checks, numbers = {}, []
         for keys in leaves:
             n, schema = _subschema(keys)
@@ -437,6 +439,8 @@ class LeafCheck:
             bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
             if n == len(keys) and schema.get("type") in ("number", "integer") and set(schema) <= bounds:
                 numbers.append(schema["type"])  # a plain bounded number
+            elif schema is CONFIG_SCHEMA["$defs"]["complexish"]:
+                numbers.append("number")  # any finite number is valid
         # (branch, photon) of each scanned photon field.
         self._photons = {
             (keys[2], keys[4])
@@ -445,15 +449,17 @@ class LeafCheck:
         }
         self._budget = ("photon_budget",) in leaves
         self._bins = ("bins",) in leaves
-        self.column = len(numbers) == len(leaves) and not (self._photons or self._budget or self._bins)
+        self.column = len(numbers) == len(leaves) and not (self._budget or self._bins)
         self._integers = "integer" in numbers
 
-    def passes(self, values) -> bool:
-        """Whether no point, with one of a scan's float values at every
-        leaf, has a violation; only where `column`."""
+    def passes(self, values, raw: dict) -> bool:
+        """Whether no point of raw, with one of a scan's float values at
+        every leaf, has a violation; only where `column`."""
         ends = (min(values), max(values))  # all finite if both are
         integral = not self._integers or all(value.is_integer() for value in values)
-        return integral and all(math.isfinite(x) and v.is_valid(x) for x in ends for v in self._checks.values())
+        magnitudes = (min(values, key=abs), max(values, key=abs)) if self._photons else ()
+        return (integral and all(math.isfinite(x) and v.is_valid(x) for x in ends for v in self._checks.values())
+                and not any(self._value_violations(_with_leaves(raw, self._leaves, x)) for x in magnitudes))
 
     def __call__(self, raw: dict) -> list:
         errors, problems = [], []

@@ -17,7 +17,6 @@ Polarization conventions, fixed across the package:
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable
 from typing import NamedTuple
@@ -25,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distinguishability import OverlapError, OverlapModel, overlap_from_delay
-from .fock import ModeTransform
+from .fock import ModeTransform, _at_points
 from .modes import H, V, ModeId, ModeRegistry
 
 PBS_CONVENTIONS = ("perm", "i-reflect")
@@ -33,16 +32,6 @@ PBS_CONVENTIONS = ("perm", "i-reflect")
 
 class ElementError(ValueError):
     pass
-
-
-def _at_points(fn, *fields):
-    """fn(*fields); or, where a field is a NumPy array over a scan's points
-    (a list is a config value), the array of fn at each point, each in
-    Python arithmetic, as that point alone computes it."""
-    if not any(isinstance(f, np.ndarray) for f in fields):
-        return fn(*fields)
-    columns = [f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in fields]
-    return np.array([fn(*values) for values in zip(*columns)])
 
 
 def _shown(value, spec: str = "") -> str:

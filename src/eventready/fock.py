@@ -17,9 +17,10 @@ build states on this rule:
   through a mode unitary, or a stack with one unitary per point, as one
   matrix product.  multiply_out then expands the product of the pushed
   creators once, into a GridState: a (terms, modes) occupation matrix and
-  a (terms, points) amplitude matrix.  prepare_product_grid is its case
-  with no unitary.  This is the creation form of Heurtel et al., "Strong
-  simulation of linear optical processes", CPC 291, 108848 (2023).
+  a (terms, points) amplitude matrix, of only the rows heralds keep if
+  given; product_norm reads its norm off the columns.  This is the
+  creation form of Heurtel et al., "Strong simulation of linear optical
+  processes", CPC 291, 108848 (2023).
 
 Heralds and traces read a GridState's matrices with column masks
 (analysis.herald_terms, kept_pair_pass); a PureState is read as a
@@ -30,6 +31,7 @@ its PureState's terms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -149,30 +151,14 @@ class PhotonSpec:
 def _creation_op_vector(registry: ModeRegistry, photon: PhotonSpec):
     """Single-photon creation operator as {mode index: coefficient}."""
     registry.require_spatial(photon.spatial)
-    pol_norm = math.sqrt(sum(abs(a) ** 2 for a in photon.pol_amps))
-    bin_norm = math.sqrt(sum(abs(a) ** 2 for a in photon.bins))
-    if abs(pol_norm - 1.0) > INPUT_NORM_TOL:
-        raise FockError(
-            f"photon on {photon.spatial}: polarization amplitudes not normalized "
-            f"(norm {pol_norm:.3e})"
-        )
-    if abs(bin_norm - 1.0) > INPUT_NORM_TOL:
-        raise FockError(
-            f"photon on {photon.spatial}: bin amplitudes not normalized "
-            f"(norm {bin_norm:.3e})"
-        )
+    for what, amplitudes in (("polarization", photon.pol_amps), ("bin", photon.bins)):
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
+        if abs(norm - 1.0) > INPUT_NORM_TOL:
+            raise FockError(f"photon on {photon.spatial}: {what} amplitudes not normalized (norm {norm:.3e})")
     if len(photon.bins) > registry.bins:
-        raise FockError(
-            f"photon on {photon.spatial} uses {len(photon.bins)} bins, "
-            f"registry has {registry.bins}"
-        )
-    op = {}
-    for pol, pamp in zip((H, V), photon.pol_amps):
-        for b, bamp in enumerate(photon.bins):
-            c = complex(pamp) * complex(bamp)
-            if c != 0:
-                op[registry.index(ModeId(photon.spatial, pol, b))] = c
-    return op
+        raise FockError(f"photon on {photon.spatial} uses {len(photon.bins)} bins, registry has {registry.bins}")
+    # In index order: H bins, then V bins, as the registry orders a label's modes.
+    return {i: c for i, c in enumerate(creator_columns(registry, [photon])[:, 0, 0].tolist()) if c != 0}
 
 
 def _apply_creation(registry: ModeRegistry, state_terms: dict, op: dict) -> dict:
@@ -205,31 +191,28 @@ def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
 
 def _check_budget(registry: ModeRegistry, n_photons: int):
     if n_photons > registry.photon_budget:
-        raise FockError(
-            f"{n_photons} photons exceed the budget of {registry.photon_budget}"
-        )
+        raise FockError(f"{n_photons} photons exceed the budget of {registry.photon_budget}")
 
 
-def prepare_product_grid(registry: ModeRegistry, photon_grid) -> "GridState":
-    """prepare_product_state at every scan point at once.
+def _at_points(fn, *fields):
+    """fn(*fields); or, where a field is a NumPy array over a scan's points
+    (a list is a config value), the array of fn at each point, each in
+    Python arithmetic, as that point alone computes it."""
+    if not any(isinstance(f, np.ndarray) for f in fields):
+        return fn(*fields)
+    columns = [f.tolist() if isinstance(f, np.ndarray) else itertools.repeat(f) for f in fields]
+    return np.array([fn(*values) for values in zip(*columns)])
 
-    photon_grid holds, per point, the same number of photons.
-    """
-    photon_grid = [list(photons) for photons in photon_grid]
-    columns = creator_columns(registry, photon_grid)
-    return multiply_out(registry, [(1.0, columns)], len(photon_grid)).normalized()
 
-
-def creator_columns(registry: ModeRegistry, photon_grid) -> np.ndarray:
-    """Each photon's creator at every point, as the columns of an array
-    (modes, photons, points); photon_grid holds, per point, the same
-    number of photons, at most the registry's budget."""
-    _check_budget(registry, max(len(photons) for photons in photon_grid))
-    ops = [[_creation_op_vector(registry, p) for p in photons] for photons in photon_grid]
-    columns = np.zeros((registry.size, len(ops[0]), len(ops)), dtype=complex)
-    for k, point_ops in enumerate(ops):
-        for p, op in enumerate(point_ops):
-            columns[list(op), p, k] = list(op.values())
+def creator_columns(registry: ModeRegistry, photons, points: int = 1) -> np.ndarray:
+    """The photons' creators as the columns of an array (modes, photons, points); an amplitude
+    may be an array over the points, each entry then formed at each point in Python arithmetic."""
+    columns = np.zeros((registry.size, len(photons), points), dtype=complex)
+    for p, photon in enumerate(photons):
+        for (pol, pamp), (b, bamp) in itertools.product(zip((H, V), photon.pol_amps), enumerate(photon.bins)):
+            c = _at_points(lambda x, y: complex(x) * complex(y), pamp, bamp)
+            columns[registry.index(ModeId(photon.spatial, pol, b)), p] = c
+    columns[columns == 0] = 0  # a zero product, of either sign, is no entry
     return columns
 
 
@@ -249,21 +232,25 @@ def push_creators(registry: ModeRegistry, columns: np.ndarray, t: "ModeTransform
     return pushed
 
 
-def multiply_out(registry: ModeRegistry, branches, points: int) -> "GridState":
+def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) -> "GridState":
     """sum_b w_b prod_k (sum_i C_b[i, k] a_i^dag) |vacuum> at every point,
     pruned at PRUNE_TOL.
 
     branches holds (w_b, C_b): a weight, a number or an array over the
     points, and the branch's creator columns (modes, photons, width), of
-    width `points`, or 1 if the same at every point.  The product is taken
-    photon by photon, with each partial product keyed by its sorted tuple
-    of mode indices and equal keys summed, so its size stays within
-    terms x support x points.  Since (a^dag)^n |vacuum> = sqrt(n!) |n>,
-    each occupation then gets the factor sqrt(prod_j n_j!).
+    width `points`, or 1 if the same at every point, and at most the
+    registry's budget of photons.  The product is taken photon by photon,
+    with each partial product keyed by its sorted tuple of mode indices and
+    equal keys summed, so its size stays within terms x support x points.
+    Since (a^dag)^n |vacuum> = sqrt(n!) |n>, each occupation then gets the
+    factor sqrt(prod_j n_j!).  Given heralds (analysis.herald_terms'
+    requests), the state holds only the rows one keeps, with their bits.
     """
+    keeps = heralds and _herald_rows(registry, heralds)
     keys, amplitudes = [], []
     for weight, columns in branches:
-        k, c = _creator_product(columns)
+        _check_budget(registry, columns.shape[1])
+        k, c = _creator_product(columns, keeps)
         keys.append(k)
         amplitudes.append(np.broadcast_to(c, (len(c), points)) * np.reshape(weight, (1, -1)))
     photon_counts = sorted({k.shape[1] for k in keys})
@@ -288,19 +275,59 @@ def multiply_out(registry: ModeRegistry, branches, points: int) -> "GridState":
     return GridState(registry, occupations, amplitudes)
 
 
-def _creator_product(columns):
+def _creator_product(columns, keeps=None):
     """(keys, coefficients) of the product of the creator columns: one
     row per distinct sorted tuple of mode indices, in lexicographic
-    order, with its coefficient at each point."""
+    order, with its coefficient at each point; with keeps, only the rows
+    it keeps, each summing the same products in the same order."""
     keys = np.zeros((1, 0), dtype=np.intp)
     coefficients = np.ones((1, 1), dtype=complex)
-    for column in columns.transpose(1, 0, 2):
+    for p, column in enumerate(columns.transpose(1, 0, 2)):
         support = np.flatnonzero(column.any(axis=1))
         keys = np.concatenate([np.repeat(keys, len(support), axis=0), np.tile(support, len(keys))[:, None]], axis=1)
+        products = coefficients[:, None, :] * column[support][None]
+        products = products.reshape(-1, products.shape[2])  # no -1 here: a pruned block may have no rows
+        if keeps:
+            kept = keeps(keys, final=p == columns.shape[1] - 1)
+            keys, products = keys[kept], products[kept]
         keys.sort(axis=1)
-        # Passed on, not kept, so the unsorted products are freed once sorted.
-        keys, coefficients = _summed(keys, (coefficients[:, None, :] * column[support][None]).reshape(len(keys), -1))
+        keys, coefficients = _summed(keys, products)
     return keys, coefficients
+
+
+def _herald_rows(registry: ModeRegistry, heralds):
+    """keeps(keys, final): whether one of heralds keeps each row of keys (a
+    product's mode indices), or, unless final, may with photons added: its
+    groups hold their counts, other read modes none, some read mode some."""
+    bounds, starts = [], []  # (mode indices, least, most) of each herald in turn
+    for requirements, read in heralds:
+        groups = [({registry.index(m) for m in modes}, n) for modes, n in requirements.values()]
+        grouped = set().union(*(idxs for idxs, _ in groups))
+        read = grouped.union(map(registry.index, read))
+        starts.append(len(bounds))
+        bounds += [(idxs, n, n) for idxs, n in groups] + [(read - grouped, 0, 0), (read, 1, registry.photon_budget)]
+    members = np.array([[i in idxs for i in range(registry.size)] for idxs, _, _ in bounds], dtype=np.intp)
+    least, most = (np.array(column)[:, None] for column in list(zip(*bounds))[1:])
+
+    def keeps(keys, final):
+        counts = members[:, keys].sum(axis=2)
+        fits = (counts <= most) & (counts >= least if final else True)
+        return np.logical_and.reduceat(fits, starts, axis=0).any(axis=0)
+
+    return keeps
+
+
+def product_norm(branches) -> np.ndarray:
+    """The norm at each point of multiply_out(registry, branches, points),
+    from the columns alone: <vacuum| prod_k a(c_k) prod_l a^dag(d_l) |vacuum>
+    is perm [<c_k, d_l>] (Scheel, quant-ph/0406127), summed over pairs of
+    branches with weights conj(w_b) w_b'."""
+    b, n = len(branches), branches[0][1].shape[1]
+    weights = np.array(np.broadcast_arrays(*(w for w, _ in branches))).reshape(b, 1, -1)
+    columns = np.concatenate(np.broadcast_arrays(*(c for _, c in branches)), axis=1).transpose(2, 1, 0)
+    gram = (columns.conj() @ columns.transpose(0, 2, 1)).reshape(-1, b, n, b, n).transpose(1, 3, 0, 2, 4)
+    permanents = gram[..., np.arange(n), list(itertools.permutations(range(n)))].prod(axis=-1).sum(axis=-1)
+    return np.sqrt(np.real((weights.conj() * weights.transpose(1, 0, 2) * permanents).sum(axis=(0, 1))))
 
 
 def _summed(keys, coefficients):

@@ -352,10 +352,11 @@ def _observables(points: list, state: GridState, groups: dict) -> list:
     first = [None] * len(points)  # (probability, rho) under the first herald
     kept = points[0].kept
     for k in range(len(points[0].heralds)):
-        passes = {}  # herald spec, as JSON: (probability, rho, off the pair) at each point
+        # herald spec, as JSON: (probability, rho, off the pair) at each point; id of a spec: its JSON
+        passes, keys = {}, {}
         for j, point in enumerate(points):
             spec = point.heralds[k]
-            key = json.dumps(spec, sort_keys=True)
+            key = keys.get(id(spec)) or keys.setdefault(id(spec), json.dumps(spec, sort_keys=True))
             if key not in passes:
                 patterns, heralded = herald_terms(state, *_herald_request(groups, spec))
                 if kept:
@@ -452,7 +453,7 @@ def _checked(check: LeafCheck, raw: dict) -> ExperimentConfig:
     return ExperimentConfig._from_valid(raw)
 
 
-def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
+def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded: bool = False):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
@@ -460,12 +461,13 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     checked (LeafCheck).  The exception is a leaf absent from config: the
     first point then adds a key, which the schema may not know or which
     may clash with another field, so it is validated in full.  The first
-    point is compiled into a ScanCircuit.  A block's values are lowered
-    and evolved at once, and checked at once where LeafCheck allows
-    (`column`) and no point needs a config of its own (`heralds`,
-    `analyzers`, `model`, `sources`).  A failing block is redone point by
+    point is compiled into a ScanCircuit.  A block's values are lowered,
+    made into creators and evolved at once, and checked at once where
+    LeafCheck allows (`column`) and no point needs a config of its own
+    (`heralds`, `analyzers`, `model`).  A failing block is redone point by
     point, so its first bad point raises its own error.  A `bins`,
-    `photon_budget` or `bin_map` scan compiles each point alone.
+    `photon_budget` or `bin_map` scan compiles each point alone.  Where
+    heralded, a block holds only the rows its heralds, if any, keep.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -478,8 +480,8 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     check = LeafCheck(leaves)
     point = _checked(check, _with_leaves(base, leaves, values[0]))
     grid = ScanCircuit(compile_circuit(point), point, leaves)
-    # A point's own config is read where the observables, model or a branch read a scanned field.
-    per_config = any(keys[0] in ("heralds", "analyzers", "model", "sources") for keys in leaves)
+    # A point's own config is read where the observables or the model read a scanned field.
+    per_config = any(keys[0] in ("heralds", "analyzers", "model") for keys in leaves)
     size = 1 if grid.per_point else SCAN_BLOCK
     for start in range(0, len(values), size):
         block = values[start : start + size]
@@ -489,11 +491,14 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
                 grid = ScanCircuit(compile_circuit(point), point, leaves)
             if not check.column or per_config:
                 points = [_checked(check, _with_leaves(base, leaves, value)) for value in block]
-            elif check.passes(block):
+            elif check.passes(block, base):
                 points = [point] * len(block)
             else:
                 raise ConfigError([f"a value of {path!r} fails its check"])
-            state = grid.evolve(*grid.changes(block, points), len(block))
+            groups = _detector_groups(grid.circuit.registry, point.detectors)
+            specs = {json.dumps(s, sort_keys=True): s for p in {id(p): p for p in points}.values() for s in p.heralds}
+            heralds = [_herald_request(groups, spec) for spec in specs.values()] if heralded else None
+            state = grid.evolve(*grid.changes(block, points), len(block), heralds)
         except ValueError:
             # Point by point; `finally` raises an earlier non-unitary point first.
             lowered = []
@@ -503,7 +508,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
             finally:
                 grid.require_unitary(lowered)
             raise
-        yield block, points, state, _detector_groups(grid.circuit.registry, point.detectors)
+        yield block, points, state, groups
 
 
 def scan(config: ExperimentConfig, path: str, range_spec: str):
@@ -512,13 +517,14 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     config is a validated ExperimentConfig (ExperimentConfig.from_dict,
     parse_config or build_preset_config); the points are checked only at
     the scanned leaves, a block of them at once where each is a plain
-    bounded number, save the first when a scanned leaf is absent from
-    config, which is validated in full.  Several comma-separated paths
-    move together through the same values, e.g. both photons of a delayed
-    pair sharing one overlap.
+    bounded or a complex number, save the first when a scanned leaf is
+    absent from config, which is validated in full.  A block is multiplied
+    out only into the rows its heralds keep, all that is read of it.
+    Several comma-separated paths move together through the same values,
+    e.g. both photons of a delayed pair sharing one overlap.
     """
     rows = []
-    for values, points, grid, groups in _scan_blocks(config, path, range_spec):
+    for values, points, grid, groups in _scan_blocks(config, path, range_spec, heralded=True):
         rows += [{"param": value, **obs} for value, obs in zip(values, _observables(points, grid, groups))]
     return rows
 
@@ -916,7 +922,14 @@ PRESET_NAMES = tuple(PRESETS)
 # ---------------------------------------------------------------------------
 
 
+# Cells by exact type, bool and np.bool_ apart from int; other types go through the chain.
+_CELL_FORMATS = {float: repr, np.float64: lambda x: repr(float(x)), bool: str, np.bool_: str, int: str, str: str}
+
+
 def _format_cell(value) -> str:
+    exact = _CELL_FORMATS.get(type(value))
+    if exact:
+        return exact(value)
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (bool, np.bool_)):

@@ -28,10 +28,10 @@ from eventready.fock import (
     creator_columns,
     kept_pair_pass,
     multiply_out,
-    prepare_product_grid,
     push_creators,
 )
 from eventready.modes import H
+from eventready.presets import _herald_request, _observables
 
 from oracles import (
     embed_transform,
@@ -283,10 +283,15 @@ def _point(grid, k: int) -> PureState:
     )
 
 
+def _grid_columns(reg, photon_grid):
+    """The creator columns of a block, each point's built on its own."""
+    return np.concatenate([creator_columns(reg, photons) for photons in photon_grid], axis=2)
+
+
 def _pushed_grid(reg, photon_grid, steps):
     """The block's photons' creators pushed through steps in turn, then
     multiplied out and normalized."""
-    columns = creator_columns(reg, photon_grid)
+    columns = _grid_columns(reg, photon_grid)
     for step in steps:
         columns = push_creators(reg, columns, step)
     return multiply_out(reg, [(1.0, columns)], len(photon_grid)).normalized()
@@ -303,7 +308,7 @@ class TestGridProperties:
     @given(grid_cases())
     def test_grid_evolution_matches_each_point(self, case):
         reg, photon_grid, sequences = case
-        grid = prepare_product_grid(reg, photon_grid)
+        grid = _pushed_grid(reg, photon_grid, [])  # the prepared grid: no steps
         # Every point of a step acts on the same modes.
         steps = [ModeTransform(column[0].modes, np.stack([t.matrix for t in column])) for column in zip(*sequences)]
         evolved = _pushed_grid(reg, photon_grid, [compose(steps)])
@@ -349,7 +354,7 @@ def scan_grid_cases(draw):
     return reg, grids, amplitudes, sequences
 
 
-def _scan_circuit_evolve(reg, grids, amplitudes, sequences):
+def _scan_circuit_evolve(reg, grids, amplitudes, sequences, heralds=None):
     """The block state of ScanCircuit.evolve: every branch scanned, and
     each step re-lowered where its matrix differs between points."""
     per_point = [
@@ -362,11 +367,8 @@ def _scan_circuit_evolve(reg, grids, amplitudes, sequences):
     leaves = [["elements", i, "matrix"] for i in per_point]
     leaves += [["sources", "branches", b, "amplitude"] for b in range(len(grids))]
     elements = {i: ModeTransform(sequences[0][i].modes, np.stack([s[i].matrix for s in sequences])) for i in per_point}
-    branches = {
-        b: [SourceBranch(complex(a[k]), tuple(grid[k])) for k in range(len(sequences))]
-        for b, (a, grid) in enumerate(zip(amplitudes, grids))
-    }
-    return ScanCircuit(circuit, config, leaves).evolve(elements, branches, len(sequences))
+    branches = {b: (a, _grid_columns(reg, grid)) for b, (a, grid) in enumerate(zip(amplitudes, grids))}
+    return ScanCircuit(circuit, config, leaves).evolve(elements, branches, len(sequences), heralds)
 
 
 class TestScanEvolution:
@@ -408,6 +410,57 @@ def scan_herald_cases(draw):
     split = draw(st.integers(1, len(read)))
     count = draw(st.integers(0, len(grids[0][0])))
     return reg, grids, amplitudes, sequences, read, {"g": (tuple(read[:split]), count)}
+
+
+@st.composite
+def scan_herald_spec_cases(draw):
+    """scan_grid_cases with detectors on some of the registry's modes and
+    one to three herald specs over them, as a config gives them: each
+    requires counts of some detectors and none at some others."""
+    reg, grids, amplitudes, sequences = draw(scan_grid_cases())
+    modes = st.lists(st.sampled_from(reg.modes), min_size=1, max_size=3, unique=True)
+    groups = {f"d{i}": tuple(group) for i, group in enumerate(draw(st.lists(modes, min_size=1, max_size=3)))}
+    specs = []
+    for k in range(draw(st.integers(1, 3))):
+        required = draw(st.lists(st.sampled_from(sorted(groups)), min_size=1, unique=True))
+        zero = [d for d in draw(st.lists(st.sampled_from(sorted(groups)), unique=True)) if d not in required]
+        counts = {d: draw(st.integers(0, len(grids[0][0]))) for d in required}
+        specs.append({"name": f"h{k}", "require": counts, "zero": zero})
+    return reg, grids, amplitudes, sequences, groups, specs
+
+
+def _herald_keeps(reg, occ, requirements, read) -> bool:
+    """Whether herald_terms keeps the row occ, by counting its photons."""
+    grouped = {m for modes, _ in requirements.values() for m in modes}
+    read = set(read) | grouped
+    count = lambda modes: sum(occ[reg.index(m)] for m in modes)
+    return count(read) > 0 and count(read - grouped) == 0 and all(count(g) == n for g, n in requirements.values())
+
+
+class TestHeraldPrunedEvolution:
+    """Given its heralds, a block multiplies out only the rows they keep;
+    each must hold the bits it has in the full state."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(scan_herald_spec_cases())
+    def test_pruned_state_is_the_herald_kept_rows_of_the_full_state(self, case):
+        reg, grids, amplitudes, sequences, groups, specs = case
+        requests = [_herald_request(groups, spec) for spec in specs]
+        full = _scan_circuit_evolve(reg, grids, amplitudes, sequences)
+        pruned = _scan_circuit_evolve(reg, grids, amplitudes, sequences, requests)
+        kept = [any(_herald_keeps(reg, occ, *request) for request in requests) for occ in full.occupations.tolist()]
+        assert np.array_equal(pruned.occupations, full.occupations[kept])
+        assert np.array_equal(pruned.amplitudes.view(np.uint64), full.amplitudes[kept].view(np.uint64))
+        arms = (reg.spatial_labels[0], reg.spatial_labels[-1])
+        for request in requests:
+            (got_patterns, got), (want_patterns, want) = (herald_terms(state, *request) for state in (pruned, full))
+            assert np.array_equal(got_patterns, want_patterns)
+            for a, b in zip(kept_pair_pass(got, arms, got_patterns), kept_pair_pass(want, arms, want_patterns)):
+                assert np.array_equal(a, b)  # p, rho and the rows off the pair
+        points = [SimpleNamespace(heralds=specs, kept=arms, analyzers={"theta_a_deg": 0.0, "theta_b_deg": 45.0})]
+        assert repr(_observables(points * len(sequences), pruned, groups)) == repr(
+            _observables(points * len(sequences), full, groups)
+        )
 
 
 class TestGridReaders:

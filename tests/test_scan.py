@@ -23,10 +23,10 @@ import eventready.config as config_module
 import eventready.presets as presets
 from eventready import ExperimentConfig
 from eventready.cli import main
-from eventready.circuit import CircuitError, ScanCircuit, SourceBranch, compile_circuit
+from eventready.circuit import CircuitError, ScanCircuit, compile_circuit
 from eventready.config import ConfigError, LeafCheck, validate_config_dict
 from eventready.elements import ELEMENT_KINDS, ElementError
-from eventready.fock import FockError, ModeTransform
+from eventready.fock import FockError, ModeTransform, creator_columns
 from eventready.presets import (
     MAX_SCAN_POINTS,
     PresetError,
@@ -49,6 +49,26 @@ def _beamsplitter_config(transmissivity=0.5):
     raw = hom_config()
     raw["elements"].insert(1, {"kind": "beamsplitter", "ports": ["A1", "A2"], "transmissivity": transmissivity})
     return raw
+
+
+def _correlation_config():
+    return build_preset_config("polarization-correlation", {}).to_dict()
+
+
+def _herald_scan_config():
+    """The benchmark's herald scan: the polarization-correlation config with analyzers set."""
+    return {**_correlation_config(), "analyzers": {"theta_a_deg": 0.0, "theta_b_deg": 45.0}}
+
+
+def _with_photon(raw: dict, photon: int, **fields) -> dict:
+    """A deep copy of raw with fields set on one photon of its first
+    branch, whose pol_angle_deg goes where pol_amps is set."""
+    out = copy.deepcopy(raw)
+    src = out["sources"]["branches"][0]["photons"][photon]
+    if "pol_amps" in fields:
+        del src["pol_angle_deg"]
+    src.update(fields)
+    return out
 
 
 def _delayed_config():
@@ -333,6 +353,32 @@ class TestSameErrors:
         # point, like every later one, has its scanned leaf checked.
         assert calls == {"validate": 1, "cross": 1}
 
+    def test_photon_scan_checks_each_block_once(self, monkeypatch):
+        calls = {"point": 0, "block": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(LeafCheck, "__call__", counting("point", LeafCheck.__call__))
+        monkeypatch.setattr(LeafCheck, "passes", counting("block", LeafCheck.passes))
+        monkeypatch.setattr(presets, "SCAN_BLOCK", 8)
+        rows = scan(ExperimentConfig.from_dict(_herald_scan_config()), FUSION_OVERLAPS, "0.43:0.94:0.02")
+        # The compiled first point is checked alone; each block of 8 of the 26 points at once.
+        assert len(rows) == 26
+        assert calls == {"point": 1, "block": 4}
+
+    def test_photon_block_with_a_bad_fourth_point_fails_as_that_point(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(_herald_scan_config()))
+        # 0.9, 0.95, 1.0, 1.05: one block, which fails LeafCheck and is redone point by point.
+        assert main(["--config", str(cfg_path), "--scan", "sources.branches.0.photons.2.overlap=0.9:1.2:0.05"]) == 1
+        message = "$.sources.branches.0.photons.2.overlap: overlap magnitude 1.05 exceeds 1"
+        assert capsys.readouterr().err == f"eventready: config error: {message}\n"
+
     def test_scan_validates_once_and_compiles_once(self, monkeypatch):
         calls = {"validate": 0, "compile": 0, "lower": 0}
 
@@ -446,9 +492,10 @@ class TestBlockChecks:
         config = ExperimentConfig.from_dict(fusion_scheme_config())
         grid = ScanCircuit(compile_circuit(config), config, [["sources", "branches", 0, "photons", 0, "overlap"]])
         branch = grid.circuit.branches[0]
-        crowded = SourceBranch(branch.amplitude, branch.photons + branch.photons[:1])
+        # The crowded branch at two points, as ScanCircuit.changes gives a scanned branch.
+        crowded = creator_columns(grid.circuit.registry, branch.photons + branch.photons[:1], 2)
         with pytest.raises(FockError, match=r"^5 photons exceed the budget of 4$"):
-            grid.evolve({}, {0: [crowded] * 2}, 2)
+            grid.evolve({}, {0: (np.full(2, branch.amplitude), crowded)}, 2)
 
     def test_zero_input_state_fails_as_before(self):
         raw = hom_config()
@@ -464,6 +511,70 @@ class TestBlockChecks:
         monkeypatch.setattr(ScanCircuit, "require_unitary", lambda self, points: None)
         with pytest.raises(FockError, match=r"^norm drifted 1\.000000000000 -> "):
             scan(ExperimentConfig.from_dict(raw), path, spec)
+
+
+class TestPhotonColumns:
+    """A scanned photon field or branch amplitude builds a block's creator
+    columns at once from its values, with each point's own bits."""
+
+    @pytest.mark.parametrize(
+        "raw, path, spec",
+        [
+            (hom_config(), "sources.branches.0.photons.1.overlap", "0:1:0.05"),
+            (
+                _with_photon(polarizer_variant_config(), 2, overlap=[0.9, 0.1]),
+                "sources.branches.0.photons.2.overlap.1",
+                "-0.3:0.3:0.05",
+            ),
+            (hom_config(), "sources.branches.0.photons.0.pol_angle_deg", "0:180:7.5"),
+            (
+                _with_photon(hom_config(), 0, pol_amps=[0.6, [0.0, 0.8]]),
+                "sources.branches.0.photons.0.pol_amps.1.1",
+                "-0.8:0.8:1.6",
+            ),
+            (_with_photon(hom_config(), 0, bins=[0.6, 0.8]), "sources.branches.0.photons.0.bins.1", "-0.8:0.8:1.6"),
+            (fusion_delay_config(), "sources.branches.1.amplitude.0", "0.1:1:0.1"),
+        ],
+        ids=["overlap", "overlap-part", "pol-angle", "pol-amps-part", "bins-part", "amplitude-part"],
+    )
+    def test_block_columns_equal_each_points_own(self, raw, path, spec):
+        config, values = ExperimentConfig.from_dict(raw), parse_range(spec)
+        keys, _ = presets._path_keys(config.to_dict(), path)
+        grid = ScanCircuit(compile_circuit(config), config, [keys])
+        _, branches = grid.changes(values, [config] * len(values))
+        [(b, (amplitude, columns))] = branches.items()
+        # Each point compiled alone: its branch read by compile_circuit, its columns built from that.
+        alone = [compile_circuit(ExperimentConfig.from_dict(_set(raw, path, v))).branches[b] for v in values]
+        each = [creator_columns(grid.circuit.registry, branch.photons) for branch in alone]
+        assert np.array_equal(columns, np.concatenate(each, axis=2))
+        assert np.array_equal(amplitude, [branch.amplitude for branch in alone])
+
+
+class TestHeraldPruning:
+    """scan() reads a block only through its heralds, so a block is
+    multiplied out only into the rows they keep; the delay scan, which
+    reads every outcome, keeps its full state."""
+
+    def _states(self, monkeypatch):
+        states = []
+        evolve = ScanCircuit.evolve
+
+        def recording(self, elements, branches, n, heralds=None):
+            states.append((evolve(self, elements, branches, n, heralds), evolve(self, elements, branches, n)))
+            return states[-1][0]
+
+        monkeypatch.setattr(ScanCircuit, "evolve", recording)
+        return states
+
+    def test_herald_scan_block_holds_only_its_heralded_rows(self, monkeypatch):
+        states = self._states(monkeypatch)
+        scan(ExperimentConfig.from_dict(_herald_scan_config()), FUSION_OVERLAPS, "0.43:0.94:0.02")
+        assert [(len(state.occupations), len(full.occupations)) for state, full in states] == [(46, 1247)]
+
+    def test_delay_scan_block_holds_its_full_state(self, monkeypatch):
+        states = self._states(monkeypatch)
+        run_preset("fusion-delay-scan", overrides={"delta_range": "-10:10:1"}, shots=0)
+        assert states and all(np.array_equal(state.occupations, full.occupations) for state, full in states)
 
 
 class TestRangeLimits:
@@ -536,3 +647,32 @@ class TestReferenceOutputs:
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path), "--scan", f"{FUSION_OVERLAPS}=0.43:0.94:0.02", "--out", str(tmp_path)]) == 0
         _assert_csv_matches((tmp_path / "scan.csv").read_text(), DATA / "overlap_scan_analyzers.csv")
+
+
+class TestExactOutputs:
+    """Scan CSVs as written before a scan block was herald-pruned and its
+    photons read as columns, compared byte for byte."""
+
+    @pytest.mark.parametrize(
+        "raw, scan_arg, reference",
+        [
+            (_herald_scan_config(), f"{FUSION_OVERLAPS}=0.43:0.94:0.02", "herald_scan.csv"),
+            (_correlation_config(), "sources.branches.0.photons.1.pol_angle_deg=0:90:5", "pol_angle_scan.csv"),
+            (
+                _with_photon(_with_photon(_correlation_config(), 2, overlap=[0.9, 0.1]), 3, overlap=[0.9, 0.1]),
+                "sources.branches.0.photons.2.overlap.1,sources.branches.0.photons.3.overlap.1=-0.3:0.3:0.05",
+                "overlap_part_scan.csv",
+            ),
+            (_correlation_config(), "heralds.0.require.D1=0:2:1", "herald_require_scan.csv"),
+        ],
+        ids=["herald-scan", "pol-angle", "overlap-part", "herald-require"],
+    )
+    def test_scan_csv_bytes(self, tmp_path, raw, scan_arg, reference):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", scan_arg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "scan.csv").read_bytes() == (DATA / "exact" / reference).read_bytes()
+
+    def test_hom_scan_curve_bytes(self, tmp_path):
+        run_preset("hom-scan", out_dir=tmp_path)
+        assert (tmp_path / "hom-scan.csv").read_bytes() == (DATA / "exact" / "hom_scan.csv").read_bytes()
