@@ -106,8 +106,9 @@ def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
 
 def heralded_polarization_dm(state: PureState, group_requirements: dict, read_out, kept_spatial):
     """Total herald probability and the bin-traced kept-pair density matrix;
-    FockError for the first term, by pattern, whose kept support is not
-    one photon per arm (partial_trace_to_polarization's message)."""
+    FockError for the first term, by pattern and then occupation, whose
+    kept support is not one photon per arm (partial_trace_to_polarization's
+    message)."""
     patterns, kept = herald_terms(one_point_grid(state), group_requirements, read_out)
     total, rho, bad = kept_pair_pass(kept, kept_spatial, patterns)
     if not total[0]:
@@ -263,23 +264,23 @@ def chsh_S(
     """CHSH combination S = E(a,b) - E(a,b') + E(a',b) + E(a',b').
 
     With shots given, each E is estimated from a multinomial draw over the
-    four analyzer outcomes and carries a propagated standard deviation.
+    four analyzer outcomes and carries a propagated standard deviation;
+    the four settings are drawn as one block, setting k with seed + k.
     """
     settings = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     es = []
     stds = []
-    for k, (sa, sb) in enumerate(settings):
-        if shots is None:
-            es.append(correlation_E(rho, sa, sb))
-        else:
+    if shots is None:
+        es = [correlation_E(rho, sa, sb) for sa, sb in settings]
+    else:
+        columns = []
+        for sa, sb in settings:
             probs = analyzer_probabilities(rho, sa, sb)
             total = sum(probs)
-            dist = [
-                (name, max(0.0, p) / total)
-                for name, p in zip(("pp", "pf", "fp", "ff"), probs)
-            ]
-            counts = dict(sample_counts(dist, shots, (seed or 0) + k))
-            e = (counts["pp"] + counts["ff"] - counts["pf"] - counts["fp"]) / shots
+            columns.append([max(0.0, p) / total for p in probs])
+        counts = dict(sample_counts(list(zip(("pp", "pf", "fp", "ff"), map(list, zip(*columns)))), shots, seed or 0))
+        for k in range(len(settings)):
+            e = (counts["pp"][k] + counts["ff"][k] - counts["pf"][k] - counts["fp"][k]) / shots
             es.append(float(e))
             stds.append(math.sqrt(max(0.0, 1.0 - e * e) / shots))
     for e in es:
@@ -405,9 +406,10 @@ def sample_counts(distribution, shots: int, seed: int):
     """Deterministic multinomial count sampling for a list of (pattern, probability).
 
     The counts always sum to shots.  A probability may also be a list
-    over the points of a block: each pattern then gets a list of counts,
-    and point i is drawn as sample_counts(its patterns of positive
-    probability, shots, seed + i) draws it, bit for bit.
+    over the points of a block: each pattern then gets a list of counts.
+    Point i of a block is drawn with np.random.default_rng(seed + i) over
+    its patterns of positive probability; a scalar distribution is drawn
+    as a block of one point.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -416,9 +418,11 @@ def sample_counts(distribution, shots: int, seed: int):
     if probs.size and (probs < -1e-12).any():
         raise ValueError("negative probability in distribution")
     block = probs.ndim == 2
-    counts = np.zeros(probs.shape if block else (len(patterns), 1), dtype=int)
-    for k, column in enumerate(probs.T.tolist() if block else [probs.tolist()]):
-        rows = [i for i, p in enumerate(column) if p > 0 or not block]
+    if not block:
+        probs = probs[:, None]
+    counts = np.zeros(probs.shape, dtype=int)
+    for k, column in enumerate(probs.T.tolist()):
+        rows = [i for i, p in enumerate(column) if p > 0]
         p = np.array([column[i] for i in rows], dtype=float)
         total = float(np.add.reduce(p))  # p.sum(), without its Python wrapper
         if abs(total - 1.0) > 1e-9:

@@ -8,6 +8,7 @@ acceptance threshold.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -70,8 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; building it costs more than a parse.
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.print_schema:
         print(schema_json())

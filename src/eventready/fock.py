@@ -5,22 +5,22 @@ registered mode) to complex amplitudes.  Occupation kets are normalized,
 so a term with counts n is the creator monomial  prod_j (a_j^dag)^{n_j} / sqrt(n_j!)
 acting on vacuum.  A mode unitary U maps each creator a_j^dag to its
 column image sum_i U[i, j] a_i^dag, which reproduces the permanent formula
-<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).  Two constructions
-build states on this rule:
+<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!).
 
-- _apply_creation applies a linear combination of creators to a sparse
-  ket map.  prepare_product_state builds a single state with it, and
-  apply_mode_unitary evolves a PureState by re-expanding every ket.
-- A scan evolves many points of one circuit at once, and its inputs are
-  products of one-photon creators.  Each photon's creator is a dense
-  (modes, points) column (creator_columns), which push_creators carries
-  through a mode unitary, or a stack with one unitary per point, as one
-  matrix product.  multiply_out then expands the product of the pushed
-  creators once, into a GridState: a (terms, modes) occupation matrix and
-  a (terms, points) amplitude matrix, of only the rows heralds keep if
-  given; product_norm reads its norm off the columns.  This is the
-  creation form of Heurtel et al., "Strong simulation of linear optical
-  processes", CPC 291, 108848 (2023).
+Every state is built by one construction, the creation form of Heurtel
+et al., "Strong simulation of linear optical processes", CPC 291, 108848
+(2023).  A state is a weighted sum of branches, each a product of
+one-photon creators.  Each creator is a dense (modes, points) column
+(creator_columns), which push_creators carries through a mode unitary,
+or a stack with one unitary per point, as one matrix product.
+multiply_out then expands every branch's product of pushed creators in
+one pass (_creator_product) into a GridState: a (terms, modes) occupation
+matrix and a (terms, points) amplitude matrix, of only the rows heralds
+keep if given; product_norm reads its norm off the columns.
+prepare_product_state multiplies out one branch of a photon's columns;
+apply_mode_unitary takes each ket of a PureState as a branch of its unit
+creators; a scan (circuit.ScanCircuit) evolves the source photons of
+many points of one circuit at once.
 
 Heralds and traces read a GridState's matrices with column masks
 (analysis.herald_terms, kept_pair_pass); a PureState is read as a
@@ -148,8 +148,10 @@ class PhotonSpec:
         return PhotonSpec(spatial, (math.sin(a), math.cos(a)), tuple(bins))
 
 
-def _creation_op_vector(registry: ModeRegistry, photon: PhotonSpec):
-    """Single-photon creation operator as {mode index: coefficient}."""
+def _check_photon(registry: ModeRegistry, photon: PhotonSpec):
+    """FockError unless photon fits registry: normalized polarization and
+    bin amplitudes over no more bins than it has (KeyError for an
+    unregistered label)."""
     registry.require_spatial(photon.spatial)
     for what, amplitudes in (("polarization", photon.pol_amps), ("bin", photon.bins)):
         norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes))
@@ -157,36 +159,20 @@ def _creation_op_vector(registry: ModeRegistry, photon: PhotonSpec):
             raise FockError(f"photon on {photon.spatial}: {what} amplitudes not normalized (norm {norm:.3e})")
     if len(photon.bins) > registry.bins:
         raise FockError(f"photon on {photon.spatial} uses {len(photon.bins)} bins, registry has {registry.bins}")
-    # In index order: H bins, then V bins, as the registry orders a label's modes.
-    return {i: c for i, c in enumerate(creator_columns(registry, [photon])[:, 0, 0].tolist()) if c != 0}
-
-
-def _apply_creation(registry: ModeRegistry, state_terms: dict, op: dict) -> dict:
-    """Apply one creation operator (linear combination) to normalized kets."""
-    out = {}
-    for occ, amp in state_terms.items():
-        for idx, coeff in op.items():
-            n = occ[idx]
-            new = list(occ)
-            new[idx] = n + 1
-            key = tuple(new)
-            out[key] = out.get(key, 0.0j) + amp * coeff * math.sqrt(n + 1)
-    return out
 
 
 def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
-    """Normalized tensor product of single-photon wavepackets on vacuum.
+    """Normalized tensor product of single-photon wavepackets on vacuum:
+    the photons' creator columns multiplied out, then normalized.
 
     Photons sharing a mode pick up the bosonic sqrt(n!) enhancement before
     the final normalization.
     """
     photons = list(photons)
     _check_budget(registry, len(photons))
-    terms = vacuum(registry).terms
     for photon in photons:
-        terms = _apply_creation(registry, terms, _creation_op_vector(registry, photon))
-    state = PureState(registry, terms).pruned()
-    return state.normalized()
+        _check_photon(registry, photon)
+    return _one_point_state(multiply_out(registry, [(1.0, creator_columns(registry, photons))], 1)).normalized()
 
 
 def _check_budget(registry: ModeRegistry, n_photons: int):
@@ -238,28 +224,27 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
 
     branches holds (w_b, C_b): a weight, a number or an array over the
     points, and the branch's creator columns (modes, photons, width), of
-    width `points`, or 1 if the same at every point, and at most the
-    registry's budget of photons.  The product is taken photon by photon,
-    with each partial product keyed by its sorted tuple of mode indices and
-    equal keys summed, so its size stays within terms x support x points.
-    Since (a^dag)^n |vacuum> = sqrt(n!) |n>, each occupation then gets the
+    width `points`, or 1 if the same at every point, and each of the same
+    number of photons, at most the registry's budget.  _creator_product
+    expands every branch's product at once; each branch's rows, times its
+    weight, are then summed key by key in branch order.  Since
+    (a^dag)^n |vacuum> = sqrt(n!) |n>, each occupation then gets the
     factor sqrt(prod_j n_j!).  Given heralds (analysis.herald_terms'
     requests), the state holds only the rows one keeps, with their bits.
     """
-    keeps = heralds and _herald_rows(registry, heralds)
-    keys, amplitudes = [], []
-    for weight, columns in branches:
-        _check_budget(registry, columns.shape[1])
-        k, c = _creator_product(columns, keeps)
-        keys.append(k)
-        amplitudes.append(np.broadcast_to(c, (len(c), points)) * np.reshape(weight, (1, -1)))
-    photon_counts = sorted({k.shape[1] for k in keys})
+    photon_counts = sorted({columns.shape[1] for _, columns in branches})
     if len(photon_counts) > 1:
         raise FockError(f"superpose mixes photon numbers {photon_counts}")
-    if len(keys) > 1:
-        keys, amplitudes = _summed(np.concatenate(keys), np.concatenate(amplitudes))
-    else:
-        keys, amplitudes = keys[0], amplitudes[0]
+    _check_budget(registry, photon_counts[0])
+    width = max(columns.shape[2] for _, columns in branches)
+    weights = np.empty((len(branches), points), dtype=complex)
+    columns = np.empty((len(branches), registry.size, photon_counts[0], width), dtype=complex)
+    for b, (weight, branch_columns) in enumerate(branches):
+        weights[b], columns[b] = weight, branch_columns
+    branch, keys, coefficients = _creator_product(columns, heralds and _herald_rows(registry, heralds))
+    amplitudes = np.broadcast_to(coefficients, (len(keys), points)) * weights[branch]
+    if len(branches) > 1:
+        keys, amplitudes = _summed(keys, amplitudes)
     # A run of r equal modes in a sorted key contributes 1 * 2 * ... * r = r!.
     run, factor = np.ones(len(keys)), np.ones(len(keys))
     for left, right in zip(keys.T, keys.T[1:]):
@@ -276,23 +261,30 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
 
 
 def _creator_product(columns, keeps=None):
-    """(keys, coefficients) of the product of the creator columns: one
-    row per distinct sorted tuple of mode indices, in lexicographic
-    order, with its coefficient at each point; with keeps, only the rows
-    it keeps, each summing the same products in the same order."""
-    keys = np.zeros((1, 0), dtype=np.intp)
-    coefficients = np.ones((1, 1), dtype=complex)
-    for p, column in enumerate(columns.transpose(1, 0, 2)):
-        support = np.flatnonzero(column.any(axis=1))
-        keys = np.concatenate([np.repeat(keys, len(support), axis=0), np.tile(support, len(keys))[:, None]], axis=1)
-        products = coefficients[:, None, :] * column[support][None]
-        products = products.reshape(-1, products.shape[2])  # no -1 here: a pruned block may have no rows
+    """(branch, keys, coefficients) of the product of each branch's
+    creator columns, columns[b] (modes, photons, width): one row per
+    branch and distinct sorted tuple of mode indices, ordered by branch,
+    then lexicographically, with its coefficient at each point.
+
+    At each photon a row expands over the modes its branch's column
+    holds, in ascending order, and rows equal in branch and key are
+    summed in order; with keeps, only the rows it keeps, each summing the
+    same products in the same order.
+    """
+    photons = columns.shape[2]
+    rows = np.arange(len(columns))[:, None]  # a row's branch, then its mode indices
+    coefficients = np.ones((len(columns), 1), dtype=complex)
+    for p in range(photons):
+        column = columns[:, :, p]
+        parent, mode = np.nonzero(column.any(axis=2)[rows[:, 0]])
+        rows = np.concatenate([rows[parent], mode[:, None]], axis=1)
+        products = coefficients[parent] * column[rows[:, 0], mode]
         if keeps:
-            kept = keeps(keys, final=p == columns.shape[1] - 1)
-            keys, products = keys[kept], products[kept]
-        keys.sort(axis=1)
-        keys, coefficients = _summed(keys, products)
-    return keys, coefficients
+            kept = keeps(rows[:, 1:], final=p == photons - 1)
+            rows, products = rows[kept], products[kept]
+        rows[:, 1:].sort(axis=1)
+        rows, coefficients = _summed(rows, products)
+    return rows[:, 0], rows[:, 1:], coefficients
 
 
 def _herald_rows(registry: ModeRegistry, heralds):
@@ -432,23 +424,14 @@ class ModeTransform:
         return float(np.abs(adjoint @ self.matrix - np.eye(len(self.modes))).max())
 
 
-def _column_images(matrix: np.ndarray, idxs) -> list:
-    """Per local creator j, its image {registry index: U[i, j]}."""
-    return [
-        {idxs[i]: c for i, c in enumerate(column) if c != 0}
-        for column in matrix.T.tolist()
-    ]
-
-
 def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
     """Exact evolution of a sparse state under a mode unitary.
 
-    Each ket is a creator monomial.  Its counts n_j on t.modes are zeroed
-    to give a template ket, its amplitude is divided by prod sqrt(n_j!),
-    and the column image {registry index: U[i, j]} of each local creator
-    is applied n_j times with _apply_creation.  Modes outside t.modes are
-    untouched; the output norm equals the input norm.  t holds one
-    matrix; a scan evolves a stack with ScanCircuit.evolve.
+    Each ket, prod_j (a_j^dag)^{n_j} / sqrt(n_j!) |vacuum>, is one branch
+    of multiply_out: its unit creators pushed through t (push_creators),
+    weighted by its amplitude over sqrt(prod_j n_j!).  Modes outside
+    t.modes are untouched; the output norm equals the input norm.  t
+    holds one matrix; a scan evolves a stack with ScanCircuit.evolve.
     """
     registry = state.registry
     deviation = t.unitarity_deviation()
@@ -457,23 +440,19 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
             f"transform {t.name or '(unnamed)'} is not unitary "
             f"(deviation {deviation:.3e})"
         )
-    idxs = [registry.index(m) for m in t.modes]
-    images = _column_images(t.matrix, idxs)
-
-    out_terms = {}
-    for occ, amp in state.terms.items():
-        template = list(occ)
-        for i in idxs:
-            if occ[i]:
-                template[i] = 0
-                amp = amp / math.sqrt(math.factorial(occ[i]))
-        terms = {tuple(template): amp}
-        for i, image in zip(idxs, images):
-            for _ in range(occ[i]):
-                terms = _apply_creation(registry, terms, image)
-        for key, a in terms.items():
-            out_terms[key] = out_terms.get(key, 0.0j) + a
-    out = replace(state, terms=out_terms).pruned()
+    out = replace(state, terms={})
+    if state.terms:
+        counts = np.array(list(state.terms), dtype=np.intp).reshape(-1, registry.size)
+        modes = np.repeat(np.tile(np.arange(registry.size), len(counts)), counts.ravel())
+        units = np.zeros((registry.size, len(modes), 1), dtype=complex)
+        units[modes, np.arange(len(modes)), 0] = 1.0
+        pushed = push_creators(registry, units, t)
+        starts = np.cumsum([0, *counts.sum(axis=1)])
+        branches = [
+            (amp / math.sqrt(math.prod(map(math.factorial, occ))), pushed[:, i:j])
+            for (occ, amp), i, j in zip(state.terms.items(), starts, starts[1:])
+        ]
+        out = _one_point_state(multiply_out(registry, branches, 1))
     before, after = state.norm(), out.norm()
     if abs(after - before) > NORM_TOL:
         raise FockError(
@@ -531,6 +510,12 @@ def one_point_grid(state: PureState) -> GridState:
     amplitudes = np.array(list(state.terms.values()), dtype=complex).reshape(-1, 1)
     probabilities = np.array([abs(a) ** 2 for a in state.terms.values()]).reshape(-1, 1)
     return GridState(state.registry, occupations, amplitudes, probabilities)
+
+
+def _one_point_state(grid: GridState) -> PureState:
+    """The PureState of a one-point GridState, its terms in row order."""
+    terms = zip(map(tuple, grid.occupations.tolist()), grid.amplitudes[:, 0].tolist())
+    return PureState(grid.registry, dict(terms))
 
 
 def partial_trace_to_polarization(state: PureState, kept_spatial) -> np.ndarray:
@@ -600,16 +585,17 @@ def _arm_slices(registry: ModeRegistry, kept_spatial) -> list:
 
 
 def kept_pair_violation(state: GridState, bad, kept_spatial, patterns=None) -> str:
-    """Why the first row that bad marks, by pattern, is off the kept pair
-    (rows of one pattern in order): _kept_pair's message."""
+    """Why the first row that bad marks is off the kept pair: _kept_pair's
+    message.  Rows are ordered by pattern, then by occupation, as
+    PureState.sorted_terms orders terms, whatever their order in state."""
     rows = np.flatnonzero(bad)
-    if patterns is not None and patterns.shape[1]:
-        rows = rows[np.lexsort(patterns[rows].T[::-1])]
+    keys = state.occupations[rows] if patterns is None else np.column_stack([patterns[rows], state.occupations[rows]])
+    first = rows[np.lexsort(keys.T[::-1])[0]]
     registry = state.registry
     arms = _arm_slices(registry, kept_spatial)
     kept_idx = {i: registry.modes[i] for arm in arms for i in range(arm.start, arm.stop)}
     try:
-        _kept_pair(registry, state.occupations[rows[0]].tolist(), kept_idx, kept_spatial)
+        _kept_pair(registry, state.occupations[first].tolist(), kept_idx, kept_spatial)
     except FockError as exc:
         return str(exc)
 

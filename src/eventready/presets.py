@@ -676,7 +676,7 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
         if any(key):
             off_pair = bad & (point == points[key])
             if off_pair.any():
-                # The first bad term by pattern, as heralded_polarization_dm reports it.
+                # The first bad term by pattern and occupation, as heralded_polarization_dm reports it.
                 row["kept_support"] = kept_pair_violation(filed, off_pair, config.kept, patterns)
             else:
                 rho = validate_density_matrix(rhos[points[key]])
@@ -776,10 +776,9 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
     analytic_curves = []
     sampled_curves = []
     for curve_idx, theta_b in enumerate((0.0, 45.0)):
-        xs, ys, ys_counts = [], [], []
-        for j, theta_a in enumerate(thetas):
-            pp, pf, fp, ff = analyzer_probabilities(rho, theta_a, theta_b)
-            row = {
+        probabilities = [analyzer_probabilities(rho, theta_a, theta_b) for theta_a in thetas]
+        rows = [
+            {
                 "theta_b_deg": theta_b,
                 "theta_a_deg": theta_a,
                 "p_pass_pass": pp,
@@ -787,29 +786,17 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
                 "p_fail_pass": fp,
                 "p_fail_fail": ff,
             }
-            if shots:
-                outcomes = sample_counts(
-                    [("pp", pp), ("pf", pf), ("fp", fp), ("ff", ff)],
-                    shots,
-                    seed + 1000 * curve_idx + j,
-                )
-                counts = dict(outcomes)
-                row.update(
-                    {
-                        "counts_pp": counts["pp"],
-                        "counts_pf": counts["pf"],
-                        "counts_fp": counts["fp"],
-                        "counts_ff": counts["ff"],
-                        "error_pp": math.sqrt(max(1.0, counts["pp"])),
-                    }
-                )
-                ys_counts.append(counts["pp"])
-            xs.append(theta_a)
-            ys.append(pp)
-            curve.append(row)
-        analytic_curves.append((xs, ys))
-        if shots:
-            sampled_curves.append((xs, ys_counts))
+            for theta_a, (pp, pf, fp, ff) in zip(thetas, probabilities)
+        ]
+        if shots:  # point j of curve c is drawn with seed + 1000 c + j
+            names = ("pp", "pf", "fp", "ff")
+            drawn = dict(sample_counts(list(zip(names, map(list, zip(*probabilities)))), shots, seed + 1000 * curve_idx))
+            for j, row in enumerate(rows):
+                row.update({f"counts_{name}": drawn[name][j] for name in names})
+                row["error_pp"] = math.sqrt(max(1.0, drawn["pp"][j]))
+            sampled_curves.append((thetas, drawn["pp"]))
+        analytic_curves.append((thetas, [pp for pp, _, _, _ in probabilities]))
+        curve += rows
     period = 180.0  # coincidence goes as 1 + V cos 2(theta - b)
     per_curve = []
     for xs, ys in analytic_curves:

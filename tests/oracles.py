@@ -1,9 +1,13 @@
-"""Independent brute-force oracles used to cross-check the simulator.
+"""Independent brute-force references used to cross-check the simulator.
 
-Everything here evolves states through the permanent formula
-<m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!), with the permanent
-evaluated as an explicit sum over permutations.  None of the package's
-evolution code (creation-operator mapping in eventready.fock) is used.
+Two routes evolve states, and neither uses the package's evolution code
+(eventready.fock's creator columns and multiply_out):
+
+- the permanent formula <m|U|n> = per(U[m|n]) / sqrt(prod m_i! prod n_j!),
+  with the permanent evaluated as an explicit sum over permutations;
+- creators on a sparse {occupation: amplitude} map (evolve_state_via_creators):
+  each ket's creators are replaced by their column images under U and
+  applied one at a time, a_i^dag |n> = sqrt(n_i + 1) |n + e_i>.
 """
 
 from __future__ import annotations
@@ -77,6 +81,36 @@ def evolve_state_via_permanent(u: np.ndarray, terms: dict) -> dict:
         for occ_out, a in evolve_occupation_via_permanent(u, occ).items():
             out[occ_out] = out.get(occ_out, 0.0j) + amp * a
     return {o: a for o, a in out.items() if abs(a) > 1e-16}
+
+
+def _apply_creation(terms: dict, op: dict) -> dict:
+    """sum_i op[i] a_i^dag applied to a sparse map of normalized kets."""
+    out = {}
+    for occ, amp in terms.items():
+        for i, coeff in op.items():
+            key = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
+            out[key] = out.get(key, 0.0j) + amp * coeff * math.sqrt(occ[i] + 1)
+    return out
+
+
+def evolve_state_via_creators(u: np.ndarray, terms: dict) -> dict:
+    """Evolve a sparse {occupation: amplitude} map under one mode unitary.
+
+    Each ket prod_j (a_j^dag)^{n_j} / sqrt(n_j!) |vacuum> has its amplitude
+    divided by sqrt(prod_j n_j!), and the column image {i: u[i, j]} of
+    each creator a_j^dag applied n_j times to the vacuum.
+    """
+    u = np.asarray(u, dtype=complex)
+    images = [{i: c for i, c in enumerate(column) if c != 0} for column in u.T.tolist()]
+    out: dict = {}
+    for occ, amp in terms.items():
+        ket = {(0,) * len(occ): amp / math.sqrt(math.prod(math.factorial(n) for n in occ))}
+        for j, n in enumerate(occ):
+            for _ in range(n):
+                ket = _apply_creation(ket, images[j])
+        for key, a in ket.items():
+            out[key] = out.get(key, 0.0j) + a
+    return out
 
 
 def prepare_photons_via_permanent(photon_vectors, n_modes: int) -> dict:

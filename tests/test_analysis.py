@@ -34,7 +34,7 @@ from eventready import (
     visibility,
 )
 from eventready.analysis import HeraldError, analyzer_probabilities, validate_density_matrix
-from eventready.fock import FockError
+from eventready.fock import FockError, PureState
 from eventready.presets import (
     _detector_groups,
     _herald_request,
@@ -441,6 +441,22 @@ class TestSampleCounts:
             alone = dict(sample_counts([(key, p[i]) for key, p in distribution if p[i] > 0], shots, seed + i))
             assert {key: counts[i] for key, counts in block.items()} == {key: alone.get(key, 0) for key in block}
 
+    def test_scalar_draws_a_probability_within_tolerance_as_zero(self):
+        distribution = [("a", 0.5), ("b", 0.5), ("c", -1e-15)]
+        counts = dict(sample_counts(distribution, 10, seed=1))
+        assert counts["c"] == 0 and counts["a"] + counts["b"] == 10
+        block = dict(sample_counts([(key, [p]) for key, p in distribution], 10, seed=1))
+        assert counts == {key: c[0] for key, c in block.items()}
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]), min_size=1, max_size=6), st.integers(0, 2**31), st.integers(0, 10_000))
+    def test_scalar_draw_is_numpys_over_every_pattern(self, weights, seed, shots):
+        """Zero-probability patterns, dropped from the draw, change no count."""
+        weights[0] += 0.1
+        p = np.array(weights) / sum(weights)
+        counts = [c for _, c in sample_counts(list(enumerate(p.tolist())), shots, seed)]
+        assert counts == np.random.default_rng(seed).multinomial(shots, p / np.add.reduce(p)).tolist()
+
     def test_block_rejects_its_first_bad_point(self):
         distribution = [("a", [0.5, 0.4, 0.3]), ("b", [0.5, 0.4, 0.3])]
         with pytest.raises(ValueError, match=r"^probabilities sum to 0\.8, not 1$"):
@@ -615,6 +631,34 @@ def test_herald_table_matches_its_reference_report(tmp_path):
     got = json.loads((tmp_path / "herald-table.report.json").read_text())
     want = json.loads((Path(__file__).parent / "data" / "herald_table_report.json").read_text())
     _assert_same_report(got, want)
+
+
+def test_off_pair_messages_do_not_depend_on_term_order(monkeypatch):
+    """Every herald-table kept_support string, and the error each herald
+    pattern's heralded_polarization_dm raises, names the same term
+    whatever the order of the state's terms."""
+    import eventready.presets as presets
+
+    config = build_preset_config("herald-table", {})
+    state = run(compile_circuit(config))
+    want = run_preset("herald-table").report["patterns"]
+    groups = _detector_groups(state.registry, config.detectors)
+    read = tuple(m for name in sorted(groups) for m in groups[name])
+    rng = np.random.default_rng(3)
+    items = list(state.terms.items())
+    for order in (items[::-1], [items[i] for i in rng.permutation(len(items))]):
+        shuffled = PureState(state.registry, dict(order))
+        monkeypatch.setattr(presets, "run", lambda circuit, upto=None: shuffled)
+        got = run_preset("herald-table").report["patterns"]
+        assert [row.get("kept_support") for row in got] == [row.get("kept_support") for row in want]
+        for row in want:
+            if "kept_support" not in row:
+                continue
+            requirements = {name: (groups[name], count) for name, count in row["pattern"].items()}
+            for each in (state, shuffled):
+                with pytest.raises(FockError) as error:
+                    heralded_polarization_dm(each, requirements, read, config.kept)
+                assert str(error.value) == row["kept_support"]
 
 
 def _csv_cells(text: str) -> list:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eventready import (
@@ -36,6 +36,7 @@ from eventready.presets import _herald_request, _observables
 from oracles import (
     embed_transform,
     evolve_occupation_via_permanent,
+    evolve_state_via_creators,
     evolve_state_via_permanent,
     prepare_photons_via_permanent,
     random_unitary,
@@ -44,6 +45,33 @@ from oracles import (
 
 def single_bin_registry(labels, budget=4):
     return ModeRegistry(labels, bins=1, photon_budget=budget)
+
+
+def _vectors(reg, photons) -> list:
+    """Each photon's creator as a coefficient vector over reg's modes."""
+    vectors = []
+    for p in photons:
+        vec = np.zeros(reg.size, dtype=complex)
+        for pol, pa in zip(("H", "V"), p.pol_amps):
+            for b, ba in enumerate(p.bins):
+                vec[reg.index(ModeId(p.spatial, pol, b))] = pa * ba
+        vectors.append(vec)
+    return vectors
+
+
+def _prepared(reg, photons) -> dict:
+    """The photons' normalized product state, by the permanent route."""
+    return {o: a for o, a in prepare_photons_via_permanent(_vectors(reg, photons), reg.size).items() if abs(a) > 1e-14}
+
+
+def _references(reg, t, terms) -> list:
+    """terms evolved under t by the creator and the permanent references,
+    each without its terms of modulus 1e-14 or less."""
+    u = embed_transform(reg.size, [reg.index(m) for m in t.modes], t.matrix)
+    return [
+        {o: a for o, a in evolve(u, terms).items() if abs(a) > 1e-14}
+        for evolve in (evolve_state_via_creators, evolve_state_via_permanent)
+    ]
 
 
 class TestPrepareProductState:
@@ -81,14 +109,7 @@ class TestPrepareProductState:
             PhotonSpec("A1", (0.0, 1.0), (0.6, 0.8)),
         ]
         st = prepare_product_state(reg, photons)
-        vectors = []
-        for p in photons:
-            vec = np.zeros(reg.size, dtype=complex)
-            for pol, pa in zip(("H", "V"), p.pol_amps):
-                for b, ba in enumerate(p.bins):
-                    vec[reg.index(ModeId(p.spatial, pol, b))] = pa * ba
-            vectors.append(vec)
-        expected = prepare_photons_via_permanent(vectors, reg.size)
+        expected = prepare_photons_via_permanent(_vectors(reg, photons), reg.size)
         assert set(st.terms) == set(expected)
         for occ, amp in expected.items():
             assert st.terms[occ] == pytest.approx(amp, abs=1e-12)
@@ -193,7 +214,7 @@ class TestApplyModeUnitary:
             u = random_unitary(reg.size, rng)
             out = apply_mode_unitary(st, ModeTransform(reg.modes, u))
             expected = evolve_occupation_via_permanent(u, occ)
-            assert set(out.terms) == set(expected)
+            assert set(out.terms) == set(expected) == set(evolve_state_via_creators(u, st.terms))
             for o, amp in expected.items():
                 assert out.amplitude(o) == pytest.approx(amp, abs=1e-10)
 
@@ -223,19 +244,57 @@ class TestApplyProperties:
         sequential = state
         for t in transforms:
             sequential = apply_mode_unitary(sequential, t)
-        composite = compose(transforms)
-        once = apply_mode_unitary(state, composite)
-        u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
-        oracle = {
-            o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14
-        }
-        assert set(sequential.terms) == set(once.terms) == set(oracle)
-        for occ, amp in oracle.items():
-            assert abs(sequential.terms[occ] - amp) < 1e-12
-            assert abs(once.terms[occ] - amp) < 1e-12
+        once = apply_mode_unitary(state, compose(transforms))
+        for reference in _references(reg, compose(transforms), state.terms):
+            _assert_same_state(sequential, reference)
+            _assert_same_state(once, reference)
         for out in (sequential, once):
             assert abs(out.norm() - 1.0) < 1e-12
             assert out.total_photons() == state.total_photons()
+
+
+def _multi_ket_case(reg, kets, modes, seed):
+    """(state, t): kets (tuples of counts) with random amplitudes, the
+    state normalized unless empty, and a random unitary t on modes."""
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.normal(size=len(kets)) + 1j * rng.normal(size=len(kets))
+    amplitudes /= np.linalg.norm(amplitudes) or 1.0
+    state = PureState(reg, {tuple(ket): complex(a) for ket, a in zip(kets, amplitudes)})
+    return state, ModeTransform(tuple(modes), random_unitary(len(modes), rng))
+
+
+@st.composite
+def multi_ket_cases(draw):
+    """0-5 kets of one photon number, 0-3, which may bunch, and a unitary
+    on some modes."""
+    reg = ModeRegistry(("a", "b")[: draw(st.integers(1, 2))], bins=draw(st.integers(1, 2)))
+    n = draw(st.integers(0, 3))
+    photons = st.lists(st.sampled_from(range(reg.size)), min_size=n, max_size=n)
+    kets = {tuple(np.bincount(ket, minlength=reg.size).tolist()) for ket in draw(st.lists(photons, max_size=5))}
+    modes = draw(st.lists(st.sampled_from(reg.modes), min_size=1, unique=True))
+    return _multi_ket_case(reg, sorted(kets), modes, draw(st.integers(0, 2**32 - 1)))
+
+
+_ONE_ARM = ModeRegistry(("a",), bins=1)
+
+
+class TestMultiKetEvolution:
+    """apply_mode_unitary expands each ket as one branch of multiply_out,
+    weighted by its amplitude over sqrt(prod_j n_j!); both references
+    evolve the kets apart."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(multi_ket_cases())
+    @example(_multi_ket_case(_ONE_ARM, [(2, 0)], _ONE_ARM.modes, 1))
+    @example(_multi_ket_case(_ONE_ARM, [(2, 0), (1, 1), (0, 2)], _ONE_ARM.modes, 2))
+    @example(_multi_ket_case(_ONE_ARM, [(0, 0)], _ONE_ARM.modes, 3))
+    @example(_multi_ket_case(_ONE_ARM, [], _ONE_ARM.modes, 4))
+    def test_matches_both_references(self, case):
+        state, t = case
+        out = apply_mode_unitary(state, t)
+        for reference in _references(state.registry, t, state.terms):
+            _assert_same_state(out, reference)
+        assert abs(out.norm() - state.norm()) < 1e-12
 
 
 def _random_amplitudes(rng, n):
@@ -318,13 +377,10 @@ class TestGridProperties:
         for occ in rows[0].keys() | rows[1].keys():
             assert np.all(np.abs(rows[1].get(occ, zero) - rows[0].get(occ, zero)) < 1e-12)
         for k, (photons, sequence) in enumerate(zip(photon_grid, sequences)):
-            state = prepare_product_state(reg, photons)
-            _assert_same_state(_point(grid, k), state.terms)
-            composite = compose(sequence)
-            _assert_same_state(_point(evolved, k), apply_mode_unitary(state, composite).terms)
-            u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
-            oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
-            _assert_same_state(_point(evolved, k), oracle)
+            prepared = _prepared(reg, photons)
+            _assert_same_state(_point(grid, k), prepared)
+            for reference in _references(reg, compose(sequence), prepared):
+                _assert_same_state(_point(evolved, k), reference)
         assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
 
 
@@ -373,7 +429,8 @@ def _scan_circuit_evolve(reg, grids, amplitudes, sequences, heralds=None):
 
 class TestScanEvolution:
     """ScanCircuit.evolve pushes each photon's creator through the plan and
-    multiplies them out once; it must give the prepared-ket evolution."""
+    multiplies them out once; it must give both references' evolution of
+    each point's prepared kets."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(scan_grid_cases())
@@ -381,16 +438,24 @@ class TestScanEvolution:
         reg, grids, amplitudes, sequences = case
         evolved = _scan_circuit_evolve(reg, grids, amplitudes, sequences)
         for k, sequence in enumerate(sequences):
-            states = [prepare_product_state(reg, grid[k]) for grid in grids]
-            # A lone branch's amplitude is a global phase, dropped on both paths.
-            state = states[0] if len(states) == 1 else superpose(states, [a[k] for a in amplitudes])
-            composite = compose(sequence)
-            got = _point(evolved, k)
-            _assert_same_state(got, apply_mode_unitary(state, composite).terms)
-            u = embed_transform(reg.size, [reg.index(m) for m in composite.modes], composite.matrix)
-            oracle = {o: a for o, a in evolve_state_via_permanent(u, state.terms).items() if abs(a) > 1e-14}
-            _assert_same_state(got, oracle)
+            state = _superposed([_prepared(reg, grid[k]) for grid in grids], [a[k] for a in amplitudes])
+            for reference in _references(reg, compose(sequence), state):
+                _assert_same_state(_point(evolved, k), reference)
         assert np.all(np.abs(evolved.norm() - 1.0) < 1e-12)
+
+
+def _superposed(kets, amplitudes) -> dict:
+    """sum_b amplitudes[b] kets[b], normalized; a lone ket as it is, since
+    a lone branch's amplitude is a global phase that both paths drop."""
+    if len(kets) == 1:
+        return kets[0]
+    terms = {}
+    for ket, c in zip(kets, amplitudes):
+        for occ, a in ket.items():
+            terms[occ] = terms.get(occ, 0j) + complex(c) * a
+    terms = {o: a for o, a in terms.items() if abs(a) > 1e-14}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in terms.values()))
+    return {o: a / norm for o, a in terms.items()}
 
 
 def _point_state(reg, grids, amplitudes, sequence, k) -> PureState:
