@@ -268,21 +268,18 @@ def chsh_S(
     the four settings are drawn as one block, setting k with seed + k.
     """
     settings = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    es = []
-    stds = []
     if shots is None:
-        es = [correlation_E(rho, sa, sb) for sa, sb in settings]
+        es, stds = [correlation_E(rho, sa, sb) for sa, sb in settings], []
     else:
         columns = []
         for sa, sb in settings:
             probs = analyzer_probabilities(rho, sa, sb)
             total = sum(probs)
             columns.append([max(0.0, p) / total for p in probs])
-        counts = dict(sample_counts(list(zip(("pp", "pf", "fp", "ff"), map(list, zip(*columns)))), shots, seed or 0))
-        for k in range(len(settings)):
-            e = (counts["pp"][k] + counts["ff"][k] - counts["pf"][k] - counts["fp"][k]) / shots
-            es.append(float(e))
-            stds.append(math.sqrt(max(0.0, 1.0 - e * e) / shots))
+        names = ("pp", "pf", "fp", "ff")
+        counts = dict(sample_counts(list(zip(names, map(list, zip(*columns)))), shots, seed or 0))
+        es = [(pp + ff - pf - fp) / shots for pp, pf, fp, ff in zip(*(counts[name] for name in names))]
+        stds = [math.sqrt(max(0.0, 1.0 - e * e) / shots) for e in es]
     for e in es:
         if abs(e) > 1.0 + 1e-9:
             raise ValueError(f"|E| = {abs(e)} exceeds 1")

@@ -430,8 +430,9 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
     Each ket, prod_j (a_j^dag)^{n_j} / sqrt(n_j!) |vacuum>, is one branch
     of multiply_out: its unit creators pushed through t (push_creators),
     weighted by its amplitude over sqrt(prod_j n_j!).  Modes outside
-    t.modes are untouched; the output norm equals the input norm.  t
-    holds one matrix; a scan evolves a stack with ScanCircuit.evolve.
+    t.modes are untouched; the output norm equals the input norm.  A
+    state that mixes photon numbers is refused, as superpose refuses it.
+    t holds one matrix; a scan evolves a stack with ScanCircuit.evolve.
     """
     registry = state.registry
     deviation = t.unitarity_deviation()
