@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockError, GridState, PureState, distinct_rows, kept_pair_pass, kept_pair_violation, one_point_grid
+from .fock import FockError, GridState, PureState, distinct_rows, herald_rule, kept_pair_pass, kept_pair_violation
+from .fock import one_point_grid
 from .fock import partial_trace_to_polarization  # noqa: F401 -- unused, bench/tracing.py wraps it here
 
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -59,24 +60,18 @@ def outcome_distribution(state, detector_modes):
 
 
 def herald_terms(state: GridState, group_requirements: dict, read_out):
-    """(patterns, kept): the rows of state that a herald keeps, in state
-    order, with the read modes emptied, and their counts on the sorted
-    read modes.
+    """(patterns, kept): the rows of state that a herald keeps
+    (fock.herald_rule), in state order, with the read modes emptied, and
+    their counts on the sorted read modes.
 
     group_requirements maps a group name to (modes tuple, exact count).
-    The modes of read_out and of every required group are read; read
-    modes outside the groups must be empty, and some read mode must not.
+    The modes of read_out and of every required group are read.
     """
     registry, occupations = state.registry, state.occupations
+    members, keeps = herald_rule(registry, [(group_requirements, read_out)])
+    keep = keeps(members @ occupations.T)
     read = set(read_out).union(*(modes for modes, _ in group_requirements.values()))
     read_idx = sorted(registry.index(m) for m in read)
-    keep = occupations[:, read_idx].any(axis=1)
-    grouped = set()
-    for modes, count in group_requirements.values():
-        idxs = [registry.index(m) for m in modes]
-        grouped.update(idxs)
-        keep &= occupations[:, idxs].sum(axis=1) == count
-    keep &= ~occupations[:, [i for i in read_idx if i not in grouped]].any(axis=1)
     emptied = occupations[keep]
     patterns = emptied[:, read_idx]
     emptied[:, read_idx] = 0

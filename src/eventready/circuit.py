@@ -134,7 +134,7 @@ def compile_circuit(config) -> Circuit:
     Elements are lowered strictly in config order, each to one step;
     every transform is checked for unitarity before it is accepted.  A
     scan lowers a block of points at once with _lowered and checks the
-    block's stacks with the same error (ScanCircuit.require_unitary).
+    block's stacks with the same error (ScanCircuit.evolve).
     """
     registry = ModeRegistry(
         config.spatial_labels,
@@ -249,17 +249,6 @@ class ScanCircuit:
         photons = {b: [_photon_from_source(src) for src in sources[b]["photons"]] for b in self.branches}
         return elements, {b: (a, creator_columns(registry, photons[b], len(values))) for b, a in amplitudes.items()}
 
-    def lowered(self, config) -> list:
-        """[(element index, transform)] of what one point (a config) re-lowers, lowered alone."""
-        model, registry = self.model or OverlapModel(**config.model), self.circuit.registry
-        return [(i, _lowered(i, config.elements[i], registry, model, config.convention)) for i in self.elements]
-
-    def require_unitary(self, lowered):
-        """Raise, as compile_circuit does, for the first (element index,
-        transform or stack) of lowered that is not unitary."""
-        for i, t in lowered:
-            _require_unitary(i, t)
-
     def _weights(self, branches, points) -> list:
         """Each branch's weight in the block's state, given its (amplitude,
         creator columns): its amplitude over its input norm and over the
@@ -278,7 +267,8 @@ class ScanCircuit:
         FockError is raised where the evolved norm drifts from 1 by more
         than NORM_TOL.
         """
-        self.require_unitary(elements.items())
+        for i, stack in elements.items():
+            _require_unitary(i, stack)
         registry = self.circuit.registry
         sources = [source for _, source in sorted({**self.fixed, **branches}.items())]
         weights, columns = self.weights or self._weights(sources, n), [c for _, c in sources]

@@ -22,11 +22,14 @@ apply_mode_unitary takes each ket of a PureState as a branch of its unit
 creators; a scan (circuit.ScanCircuit) evolves the source photons of
 many points of one circuit at once.
 
-Heralds and traces read a GridState's matrices with column masks
-(analysis.herald_terms, kept_pair_pass); a PureState is read as a
-one-point grid (one_point_grid).  Every sum over terms is taken in row
-order (ordered_sum), so a one-point grid gives the bits of a loop over
-its PureState's terms.
+A herald keeps a term by one rule, herald_rule: bounds on its photon
+count in sets of modes.  multiply_out's pruning reads the rule on a
+product's mode indices, analysis.herald_terms on a GridState's
+occupations.  Heralds and traces read a GridState's matrices
+(herald_terms, kept_pair_pass); a PureState is read as a one-point grid
+(one_point_grid), whose |amplitude|^2 numpy squares as a block's.  Every
+sum over terms is taken in row order (ordered_sum), so a one-point grid
+sums its terms in their PureState order.
 """
 
 from __future__ import annotations
@@ -241,7 +244,7 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
     columns = np.empty((len(branches), registry.size, photon_counts[0], width), dtype=complex)
     for b, (weight, branch_columns) in enumerate(branches):
         weights[b], columns[b] = weight, branch_columns
-    branch, keys, coefficients = _creator_product(columns, heralds and _herald_rows(registry, heralds))
+    branch, keys, coefficients = _creator_product(columns, heralds and herald_rule(registry, heralds))
     amplitudes = np.broadcast_to(coefficients, (len(keys), points)) * weights[branch]
     if len(branches) > 1:
         keys, amplitudes = _summed(keys, amplitudes)
@@ -260,7 +263,7 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
     return GridState(registry, occupations, amplitudes)
 
 
-def _creator_product(columns, keeps=None):
+def _creator_product(columns, rule=None):
     """(branch, keys, coefficients) of the product of each branch's
     creator columns, columns[b] (modes, photons, width): one row per
     branch and distinct sorted tuple of mode indices, ordered by branch,
@@ -268,8 +271,9 @@ def _creator_product(columns, keeps=None):
 
     At each photon a row expands over the modes its branch's column
     holds, in ascending order, and rows equal in branch and key are
-    summed in order; with keeps, only the rows it keeps, each summing the
-    same products in the same order.
+    summed in order; with a herald_rule, only the rows it keeps, or may
+    keep once the photons still to come are added, each summing the same
+    products in the same order.
     """
     photons = columns.shape[2]
     rows = np.arange(len(columns))[:, None]  # a row's branch, then its mode indices
@@ -279,34 +283,42 @@ def _creator_product(columns, keeps=None):
         parent, mode = np.nonzero(column.any(axis=2)[rows[:, 0]])
         rows = np.concatenate([rows[parent], mode[:, None]], axis=1)
         products = coefficients[parent] * column[rows[:, 0], mode]
-        if keeps:
-            kept = keeps(rows[:, 1:], final=p == photons - 1)
+        if rule:
+            members, keeps = rule
+            kept = keeps(members[:, rows[:, 1:]].sum(axis=2), final=p == photons - 1)
             rows, products = rows[kept], products[kept]
         rows[:, 1:].sort(axis=1)
         rows, coefficients = _summed(rows, products)
     return rows[:, 0], rows[:, 1:], coefficients
 
 
-def _herald_rows(registry: ModeRegistry, heralds):
-    """keeps(keys, final): whether one of heralds keeps each row of keys (a
-    product's mode indices), or, unless final, may with photons added: its
-    groups hold their counts, other read modes none, some read mode some."""
+def herald_rule(registry: ModeRegistry, heralds):
+    """(members, keeps): the rule by which herald requests [(requirements,
+    read)] (analysis.herald_terms') keep a term.
+
+    A herald bounds the photon count in sets of modes, one row of members
+    (0 or 1 over the registry's modes) each: every group of requirements
+    holds its count, its read modes outside the groups hold none, and its
+    read modes, the groups' included, hold some.  keeps(counts) says
+    whether some herald keeps each column of counts, the members' counts
+    of a term; keeps(counts, final=False), whether it may once photons
+    are added.
+    """
     bounds, starts = [], []  # (mode indices, least, most) of each herald in turn
     for requirements, read in heralds:
         groups = [({registry.index(m) for m in modes}, n) for modes, n in requirements.values()]
         grouped = set().union(*(idxs for idxs, _ in groups))
         read = grouped.union(map(registry.index, read))
         starts.append(len(bounds))
-        bounds += [(idxs, n, n) for idxs, n in groups] + [(read - grouped, 0, 0), (read, 1, registry.photon_budget)]
+        bounds += [(idxs, n, n) for idxs, n in groups] + [(read - grouped, 0, 0), (read, 1, np.iinfo(np.intp).max)]
     members = np.array([[i in idxs for i in range(registry.size)] for idxs, _, _ in bounds], dtype=np.intp)
     least, most = (np.array(column)[:, None] for column in list(zip(*bounds))[1:])
 
-    def keeps(keys, final):
-        counts = members[:, keys].sum(axis=2)
+    def keeps(counts, final=True):
         fits = (counts <= most) & (counts >= least if final else True)
         return np.logical_and.reduceat(fits, starts, axis=0).any(axis=0)
 
-    return keeps
+    return members, keeps
 
 
 def product_norm(branches) -> np.ndarray:
@@ -493,24 +505,14 @@ class GridState:
     def norm(self) -> np.ndarray:
         return np.sqrt(self.probabilities.sum(axis=0))
 
-    def normalized(self) -> "GridState":
-        n = self.norm()
-        if not n.all():
-            raise FockError("cannot normalize the zero state")
-        return GridState(self.registry, self.occupations, self.amplitudes / n)
-
 
 def one_point_grid(state: PureState) -> GridState:
     """state as a one-point GridState, its terms in their dict order, for a
-    reader that takes a PureState.
-
-    Its probabilities are Python's abs(a) ** 2, as a loop over the terms
-    computes them; numpy's differ in the last bit for some amplitudes.
-    """
+    reader that takes a PureState; its probabilities are squared as a scan
+    block's are."""
     occupations = np.array(list(state.terms), dtype=np.uint8).reshape(len(state.terms), state.registry.size)
     amplitudes = np.array(list(state.terms.values()), dtype=complex).reshape(-1, 1)
-    probabilities = np.array([abs(a) ** 2 for a in state.terms.values()]).reshape(-1, 1)
-    return GridState(state.registry, occupations, amplitudes, probabilities)
+    return GridState(state.registry, occupations, amplitudes)
 
 
 def _one_point_state(grid: GridState) -> PureState:

@@ -335,9 +335,7 @@ def _heralded_pair(config: ExperimentConfig):
 def evaluate_config(config: ExperimentConfig) -> dict:
     """Run one config and report every applicable observable."""
     circuit = compile_circuit(config)
-    point = one_point_grid(run(circuit))
-    # numpy's |a|^2 (GridState's own), as a scan block computes it.
-    state = GridState(point.registry, point.occupations, point.amplitudes)
+    state = one_point_grid(run(circuit))
     return _observables([config], state, _detector_groups(circuit.registry, config.detectors))[0]
 
 
@@ -465,7 +463,8 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
     made into creators and evolved at once, and checked at once where
     LeafCheck allows (`column`) and no point needs a config of its own
     (`heralds`, `analyzers`, `model`).  A failing block is redone point by
-    point, so its first bad point raises its own error.  A `bins`,
+    point, each checked and compiled alone as --config compiles it, so its
+    first bad point raises the error it raises alone.  A `bins`,
     `photon_budget` or `bin_map` scan compiles each point alone.  Where
     heralded, a block holds only the rows its heralds, if any, keep.
     """
@@ -500,13 +499,9 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
             heralds = [_herald_request(groups, spec) for spec in specs.values()] if heralded else None
             state = grid.evolve(*grid.changes(block, points), len(block), heralds)
         except ValueError:
-            # Point by point; `finally` raises an earlier non-unitary point first.
-            lowered = []
-            try:
-                for value in block:
-                    lowered += grid.lowered(_checked(check, _with_leaves(base, leaves, value)))
-            finally:
-                grid.require_unitary(lowered)
+            # Each point compiled alone, as --config compiles it: the first bad one raises its own error.
+            for value in block:
+                compile_circuit(_checked(check, _with_leaves(base, leaves, value)))
             raise
         yield block, points, state, groups
 

@@ -24,6 +24,7 @@ from eventready import (
 from eventready.circuit import Circuit, ScanCircuit, SourceBranch
 from eventready.analysis import HeraldError, heralded_polarization_dm, herald_terms, outcome_distribution
 from eventready.fock import (
+    GridState,
     PureState,
     creator_columns,
     kept_pair_pass,
@@ -353,7 +354,8 @@ def _pushed_grid(reg, photon_grid, steps):
     columns = _grid_columns(reg, photon_grid)
     for step in steps:
         columns = push_creators(reg, columns, step)
-    return multiply_out(reg, [(1.0, columns)], len(photon_grid)).normalized()
+    grid = multiply_out(reg, [(1.0, columns)], len(photon_grid))
+    return GridState(reg, grid.occupations, grid.amplitudes / grid.norm())
 
 
 def _assert_same_state(got: PureState, want: dict):

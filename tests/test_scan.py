@@ -484,6 +484,19 @@ class TestPerBlockUnitarity:
         assert str(scanned.value) == str(alone.value)
         assert "non-unitary lowering" in str(scanned.value)
 
+    def test_a_points_non_unitary_element_precedes_its_later_elements_lowering_error(self, monkeypatch):
+        raw, path, spec = _beamsplitter_config(0.3), "elements.1.transmissivity,elements.2.angle_deg", "0.3:0.5:0.1"
+        value = parse_range(spec)[1]
+        _lowering_with(monkeypatch, "beamsplitter", "transmissivity", {value: _scaled})
+        _lowering_with(monkeypatch, "polarizer", "angle_deg", {value: _refused})
+        point = _set(_set(raw, "elements.1.transmissivity", value), "elements.2.angle_deg", value)
+        with pytest.raises(CircuitError) as alone:
+            evaluate_config(ExperimentConfig.from_dict(point))
+        with pytest.raises(CircuitError) as scanned:
+            scan(ExperimentConfig.from_dict(raw), path, spec)
+        assert str(scanned.value) == str(alone.value)
+        assert str(scanned.value).startswith("$.elements.1: non-unitary lowering")
+
 
 class TestBlockChecks:
     """A block evolves its source photons, with the checks of the ket path."""
@@ -508,7 +521,7 @@ class TestBlockChecks:
     def test_norm_drift_past_its_tolerance_raises(self, monkeypatch):
         raw, path, spec = fusion_delay_config(), "elements.0.delta_um", "-10:10:1"
         _lowering_with(monkeypatch, "delay", "delta_um", {parse_range(spec)[6]: _scaled})
-        monkeypatch.setattr(ScanCircuit, "require_unitary", lambda self, points: None)
+        monkeypatch.setattr(circuit_module, "_require_unitary", lambda i, t: None)
         with pytest.raises(FockError, match=r"^norm drifted 1\.000000000000 -> "):
             scan(ExperimentConfig.from_dict(raw), path, spec)
 
