@@ -403,14 +403,18 @@ def parse_range(spec: str):
         raise PresetError(f"range {spec!r} has a non-finite start, stop or step")
     if step <= 0:
         raise PresetError("range step must be positive")
-    # Compared as a float: a span too wide for an int is inf here, not an OverflowError.
-    steps = (stop - start) / step + 1e-9
+    # Where the span overflows, twice its half counts the steps.  Compared
+    # as a float: a count too large for an int is inf here, not an OverflowError.
+    span = stop - start
+    steps = (span / step if math.isfinite(span) else (stop / 2 - start / 2) / step * 2) + 1e-9
     if steps >= MAX_SCAN_POINTS:
         raise PresetError(f"range {spec!r} yields more than {MAX_SCAN_POINTS} points")
     n = int(math.floor(steps)) + 1
     if n < 2:
         raise PresetError(f"range {spec!r} yields fewer than 2 points")
     values = [start + i * step for i in range(n)]
+    if not math.isfinite(values[-1]):
+        raise PresetError(f"range {spec!r} has a value start + i * step that overflows a float")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise PresetError(f"range {spec!r} has a step too small to advance every value")
     return values

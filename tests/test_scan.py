@@ -618,6 +618,18 @@ class TestRangeLimits:
         with pytest.raises(PresetError, match="more than"):
             parse_range("-1e308:1e308:1e-300")
 
+    @pytest.mark.parametrize("spec", ["-1e308:1e308:1e308", "-1.5e308:1.5e308:1e308"])
+    def test_few_points_over_an_overflowing_span_are_counted_and_their_overflow_refused(self, tmp_path, capsys, spec):
+        # 3 and 4 points; the last value, start + i * step, is inf (-1e308 + 2 * 1e308).
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        assert main(["--config", str(cfg_path), "--scan", f"elements.1.angle_deg={spec}"]) == 1
+        error = f"eventready: error: range {spec!r} has a value start + i * step that overflows a float\n"
+        assert capsys.readouterr() == ("", error)
+
+    def test_points_over_an_overflowing_span_are_counted(self):
+        assert parse_range("-1e308:1e308:1.5e308") == [-1e308, -1e308 + 1.5e308]
+
 
 def _csv_rows(text: str):
     return list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
