@@ -546,8 +546,8 @@ def kept_pair_pass(state: GridState, kept_spatial, patterns=None):
     (HH, HV, VH, VV) vector v of its pattern and kept bins; rho = sum v v+
     / p at each point (0 where p is).  bad marks every other row, and
     kept_pair_violation words why.  Rows are added in order and the
-    vectors kept in order of first appearance, so a one-point grid gives
-    the bits of a loop over its PureState's terms.
+    vectors kept in order of first appearance, so a one-point grid adds
+    its PureState's terms in their order.
     """
     registry, occupations = state.registry, state.occupations
     if patterns is None:

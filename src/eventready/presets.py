@@ -403,10 +403,9 @@ def parse_range(spec: str):
         raise PresetError(f"range {spec!r} has a non-finite start, stop or step")
     if step <= 0:
         raise PresetError("range step must be positive")
-    # Where the span overflows, twice its half counts the steps.  Compared
-    # as a float: a count too large for an int is inf here, not an OverflowError.
-    span = stop - start
-    steps = (span / step if math.isfinite(span) else (stop / 2 - start / 2) / step * 2) + 1e-9
+    # Counted from the half span, which never overflows as stop - start can.
+    # Compared as a float: a count too large for an int is inf here, not an OverflowError.
+    steps = (stop / 2 - start / 2) / step * 2 + 1e-9
     if steps >= MAX_SCAN_POINTS:
         raise PresetError(f"range {spec!r} yields more than {MAX_SCAN_POINTS} points")
     n = int(math.floor(steps)) + 1
