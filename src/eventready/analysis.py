@@ -260,7 +260,8 @@ def chsh_S(
 
     With shots given, each E is estimated from a multinomial draw over the
     four analyzer outcomes and carries a propagated standard deviation;
-    the four settings are drawn as one block, setting k with seed + k.
+    the four settings are drawn in turn from one default_rng(seed)
+    (sample_counts).
     """
     settings = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
     if shots is None:
@@ -399,9 +400,10 @@ def sample_counts(distribution, shots: int, seed: int):
 
     The counts always sum to shots.  A probability may also be a list
     over the points of a block: each pattern then gets a list of counts.
-    Point i of a block is drawn with np.random.default_rng(seed + i) over
-    its patterns of positive probability; a scalar distribution is drawn
-    as a block of one point.
+    The points are drawn in order, in one multinomial call of one
+    np.random.default_rng(seed), over every pattern, each point's
+    probabilities over their own sum; numpy draws a zero probability as
+    0.  A scalar distribution is drawn as a block of one point.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
@@ -410,15 +412,10 @@ def sample_counts(distribution, shots: int, seed: int):
     if probs.size and (probs < -1e-12).any():
         raise ValueError("negative probability in distribution")
     block = probs.ndim == 2
-    if not block:
-        probs = probs[:, None]
-    counts = np.zeros(probs.shape, dtype=int)
-    for k, column in enumerate(probs.T.tolist()):
-        rows = [i for i, p in enumerate(column) if p > 0]
-        p = np.array([column[i] for i in rows], dtype=float)
-        total = float(np.add.reduce(p))  # p.sum(), without its Python wrapper
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        if shots:
-            counts[rows, k] = np.random.default_rng(seed + k).multinomial(shots, p / total)
+    rows = np.ascontiguousarray(np.maximum(probs if block else probs[:, None], 0.0).T)  # one per point
+    totals = np.add.reduce(rows, axis=1)
+    bad = ~(abs(totals - 1.0) <= 1e-9)
+    if bad.any():
+        raise ValueError(f"probabilities sum to {float(totals[bad.argmax()])}, not 1")
+    counts = np.random.default_rng(seed).multinomial(shots, rows / totals[:, None]).T
     return list(zip(patterns, (counts if block else counts[:, 0]).tolist()))

@@ -727,21 +727,23 @@ def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
 
 
 def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
+    """The coincidence fringe over the delay grid; with shots, every point is drawn from one
+    default_rng(seed) in grid order over the grid's patterns, sorted, whatever SCAN_BLOCK is."""
     model = OverlapModel(**config.model)
     # Both photons of the delayed pair acquire the fringe phase.
     effective_period = model.fringe_period_um / 2.0
-    curve = []
+    curve, tables = [], []
     for values, _, grid, groups in _scan_blocks(config, "elements.0.delta_um", params["delta_range"]):
-        table = sorted((key, p.tolist()) for key, p in _group_counts(grid, groups, ("D1", "D2")).items())
-        coincidences = dict(table).get((1, 1), [0.0] * len(values))
-        if shots:  # point i of the scan is drawn with seed + i
-            sampled = dict(sample_counts(table, shots, seed + len(curve))).get((1, 1), [0] * len(values))
-        for k, delta in enumerate(values):
-            row = {"delta_um": delta, "p_coincidence": coincidences[k]}
-            if shots:
-                n = sampled[k]
-                row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
-            curve.append(row)
+        table = _group_counts(grid, groups, ("D1", "D2"))
+        tables.append((len(values), table))
+        coincidences = table.get((1, 1), np.zeros(len(values))).tolist()
+        curve += [{"delta_um": delta, "p_coincidence": p} for delta, p in zip(values, coincidences)]
+    if shots:
+        keys = sorted(set().union(*(table for _, table in tables)))
+        columns = [np.concatenate([table.get(key, np.zeros(n)) for n, table in tables]) for key in keys]
+        sampled = dict(sample_counts(list(zip(keys, columns)), shots, seed)).get((1, 1), [0] * len(curve))
+        for row, n in zip(curve, sampled):
+            row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
     deltas = [r["delta_um"] for r in curve]
     fit_analytic = fit_delay_fringe(
         deltas, [r["p_coincidence"] for r in curve], effective_period
@@ -768,14 +770,14 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
 
 
 def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: int, shots: int):
+    """Analyzer curves at b = 0 and 45 degrees; with shots, their rows are drawn from one
+    default_rng(seed) in CSV order."""
     p_herald, rho = _heralded_pair(config)
     thetas = parse_range(f"0:180:{params['theta_step_deg']}")
-    curve = []
-    analytic_curves = []
-    sampled_curves = []
-    for curve_idx, theta_b in enumerate((0.0, 45.0)):
-        probabilities = [analyzer_probabilities(rho, theta_a, theta_b) for theta_a in thetas]
-        rows = [
+    curve, analytic_curves, probabilities = [], [], []
+    for theta_b in (0.0, 45.0):
+        curve_probabilities = [analyzer_probabilities(rho, theta_a, theta_b) for theta_a in thetas]
+        curve += [
             {
                 "theta_b_deg": theta_b,
                 "theta_a_deg": theta_a,
@@ -784,17 +786,17 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
                 "p_fail_pass": fp,
                 "p_fail_fail": ff,
             }
-            for theta_a, (pp, pf, fp, ff) in zip(thetas, probabilities)
+            for theta_a, (pp, pf, fp, ff) in zip(thetas, curve_probabilities)
         ]
-        if shots:  # point j of curve c is drawn with seed + 1000 c + j
-            names = ("pp", "pf", "fp", "ff")
-            drawn = dict(sample_counts(list(zip(names, map(list, zip(*probabilities)))), shots, seed + 1000 * curve_idx))
-            for j, row in enumerate(rows):
-                row.update({f"counts_{name}": drawn[name][j] for name in names})
-                row["error_pp"] = math.sqrt(max(1.0, drawn["pp"][j]))
-            sampled_curves.append((thetas, drawn["pp"]))
-        analytic_curves.append((thetas, [pp for pp, _, _, _ in probabilities]))
-        curve += rows
+        analytic_curves.append((thetas, [pp for pp, _, _, _ in curve_probabilities]))
+        probabilities += curve_probabilities
+    if shots:
+        names = ("pp", "pf", "fp", "ff")
+        drawn = dict(sample_counts(list(zip(names, zip(*probabilities))), shots, seed))
+        for j, row in enumerate(curve):
+            row.update({f"counts_{name}": drawn[name][j] for name in names})
+            row["error_pp"] = math.sqrt(max(1.0, drawn["pp"][j]))
+        sampled_curves = [(thetas, drawn["pp"][start : start + len(thetas)]) for start in (0, len(thetas))]
     period = 180.0  # coincidence goes as 1 + V cos 2(theta - b)
     per_curve = []
     for xs, ys in analytic_curves:

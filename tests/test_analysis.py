@@ -430,16 +430,21 @@ class TestSampleCounts:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 6), st.integers(1, 9), st.integers(0, 2**31), st.integers(0, 10_000), st.randoms())
-    def test_block_equals_each_point_drawn_with_its_seed(self, patterns, points, seed, shots, rnd):
+    def test_block_is_its_rows_drawn_in_order_from_one_generator(self, patterns, points, seed, shots, rnd):
         # Each point's probabilities, some exactly 0, summing to 1 up to rounding.
         table = np.array([[rnd.choice([0.0, rnd.random()]) for _ in range(points)] for _ in range(patterns)])
         table[rnd.randrange(patterns)] += 1e-3
         table /= table.sum(axis=0)
         distribution = [(f"p{j}", column.tolist()) for j, column in enumerate(table)]
         block = dict(sample_counts(distribution, shots, seed))
-        for i in range(points):
-            alone = dict(sample_counts([(key, p[i]) for key, p in distribution if p[i] > 0], shots, seed + i))
-            assert {key: counts[i] for key, counts in block.items()} == {key: alone.get(key, 0) for key in block}
+        drawn = np.array([block[key] for key, _ in distribution]).T
+        rows = np.ascontiguousarray(table.T)
+        rows /= np.add.reduce(rows, axis=1)[:, None]
+        rng = np.random.default_rng(seed)
+        assert drawn.tolist() == [rng.multinomial(shots, row).tolist() for row in rows]
+        # Two sub-blocks drawn back to back from that generator.
+        rng, split = np.random.default_rng(seed), rnd.randrange(points + 1)
+        assert drawn.tolist() == np.concatenate([rng.multinomial(shots, rows[:split]), rng.multinomial(shots, rows[split:])]).tolist()
 
     def test_scalar_draws_a_probability_within_tolerance_as_zero(self):
         distribution = [("a", 0.5), ("b", 0.5), ("c", -1e-15)]

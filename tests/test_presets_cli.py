@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eventready import ExperimentConfig
@@ -186,6 +187,17 @@ class TestPresets:
         assert (a / "polarization-correlation.csv").read_bytes() != (
             b / "polarization-correlation.csv"
         ).read_bytes()
+
+    def test_correlation_rows_are_numpys_draw_in_csv_order(self, tmp_path):
+        """The 38 rows of both curves, drawn from one default_rng(seed) in CSV order."""
+        run_preset("polarization-correlation", out_dir=tmp_path, seed=7, shots=2000)
+        text = (tmp_path / "polarization-correlation.csv").read_text()
+        rows = list(csv.DictReader(line for line in text.splitlines() if not line.startswith("#")))
+        names = ("pp", "pf", "fp", "ff")
+        probs = np.array([[float(row[f"p_{name}"]) for name in ("pass_pass", "pass_fail", "fail_pass", "fail_fail")] for row in rows])
+        expected = np.random.default_rng(7).multinomial(2000, probs / np.add.reduce(probs, axis=1)[:, None])
+        assert len(rows) == 38
+        assert [[int(row[f"counts_{name}"]) for name in names] for row in rows] == expected.tolist()
 
     def test_csv_has_versioned_header(self, tmp_path):
         run_preset("hom-scan", out_dir=tmp_path)

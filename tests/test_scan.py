@@ -657,6 +657,15 @@ class TestReferenceOutputs:
             counts=("counts_coincidence", "error_coincidence", "shots"),
         )
 
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_fusion_delay_scan_draws_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
+        """One generator draws the whole grid, whatever the blocks it was evolved in."""
+        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
+        run_preset("fusion-delay-scan", out_dir=tmp_path, seed=5)
+        monkeypatch.setattr(presets, "SCAN_BLOCK", 64)
+        run_preset("fusion-delay-scan", out_dir=tmp_path / "64", seed=5)
+        assert (tmp_path / "fusion-delay-scan.csv").read_bytes() == (tmp_path / "64" / "fusion-delay-scan.csv").read_bytes()
+
     def test_fusion_overlap_scan(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(build_preset_config("polarization-correlation", {}).to_dict()))
