@@ -21,6 +21,7 @@ from .config import _with_leaves
 from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element
 from .fock import (
     NORM_TOL,
+    PRUNE_TOL,
     UNITARY_TOL,
     FockError,
     GridState,
@@ -221,7 +222,7 @@ class ScanCircuit:
         # (amplitude, creator columns) of each branch no leaf changes, and the weights if none does.
         self.fixed = {b: (branch.amplitude, creator_columns(circuit.registry, branch.photons))
                       for b, branch in enumerate(circuit.branches) if b not in self.branches}
-        self.weights = None if self.branches else self._weights(list(self.fixed.values()), 1)
+        self.weights = None if self.branches else self._weights(list(self.fixed.values()))
         self.plan, fixed = [], []
         for i, (_, t) in enumerate(circuit.steps):
             if i in self.elements:
@@ -249,16 +250,17 @@ class ScanCircuit:
         photons = {b: [_photon_from_source(src) for src in sources[b]["photons"]] for b in self.branches}
         return elements, {b: (a, creator_columns(registry, photons[b], len(values))) for b, a in amplitudes.items()}
 
-    def _weights(self, branches, points) -> list:
+    def _weights(self, branches) -> list:
         """Each branch's weight in the block's state, given its (amplitude,
         creator columns): its amplitude over its input norm and over the
-        norm of the superposed input, which is taken from the un-evolved
-        products.  A lone branch's amplitude is a global phase and is dropped."""
-        norms = [_norm(self.circuit.registry, [(1.0, c)], c.shape[2]) for _, c in branches]
+        norm of the superposed input, each read off the columns
+        (fock.product_norm).  A lone branch's amplitude is a global phase
+        and is dropped."""
+        norms = [_nonzero(product_norm([(1.0, c)])) for _, c in branches]
         if len(branches) == 1:
             return [1.0 / norms[0]]
         weights = [a / norm for (a, _), norm in zip(branches, norms)]
-        total = _norm(self.circuit.registry, [(w, c) for w, (_, c) in zip(weights, branches)], points)
+        total = _nonzero(product_norm([(w, c) for w, (_, c) in zip(weights, branches)]))
         return [w / total for w in weights]
 
     def evolve(self, elements: dict, branches: dict, n: int, heralds=None) -> GridState:
@@ -271,7 +273,7 @@ class ScanCircuit:
             _require_unitary(i, stack)
         registry = self.circuit.registry
         sources = [source for _, source in sorted({**self.fixed, **branches}.items())]
-        weights, columns = self.weights or self._weights(sources, n), [c for _, c in sources]
+        weights, columns = self.weights or self._weights(sources), [c for _, c in sources]
         width = max(c.shape[2] for c in columns)
         pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
         for part in self.plan:
@@ -298,10 +300,9 @@ def _as_stack(t: ModeTransform) -> ModeTransform:
     return ModeTransform(tuple(t.modes[j] for j in order), matrix, name=t.name)
 
 
-def _norm(registry, branches, points) -> np.ndarray:
-    """The norm at each point of multiply_out(registry, branches, points);
-    FockError where it is 0."""
-    norm = multiply_out(registry, branches, points).norm()
-    if not norm.all():
+def _nonzero(norm: np.ndarray) -> np.ndarray:
+    """norm, an input's norm at each point; FockError where it is not above
+    PRUNE_TOL, so that no term of the input survives multiply_out."""
+    if not (norm > PRUNE_TOL).all():
         raise FockError("cannot normalize the zero state")
     return norm
