@@ -311,7 +311,9 @@ def herald_rule(registry: ModeRegistry, heralds):
         read = grouped.union(map(registry.index, read))
         starts.append(len(bounds))
         bounds += [(idxs, n, n) for idxs, n in groups] + [(read - grouped, 0, 0), (read, 1, np.iinfo(np.intp).max)]
-    members = np.array([[i in idxs for i in range(registry.size)] for idxs, _, _ in bounds], dtype=np.intp)
+    members = np.zeros((len(bounds), registry.size), dtype=np.intp)
+    for row, (idxs, _, _) in zip(members, bounds):
+        row[list(idxs)] = 1
     least, most = (np.array(column)[:, None] for column in list(zip(*bounds))[1:])
 
     def keeps(counts, final=True):
