@@ -403,7 +403,7 @@ def _subschema(keys):
         elif isinstance(schema.get("additionalProperties"), dict):
             schema = schema["additionalProperties"]
         else:
-            schema = schema["items"]
+            schema = schema.get("items", {})  # {} past a key the schema does not know
     if "$ref" in schema:
         schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
     return len(keys), schema
@@ -432,10 +432,12 @@ class LeafCheck:
 
     def __init__(self, leaves):
         self._leaves = leaves = [tuple(keys) for keys in leaves]
-        self._checks, numbers = {}, []
+        self._checks, numbers, self._integers = {}, [], []
         for keys in leaves:
             n, schema = _subschema(keys)
             self._checks[keys[:n]] = jsonschema.Draft202012Validator(schema)
+            if n == len(keys) and schema.get("type") == "integer":
+                self._integers.append(keys)
             bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
             if n == len(keys) and schema.get("type") in ("number", "integer") and set(schema) <= bounds:
                 numbers.append(schema["type"])  # a plain bounded number
@@ -450,7 +452,12 @@ class LeafCheck:
         self._budget = ("photon_budget",) in leaves
         self._bins = ("bins",) in leaves
         self.column = len(numbers) == len(leaves) and not (self._budget or self._bins)
-        self._integers = "integer" in numbers
+
+    def at(self, raw: dict, value: float) -> dict:
+        """raw with value at every leaf, as a config file holds it: an
+        integral value is an int at a leaf the schema types `integer`."""
+        plain = [keys for keys in self._leaves if keys not in self._integers]
+        return _with_leaves(_with_leaves(raw, plain, value), self._integers, int(value) if value.is_integer() else value)
 
     def passes(self, values, raw: dict) -> bool:
         """Whether no point of raw, with one of a scan's float values at
@@ -459,7 +466,7 @@ class LeafCheck:
         integral = not self._integers or all(value.is_integer() for value in values)
         magnitudes = (min(values, key=abs), max(values, key=abs)) if self._photons else ()
         return (integral and all(math.isfinite(x) and v.is_valid(x) for x in ends for v in self._checks.values())
-                and not any(self._value_violations(_with_leaves(raw, self._leaves, x)) for x in magnitudes))
+                and not any(self._value_violations(self.at(raw, x)) for x in magnitudes))
 
     def __call__(self, raw: dict) -> list:
         errors, problems = [], []

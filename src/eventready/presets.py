@@ -37,7 +37,7 @@ from .analysis import (
 )
 from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/tracing.py wraps it here
 from .circuit import ScanCircuit, compile_circuit, run
-from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck, _with_leaves
+from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
 from .fock import GridState, PureState, basis_state, distinct_rows, inner_product, kept_pair_pass, kept_pair_violation
 from .fock import one_point_grid, ordered_sum, superpose
@@ -447,7 +447,9 @@ def _path_keys(raw: dict, path: str) -> tuple:
     return keys, present
 
 
-def _checked(check: LeafCheck, raw: dict) -> ExperimentConfig:
+def _checked(check: LeafCheck, base: dict, value: float) -> ExperimentConfig:
+    """The config of base with value at the scan's leaves, checked there."""
+    raw = check.at(base, value)
     violations = check(raw)
     if violations:
         raise ConfigError(violations)
@@ -477,10 +479,10 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
         raise PresetError("scan needs at least one parameter path")
     base = config.to_dict()
     leaves, present = zip(*(_path_keys(base, p) for p in paths))
-    if not all(present):
-        ExperimentConfig.from_dict(_with_leaves(base, leaves, values[0]))
     check = LeafCheck(leaves)
-    point = _checked(check, _with_leaves(base, leaves, values[0]))
+    if not all(present):
+        ExperimentConfig.from_dict(check.at(base, values[0]))
+    point = _checked(check, base, values[0])
     grid = ScanCircuit(compile_circuit(point), point, leaves)
     # A point's own config is read where the observables or the model read a scanned field.
     per_config = any(keys[0] in ("heralds", "analyzers", "model") for keys in leaves)
@@ -489,10 +491,10 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
         block = values[start : start + size]
         try:
             if start and grid.per_point:
-                point = _checked(check, _with_leaves(base, leaves, block[0]))
+                point = _checked(check, base, block[0])
                 grid = ScanCircuit(compile_circuit(point), point, leaves)
             if not check.column or per_config:
-                points = [_checked(check, _with_leaves(base, leaves, value)) for value in block]
+                points = [_checked(check, base, value) for value in block]
             elif check.passes(block, base):
                 points = [point] * len(block)
             else:
@@ -504,7 +506,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
         except ValueError:
             # Each point compiled alone, as --config compiles it: the first bad one raises its own error.
             for value in block:
-                compile_circuit(_checked(check, _with_leaves(base, leaves, value)))
+                compile_circuit(_checked(check, base, value))
             raise
         yield block, points, state, groups
 

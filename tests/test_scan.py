@@ -275,6 +275,19 @@ class TestSameErrors:
         assert main(["--config", str(cfg_path), "--scan", f"{path}=0:1:0.5"]) == 1
         assert capsys.readouterr().err == f"eventready: config error: {message}\n"
 
+    @pytest.mark.parametrize("budget", [None, 3], ids=["absent", "present"])
+    def test_integer_field_scan_fails_as_its_config_does(self, tmp_path, capsys, budget):
+        """A scanned integral value of an integer field goes in as an int, as a config file gives it."""
+        raw = hom_config() if budget is None else {**hom_config(), "photon_budget": budget}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["--config", str(cfg_path), "--scan", "photon_budget=1:3:1"]) == 1
+        scanned = capsys.readouterr().err
+        cfg_path.write_text(json.dumps({**raw, "photon_budget": 1}))
+        assert main(["--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == scanned
+        assert scanned.endswith(" photons exceed the budget of 1\n")
+
     @pytest.mark.parametrize(
         "path, value",
         [
