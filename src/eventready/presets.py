@@ -448,7 +448,6 @@ def _path_keys(raw: dict, path: str) -> tuple:
 
 
 def _checked(check: LeafCheck, base: dict, value: float) -> ExperimentConfig:
-    """The config of base with value at the scan's leaves, checked there."""
     raw = check.at(base, value)
     violations = check(raw)
     if violations:
@@ -729,8 +728,7 @@ def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
 
 
 def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    """The coincidence fringe over the delay grid; with shots, every point is drawn from one
-    default_rng(seed) in grid order over the grid's patterns, sorted, whatever SCAN_BLOCK is."""
+    """The delay fringe; with shots, all points drawn from one default_rng(seed), whatever SCAN_BLOCK is."""
     model = OverlapModel(**config.model)
     # Both photons of the delayed pair acquire the fringe phase.
     effective_period = model.fringe_period_um / 2.0
@@ -772,33 +770,26 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
 
 
 def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    """Analyzer curves at b = 0 and 45 degrees; with shots, their rows are drawn from one
-    default_rng(seed) in CSV order."""
+    """Analyzer curves at b = 0 and 45 degrees; with shots, all rows drawn from one default_rng(seed)."""
     p_herald, rho = _heralded_pair(config)
     thetas = parse_range(f"0:180:{params['theta_step_deg']}")
-    curve, analytic_curves, probabilities = [], [], []
-    for theta_b in (0.0, 45.0):
-        curve_probabilities = [analyzer_probabilities(rho, theta_a, theta_b) for theta_a in thetas]
-        curve += [
-            {
-                "theta_b_deg": theta_b,
-                "theta_a_deg": theta_a,
-                "p_pass_pass": pp,
-                "p_pass_fail": pf,
-                "p_fail_pass": fp,
-                "p_fail_fail": ff,
-            }
-            for theta_a, (pp, pf, fp, ff) in zip(thetas, curve_probabilities)
-        ]
-        analytic_curves.append((thetas, [pp for pp, _, _, _ in curve_probabilities]))
-        probabilities += curve_probabilities
+    keys = ("p_pass_pass", "p_pass_fail", "p_fail_pass", "p_fail_fail")
+    curve = [
+        {"theta_b_deg": theta_b, "theta_a_deg": theta_a, **dict(zip(keys, analyzer_probabilities(rho, theta_a, theta_b)))}
+        for theta_b in (0.0, 45.0)
+        for theta_a in thetas
+    ]
     if shots:
         names = ("pp", "pf", "fp", "ff")
-        drawn = dict(sample_counts(list(zip(names, zip(*probabilities))), shots, seed))
+        drawn = dict(sample_counts([(name, [row[key] for row in curve]) for name, key in zip(names, keys)], shots, seed))
         for j, row in enumerate(curve):
             row.update({f"counts_{name}": drawn[name][j] for name in names})
             row["error_pp"] = math.sqrt(max(1.0, drawn["pp"][j]))
-        sampled_curves = [(thetas, drawn["pp"][start : start + len(thetas)]) for start in (0, len(thetas))]
+
+    def curves(key):
+        return [(thetas, [row[key] for row in curve[start : start + len(thetas)]]) for start in (0, len(thetas))]
+
+    analytic_curves = curves("p_pass_pass")
     period = 180.0  # coincidence goes as 1 + V cos 2(theta - b)
     per_curve = []
     for xs, ys in analytic_curves:
@@ -813,16 +804,9 @@ def run_polarization_correlation(config: ExperimentConfig, params: dict, seed: i
         "concurrence": concurrence(rho),
         "points_per_curve": len(thetas),
     }
-    columns = [
-        "theta_b_deg",
-        "theta_a_deg",
-        "p_pass_pass",
-        "p_pass_fail",
-        "p_fail_pass",
-        "p_fail_fail",
-    ]
+    columns = ["theta_b_deg", "theta_a_deg", *keys]
     if shots:
-        report["joint_visibility_sampled"] = joint_visibility(sampled_curves, period)
+        report["joint_visibility_sampled"] = joint_visibility(curves("counts_pp"), period)
         report["shots_per_point"] = shots
         report["seed"] = seed
         columns += ["counts_pp", "counts_pf", "counts_fp", "counts_ff", "error_pp"]
