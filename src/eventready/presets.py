@@ -740,8 +740,8 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
         curve += [{"delta_um": delta, "p_coincidence": p} for delta, p in zip(values, coincidences)]
     if shots:
         keys = sorted(set().union(*(table for _, table in tables)))
-        columns = [np.concatenate([table.get(key, np.zeros(n)) for n, table in tables]) for key in keys]
-        sampled = dict(sample_counts(list(zip(keys, columns)), shots, seed)).get((1, 1), [0] * len(curve))
+        probabilities = [np.concatenate([table.get(key, np.zeros(n)) for n, table in tables]) for key in keys]
+        sampled = dict(sample_counts(list(zip(keys, probabilities)), shots, seed)).get((1, 1), [0] * len(curve))
         for row, n in zip(curve, sampled):
             row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
     deltas = [r["delta_um"] for r in curve]
