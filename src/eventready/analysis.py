@@ -99,12 +99,14 @@ def group_herald_outcomes(state: PureState, group_requirements: dict, read_out):
     return outcomes
 
 
-def heralded_polarization_dm(state: PureState, group_requirements: dict, read_out, kept_spatial):
-    """Total herald probability and the bin-traced kept-pair density matrix;
-    FockError for the first term, by pattern and then occupation, whose
-    kept support is not one photon per arm (partial_trace_to_polarization's
-    message)."""
-    patterns, kept = herald_terms(one_point_grid(state), group_requirements, read_out)
+def heralded_polarization_dm(state, group_requirements: dict, read_out, kept_spatial):
+    """Total herald probability and the bin-traced kept-pair density matrix
+    of a PureState or a one-point GridState, which may hold only the rows
+    the herald keeps; FockError for the first term, by pattern and then
+    occupation, whose kept support is not one photon per arm
+    (partial_trace_to_polarization's message)."""
+    grid = state if isinstance(state, GridState) else one_point_grid(state)
+    patterns, kept = herald_terms(grid, group_requirements, read_out)
     total, rho, bad = kept_pair_pass(kept, kept_spatial, patterns)
     if not total[0]:
         raise HeraldError(HERALD_IMPOSSIBLE)

@@ -324,19 +324,25 @@ def _herald_request(groups, herald_spec):
 
 
 def _heralded_pair(config: ExperimentConfig):
-    """(herald probability, kept-pair polarization rho) under the first herald."""
+    """(herald probability, kept-pair polarization rho) under the first
+    herald, from a one-point scan multiplied out only into that herald's
+    rows."""
     circuit = compile_circuit(config)
-    state = run(circuit)
     groups = _detector_groups(circuit.registry, config.detectors)
-    requirements, read = _herald_request(groups, config.heralds[0])
-    return heralded_polarization_dm(state, requirements, read, config.kept)
+    request = _herald_request(groups, config.heralds[0])
+    state = ScanCircuit(circuit, config, ()).evolve({}, {}, 1, [request])
+    return heralded_polarization_dm(state, *request, config.kept)
 
 
 def evaluate_config(config: ExperimentConfig) -> dict:
-    """Run one config and report every applicable observable."""
+    """Every applicable observable of one config: a one-point scan, its
+    state multiplied out only into the rows its heralds keep (in full when
+    it has none), read as a scan block is."""
     circuit = compile_circuit(config)
-    state = one_point_grid(run(circuit))
-    return _observables([config], state, _detector_groups(circuit.registry, config.detectors))[0]
+    groups = _detector_groups(circuit.registry, config.detectors)
+    heralds = [_herald_request(groups, spec) for spec in config.heralds]
+    state = ScanCircuit(circuit, config, ()).evolve({}, {}, 1, heralds)
+    return _observables([config], state, groups)[0]
 
 
 def _observables(points: list, state: GridState, groups: dict) -> list:
