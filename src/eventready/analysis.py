@@ -31,6 +31,8 @@ BELL_STATES = {
     "psi_minus": PSI_MINUS,
 }
 
+_SIGMA_Y = np.array([[0, -1j], [1j, 0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)  # Y of concurrence
 TSIRELSON = 2.0 * math.sqrt(2.0)
 HERALD_IMPOSSIBLE = "herald impossible: no exact pattern matches the group counts"
 
@@ -171,11 +173,9 @@ def concurrence(rho: np.ndarray):
     where the direct non-Hermitian product loses precision near zero.
     """
     rho = np.asarray(rho, dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]])
-    flip = np.kron(sy, sy)
     evals, evecs = np.linalg.eigh(rho)
     sqrt_rho = (evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
-    lams = np.linalg.svd(sqrt_rho @ flip @ sqrt_rho.conj(), compute_uv=False)
+    lams = np.linalg.svd(sqrt_rho @ _SPIN_FLIP @ sqrt_rho.conj(), compute_uv=False)
     lams = np.sort(lams, axis=-1)
     return _unit_interval(lams[..., -1] - lams[..., -2] - lams[..., -3] - lams[..., -4])
 
@@ -195,7 +195,7 @@ def analyzer_probabilities(rho: np.ndarray, a_deg: float, b_deg: float):
     out = []
     for va in (pa, fa):
         for vb in (pb, fb):
-            vec = np.kron(va, vb)
+            vec = np.outer(va, vb).ravel()
             out.append(_real(vec.conj() @ rho @ vec))
     pp, pf, fp, ff = out
     return pp, pf, fp, ff

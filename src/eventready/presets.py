@@ -540,17 +540,16 @@ def _group_counts(state, groups: dict, order) -> dict:
     For a GridState each probability is an array over its points, 0 where
     no term of that count survives.
     """
-    read = tuple(m for name in order for m in groups[name])
-    modes = sorted(set(read))  # the order of outcome_distribution's patterns
-    position = {m: order.index(name) for name in order for m in groups[name]}
-    table: dict = {}
-    for pattern, prob in outcome_distribution(state, read):
-        counts = [0] * len(order)
-        for m, c in zip(modes, pattern):
-            counts[position[m]] += c
-        key = tuple(counts)
-        table[key] = table.get(key, 0.0) + prob
-    return table
+    read = [m for name in order for m in groups[name]]
+    group = {state.registry.index(m): k for k, name in enumerate(order) for m in groups[name]}
+    patterns, probs = map(np.array, zip(*outcome_distribution(state, read)))
+    # A pattern's columns are the read modes' sorted registry indices.
+    members = np.eye(len(order), dtype=np.intp)[[group[i] for i in sorted(group)]]
+    keys, inverse = distinct_rows(patterns @ members)
+    # Each key's patterns added in pattern order, from 0.0, as a dict's get(key, 0.0) + prob adds them.
+    table = np.zeros((len(keys),) + probs.shape[1:])
+    np.add.at(table, inverse, probs)
+    return dict(zip(map(tuple, keys.tolist()), table.tolist() if table.ndim == 1 else table))
 
 
 # ---------------------------------------------------------------------------
