@@ -23,10 +23,11 @@ import eventready.config as config_module
 import eventready.presets as presets
 from eventready import ExperimentConfig
 from eventready.cli import main
-from eventready.circuit import CircuitError, ScanCircuit, compile_circuit
+from eventready.analysis import HeraldError, heralded_polarization_dm, outcome_distribution
+from eventready.circuit import CircuitError, ScanCircuit, compile_circuit, run
 from eventready.config import ConfigError, LeafCheck, validate_config_dict
 from eventready.elements import ELEMENT_KINDS, ElementError
-from eventready.fock import FockError, ModeTransform, creator_columns
+from eventready.fock import FockError, ModeTransform, creator_columns, one_point_grid
 from eventready.presets import (
     MAX_SCAN_POINTS,
     PresetError,
@@ -601,6 +602,116 @@ class TestHeraldPruning:
         states = self._states(monkeypatch)
         run_preset("fusion-delay-scan", overrides={"delta_range": "-10:10:1"}, shots=0)
         assert states and all(np.array_equal(state.occupations, full.occupations) for state, full in states)
+
+    @pytest.mark.parametrize("preset, rows", [("polarization-correlation", (46, 1247)), ("chsh", (2, 144))])
+    def test_heralded_preset_holds_only_its_heralds_rows(self, monkeypatch, preset, rows):
+        states = self._states(monkeypatch)
+        presets._heralded_pair(build_preset_config(preset, {}))
+        assert [(len(state.occupations), len(full.occupations)) for state, full in states] == [rows]
+
+
+def _group_counts_by_loop(state, groups: dict, order) -> dict:
+    """_group_counts as a loop over outcome_distribution's patterns, each
+    added to its count's running sum from 0.0."""
+    modes = sorted({m for name in order for m in groups[name]})
+    position = {m: order.index(name) for name in order for m in groups[name]}
+    table: dict = {}
+    for pattern, prob in outcome_distribution(state, modes):
+        counts = [0] * len(order)
+        for m, c in zip(modes, pattern):
+            counts[position[m]] += c
+        table[tuple(counts)] = table.get(tuple(counts), 0.0) + prob
+    return table
+
+
+def test_group_counts_equal_the_pattern_loop_bit_for_bit():
+    config = build_preset_config("herald-table", {})
+    state = run(compile_circuit(config))
+    groups = presets._detector_groups(state.registry, config.detectors)
+    order = ["D1h", "D1v", "D2h", "D2v"]
+    got, want = presets._group_counts(state, groups, order), _group_counts_by_loop(state, groups, order)
+    assert got == want and all(type(p) is float for p in got.values())
+    blocks = presets._scan_blocks(build_preset_config("fusion-delay-scan", {}), "elements.0.delta_um", "-80:80:1")
+    for _, _, grid, groups in blocks:
+        got, want = presets._group_counts(grid, groups, ("D1", "D2")), _group_counts_by_loop(grid, groups, ("D1", "D2"))
+        assert got.keys() == want.keys() and all(np.array_equal(got[key], want[key]) for key in want)
+
+
+def _ket_path_pair(config):
+    """_heralded_pair's (probability, rho) read off the ket path's full state."""
+    circuit = compile_circuit(config)
+    groups = presets._detector_groups(circuit.registry, config.detectors)
+    return heralded_polarization_dm(run(circuit), *presets._herald_request(groups, config.heralds[0]), config.kept)
+
+
+def _off_pair_herald_config():
+    """The fusion scheme heralded on one photon in D1h, which leaves kept
+    supports that are not one photon per arm."""
+    return {**fusion_scheme_config(), "heralds": [{"name": "d1h", "require": {"D1h": 1}}]}
+
+
+def _assert_same_observables(got: dict, want: dict, tol: float):
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == value or abs(got[key] - value) <= tol or math.isnan(got[key]) and math.isnan(value), key
+
+
+class TestOnePointHeraldedRuns:
+    """A single heralded config evolves as a one-point scan multiplied out
+    only into its heralds' rows; the ket path's full state is the
+    reference it must equal."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            *(build_preset_config(name, {"convention": c}).to_dict()
+              for name in ("chsh", "polarization-correlation") for c in ("perm", "i-reflect")),
+            *(polarizer_variant_config(overlap) for overlap in (0.0, 0.5, 1.0)),
+        ],
+        ids=["chsh-perm", "chsh-i-reflect", "correlation-perm", "correlation-i-reflect",
+             "variant-0", "variant-0.5", "variant-1"],
+    )
+    def test_heralded_pair_equals_the_ket_paths(self, raw):
+        config = ExperimentConfig.from_dict(raw)
+        (p, rho), (want_p, want_rho) = presets._heralded_pair(config), _ket_path_pair(config)
+        assert abs(p - want_p) <= 1e-15
+        assert np.abs(rho - want_rho).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            *(build_preset_config(name, {"convention": c}).to_dict() for name in presets.PRESET_NAMES
+              for c in ("perm", "i-reflect")),
+            *(json.loads((DATA / name).read_text()) for name in ("polarizer_variant_config.json", "fusion_delay_config.json")),
+        ],
+    )
+    def test_evaluate_config_equals_the_observables_of_the_full_state(self, raw):
+        config = ExperimentConfig.from_dict(raw)
+        circuit = compile_circuit(config)
+        groups = presets._detector_groups(circuit.registry, config.detectors)
+        want = presets._observables([config], one_point_grid(run(circuit)), groups)[0]
+        _assert_same_observables(evaluate_config(config), want, 1e-14)
+
+    def test_herald_that_cannot_fire_still_fails_or_reads_nan(self, tmp_path, capsys):
+        raw = polarizer_variant_config()
+        raw["heralds"][0]["require"] = {"D1": 5}
+        with pytest.raises(HeraldError, match="impossible"):
+            presets._heralded_pair(ExperimentConfig.from_dict(raw))
+        path = tmp_path / "never.json"
+        path.write_text(json.dumps(raw))
+        assert main(["--config", str(path), "--format", "json"]) == 0
+        obs = json.loads(capsys.readouterr().out)
+        assert obs.pop("p_coincidence") == 0.0
+        assert obs and all(math.isnan(value) for value in obs.values())
+
+    def test_off_pair_herald_gives_the_ket_paths_message(self):
+        config = ExperimentConfig.from_dict(_off_pair_herald_config())
+        with pytest.raises(FockError) as want:
+            _ket_path_pair(config)
+        with pytest.raises(FockError) as got:
+            presets._heralded_pair(config)
+        assert "kept-pair" in str(want.value)
+        assert str(got.value) == str(want.value)
 
 
 class TestRangeLimits:
