@@ -32,7 +32,7 @@ BELL_STATES = {
 }
 
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)  # Y of concurrence
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)  # concurrence's Y = sigma_y x sigma_y
 TSIRELSON = 2.0 * math.sqrt(2.0)
 HERALD_IMPOSSIBLE = "herald impossible: no exact pattern matches the group counts"
 
