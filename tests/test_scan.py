@@ -644,12 +644,6 @@ def _ket_path_pair(config):
     return heralded_polarization_dm(run(circuit), *presets._herald_request(groups, config.heralds[0]), config.kept)
 
 
-def _off_pair_herald_config():
-    """The fusion scheme heralded on one photon in D1h, which leaves kept
-    supports that are not one photon per arm."""
-    return {**fusion_scheme_config(), "heralds": [{"name": "d1h", "require": {"D1h": 1}}]}
-
-
 def _assert_same_observables(got: dict, want: dict, tol: float):
     assert list(got) == list(want)
     for key, value in want.items():
@@ -705,7 +699,8 @@ class TestOnePointHeraldedRuns:
         assert obs and all(math.isnan(value) for value in obs.values())
 
     def test_off_pair_herald_gives_the_ket_paths_message(self):
-        config = ExperimentConfig.from_dict(_off_pair_herald_config())
+        # One photon in D1h leaves kept supports that are not one photon per arm.
+        config = ExperimentConfig.from_dict({**fusion_scheme_config(), "heralds": [{"name": "d1h", "require": {"D1h": 1}}]})
         with pytest.raises(FockError) as want:
             _ket_path_pair(config)
         with pytest.raises(FockError) as got:
