@@ -123,6 +123,12 @@ FAILING_SCANS = (
     # the two equal branches cancel at amplitude -1, which evolution refuses
     ("cancelling-branches", "cancelling-branches", "sources.branches.1.amplitude.0=-1.5:0:0.5"),
     ("no-range", "hom", "sources.branches.0.photons.1.overlap"),
+    # a leaf whose schema is no bounded number, failing at its second point
+    ("schema-version", "hom", "schema_version=1:2:1"),
+    # a leaf each point reads from its own config: a non-integral count mid-block
+    ("herald-count-non-integral", "correlation", "heralds.0.require.D1=0:2:0.5"),
+    # the same kind of leaf, failing at its first point
+    ("coherence-length-negative", "fusion-delay", "model.coherence_length_um=-10:100:50"),
 )
 
 FAILING_CONFIGS = ("photon-overlap-1.2", "bin-mixer-overlap-1.05")
