@@ -275,7 +275,7 @@ def _photon_violations(path: str, photon: dict, bins: int):
     problems = []
     for key, what in (("pol_amps", "polarization"), ("bins", "bin")):
         if key in photon:
-            norm = math.sqrt(sum(abs(_complex(c)) ** 2 for c in photon[key]))
+            norm = math.hypot(*(part for c in photon[key] for part in (c if isinstance(c, list) else [c])))
             if abs(norm - 1.0) > INPUT_NORM_TOL:
                 problems.append(f"{path}.{key}: {what} amplitudes not normalized (norm {norm:.3e})")
     if "bins" in photon:
@@ -291,13 +291,6 @@ def _photon_violations(path: str, photon: dict, bins: int):
     return problems
 
 
-def _budget_violations(b: int, photons: list, budget: int):
-    """More photons in branch b than the photon budget."""
-    if len(photons) > budget:
-        return [f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}"]
-    return []
-
-
 def _cross_reference_violations(raw: dict):
     """Checks that need a schema-valid config: field combinations, photon
     amplitudes and labels."""
@@ -306,7 +299,8 @@ def _cross_reference_violations(raw: dict):
     problems = []
     for b, branch in enumerate(raw.get("sources", {}).get("branches", [])):
         photons = branch.get("photons", [])
-        problems.extend(_budget_violations(b, photons, budget))
+        if len(photons) > budget:
+            problems.append(f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}")
         for p, photon in enumerate(photons):
             path = f"$.sources.branches.{b}.photons.{p}"
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
@@ -362,16 +356,12 @@ def _non_finite_violations(value, path: str = "$"):
     return [p for key, item in items for p in _non_finite_violations(item, f"{path}.{key}")]
 
 
-def _json_path(keys) -> str:
-    return "$." + ".".join(str(k) for k in keys) if keys else "$"
-
-
 def validate_config_dict(raw: dict):
     """Every schema violation, non-finite number and cross-reference problem, as strings."""
     validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = []
     for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        problems.append(f"{_json_path(err.absolute_path)}: {err.message}")
+        problems.append(f"${''.join(f'.{key}' for key in err.absolute_path)}: {err.message}")
     problems.extend(_non_finite_violations(raw))
     if not problems:
         problems.extend(_cross_reference_violations(raw))
@@ -388,112 +378,72 @@ def _with_leaves(node, leaves, value):
 
 
 def _subschema(keys):
-    """(n, schema): the part of CONFIG_SCHEMA that checks the value at
-    keys[:n].  That is the leaf itself, unless the walk meets an anyOf
-    first, whose failure the full validator reports at the anyOf's own
-    instance."""
+    """The part of CONFIG_SCHEMA that checks a number at keys: any number
+    for a complex number or a part of one, {} past a key the schema does
+    not know."""
     schema = CONFIG_SCHEMA
-    for n, key in enumerate(keys):
+    for key in keys:
         if "$ref" in schema:
             schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
         if "anyOf" in schema:
-            return n, schema
+            break
         if key in schema.get("properties", {}):
             schema = schema["properties"][key]
         elif isinstance(schema.get("additionalProperties"), dict):
             schema = schema["additionalProperties"]
         else:
-            schema = schema.get("items", {})  # {} past a key the schema does not know
+            schema = schema.get("items", {})
     if "$ref" in schema:
         schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
-    return len(keys), schema
+    return {"type": "number"} if "anyOf" in schema else schema
 
 
 class LeafCheck:
-    """validate_config_dict for a raw config that differs from a valid one
-    only in the values at some leaves, each given as its list of keys.
+    """Whether validate_config_dict accepts a raw config that differs from
+    a valid one only in the values at some leaves, each given as its list
+    of keys.  A leaf absent from the valid config must have been accepted
+    at one value, so that every point has the same keys.
 
     The schema has no constraint between fields, so a schema error can sit
-    only at a changed leaf: each leaf is checked against its own
+    only at a changed leaf: each value is checked against each leaf's
     subschema, resolved once, and for finiteness.  Of the cross-reference
-    checks, only those that read a value can change: the amplitude and bin
-    checks of a scanned photon, the budget checks when `photon_budget` is
-    scanned and every photon's bin count when `bins` is.  Those run; the
-    others read keys, labels and ports, which every point shares with the
-    valid config.  The result is the message list validate_config_dict
-    gives for the same config.
-
-    Where every leaf's subschema is a plain bounded or a complex number
-    and no `bins` or `photon_budget` is scanned (`column`), `passes` checks
-    a column of values at once: bounds at its least and greatest value, a
-    photon (norms, overlap, bins: each holds on an interval of magnitudes)
-    at its values of least and greatest magnitude.
+    checks, only those of photons, `photon_budget` and `bins` read a
+    value, and each holds on an interval of magnitudes; where a leaf is
+    one of those, _cross_reference_violations runs again at the values of
+    least and greatest magnitude.  The others read keys, labels and ports,
+    which every point shares with the valid config.  Where every leaf's
+    subschema is a plain bounded number, its bounds are checked at the
+    least and greatest value only.
     """
 
     def __init__(self, leaves):
         self._leaves = leaves = [tuple(keys) for keys in leaves]
-        self._checks, numbers, self._integers = {}, [], []
-        for keys in leaves:
-            n, schema = _subschema(keys)
-            self._checks[keys[:n]] = jsonschema.Draft202012Validator(schema)
-            if n == len(keys) and schema.get("type") == "integer":
-                self._integers.append(keys)
-            bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
-            if n == len(keys) and schema.get("type") in ("number", "integer") and set(schema) <= bounds:
-                numbers.append(schema["type"])  # a plain bounded number
-            elif schema is CONFIG_SCHEMA["$defs"]["complexish"]:
-                numbers.append("number")  # any finite number is valid
-        # (branch, photon) of each scanned photon field.
-        self._photons = {
-            (keys[2], keys[4])
+        schemas = [_subschema(keys) for keys in leaves]
+        self._checks = [jsonschema.Draft202012Validator(schema) for schema in schemas]
+        self._integers = [keys for keys, schema in zip(leaves, schemas) if schema.get("type") == "integer"]
+        bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
+        self._interval = all(s.get("type") in ("number", "integer") and set(s) <= bounds for s in schemas)
+        self._cross = any(
+            keys in (("photon_budget",), ("bins",)) or (keys[:2] == ("sources", "branches") and keys[3:4] == ("photons",))
             for keys in leaves
-            if len(keys) > 4 and (keys[0], keys[1], keys[3]) == ("sources", "branches", "photons")
-        }
-        self._budget = ("photon_budget",) in leaves
-        self._bins = ("bins",) in leaves
-        self.column = len(numbers) == len(leaves) and not (self._budget or self._bins)
+        )
 
     def at(self, raw: dict, value: float) -> dict:
         """raw with value at every leaf, as a config file holds it: an
         integral value is an int at a leaf the schema types `integer`."""
         plain = [keys for keys in self._leaves if keys not in self._integers]
-        return _with_leaves(_with_leaves(raw, plain, value), self._integers, int(value) if value.is_integer() else value)
+        return _with_leaves(_with_leaves(raw, plain, value), self._integers, int(value) if value % 1 == 0 else value)
 
     def passes(self, values, raw: dict) -> bool:
-        """Whether no point of raw, with one of a scan's float values at
-        every leaf, has a violation; only where `column`."""
-        ends = (min(values), max(values))  # all finite if both are
-        integral = not self._integers or all(value.is_integer() for value in values)
-        magnitudes = (min(values, key=abs), max(values, key=abs)) if self._photons else ()
-        return (integral and all(math.isfinite(x) and v.is_valid(x) for x in ends for v in self._checks.values())
-                and not any(self._value_violations(self.at(raw, x)) for x in magnitudes))
-
-    def __call__(self, raw: dict) -> list:
-        errors, problems = [], []
-        for prefix, validator in self._checks.items():
-            value = raw
-            for key in prefix:
-                value = value[key]
-            errors += [([*prefix, *err.absolute_path], err.message) for err in validator.iter_errors(value)]
-            problems += _non_finite_violations(value, _json_path(prefix))
-        errors.sort(key=lambda e: e[0])
-        problems = [f"{_json_path(path)}: {message}" for path, message in errors] + problems
-        return problems or self._value_violations(raw)
-
-    def _value_violations(self, raw: dict) -> list:
-        """The cross-reference problems a scanned value can cause, in
-        _cross_reference_violations' order."""
-        budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
-        bins = raw.get("bins", ExperimentConfig.bins)
-        problems = []
-        for b, branch in enumerate(raw["sources"]["branches"]):
-            photons = branch["photons"]
-            if self._budget:
-                problems.extend(_budget_violations(b, photons, budget))
-            for p, photon in enumerate(photons):
-                if self._bins or (b, p) in self._photons:
-                    problems.extend(_photon_violations(f"$.sources.branches.{b}.photons.{p}", photon, bins))
-        return problems
+        """Whether validate_config_dict accepts raw with each of values at every leaf."""
+        checked = (min(values), max(values)) if self._interval else values
+        magnitudes = {min(values, key=abs), max(values, key=abs)} if self._cross else ()
+        return (
+            not any(_non_finite_violations(x) for x in values)
+            and (not self._integers or all(x % 1 == 0 for x in values))
+            and all(check.is_valid(x) for x in checked for check in self._checks)
+            and not any(_cross_reference_violations(self.at(raw, x)) for x in magnitudes)
+        )
 
 
 def parse_config(path) -> ExperimentConfig:

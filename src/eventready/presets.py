@@ -454,11 +454,11 @@ def _path_keys(raw: dict, path: str) -> tuple:
 
 
 def _checked(check: LeafCheck, base: dict, value: float) -> ExperimentConfig:
+    """The config of one scan point: checked at its leaves, and validated
+    in full where that check fails, so that its ConfigError carries
+    validate_config_dict's messages."""
     raw = check.at(base, value)
-    violations = check(raw)
-    if violations:
-        raise ConfigError(violations)
-    return ExperimentConfig._from_valid(raw)
+    return ExperimentConfig._from_valid(raw) if check.passes([value], base) else ExperimentConfig.from_dict(raw)
 
 
 def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded: bool = False):
@@ -466,17 +466,18 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
     block of at most SCAN_BLOCK points of scan()'s grid.
 
     config is already validated, so a point has only its scanned leaves
-    checked (LeafCheck).  The exception is a leaf absent from config: the
-    first point then adds a key, which the schema may not know or which
-    may clash with another field, so it is validated in full.  The first
-    point is compiled into a ScanCircuit.  A block's values are lowered,
-    made into creators and evolved at once, and checked at once where
-    LeafCheck allows (`column`) and no point needs a config of its own
-    (`heralds`, `analyzers`, `model`).  A failing block is redone point by
-    point, each checked and compiled alone as --config compiles it, so its
-    first bad point raises the error it raises alone.  A `bins`,
-    `photon_budget` or `bin_map` scan compiles each point alone.  Where
-    heralded, a block holds only the rows its heralds, if any, keep.
+    checked (LeafCheck), a block of them at once.  The exception is a leaf
+    absent from config: the first point then adds a key, which the schema
+    may not know or which may clash with another field, so it is
+    validated in full.  The first point is compiled into a ScanCircuit.  A
+    block's values are lowered, made into creators and evolved at once; a
+    config per point is built only where the observables or the model read
+    a scanned field (`heralds`, `analyzers`, `model`).  A failing block is
+    redone point by point, each checked (_checked: validated in full where
+    its check fails) and compiled alone as --config compiles it, so its
+    first bad point raises the error it raises alone.
+    A `bins`, `photon_budget` or `bin_map` scan compiles each point alone.
+    Where heralded, a block holds only the rows its heralds, if any, keep.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -485,25 +486,25 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
     base = config.to_dict()
     leaves, present = zip(*(_path_keys(base, p) for p in paths))
     check = LeafCheck(leaves)
-    if not all(present):
-        ExperimentConfig.from_dict(check.at(base, values[0]))
-    point = _checked(check, base, values[0])
+    if all(present):
+        point = _checked(check, base, values[0])
+    else:
+        point = ExperimentConfig.from_dict(check.at(base, values[0]))
     grid = ScanCircuit(compile_circuit(point), point, leaves)
-    # A point's own config is read where the observables or the model read a scanned field.
     per_config = any(keys[0] in ("heralds", "analyzers", "model") for keys in leaves)
     size = 1 if grid.per_point else SCAN_BLOCK
     for start in range(0, len(values), size):
         block = values[start : start + size]
         try:
-            if start and grid.per_point:
-                point = _checked(check, base, block[0])
-                grid = ScanCircuit(compile_circuit(point), point, leaves)
-            if not check.column or per_config:
-                points = [_checked(check, base, value) for value in block]
-            elif check.passes(block, base):
-                points = [point] * len(block)
-            else:
+            if not check.passes(block, base):
                 raise ConfigError([f"a value of {path!r} fails its check"])
+            if start and grid.per_point:
+                point = ExperimentConfig._from_valid(check.at(base, block[0]))
+                grid = ScanCircuit(compile_circuit(point), point, leaves)
+            if per_config:
+                points = [ExperimentConfig._from_valid(check.at(base, value)) for value in block]
+            else:
+                points = [point] * len(block)
             groups = _detector_groups(grid.circuit.registry, point.detectors)
             specs = {json.dumps(s, sort_keys=True): s for p in {id(p): p for p in points}.values() for s in p.heralds}
             heralds = [_herald_request(groups, spec) for spec in specs.values()] if heralded else None
@@ -520,13 +521,14 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     """One observable row per parameter value, in ascending order.
 
     config is a validated ExperimentConfig (ExperimentConfig.from_dict,
-    parse_config or build_preset_config); the points are checked only at
-    the scanned leaves, a block of them at once where each is a plain
-    bounded or a complex number, save the first when a scanned leaf is
-    absent from config, which is validated in full.  A block is multiplied
-    out only into the rows its heralds keep, all that is read of it.
-    Several comma-separated paths move together through the same values,
-    e.g. both photons of a delayed pair sharing one overlap.
+    parse_config or build_preset_config); a block of points is checked at
+    once at the scanned leaves, save the first point when a scanned leaf
+    is absent from config, which is validated in full.  A point that
+    fails is validated in full, so its ConfigError carries the messages
+    of validate_config_dict.  A block is multiplied out only into the rows
+    its heralds keep, all that is read of it.  Several comma-separated
+    paths move together through the same values, e.g. both photons of a
+    delayed pair sharing one overlap.
     """
     rows = []
     for values, points, grid, groups in _scan_blocks(config, path, range_spec, heralded=True):
@@ -998,9 +1000,12 @@ def run_preset(
     Exit code 0 on success, 2 when a check-style preset misses its
     threshold; errors raise (the CLI maps them to exit code 1).
     """
-    for argument, value in (("seed", seed), ("shots", shots)):
+    # numpy's multinomial draws at most 2**63 - 1 shots.
+    for argument, value, most in (("seed", seed, math.inf), ("shots", shots, 2**63 - 1)):
         if value is not None and value < 0:
             raise PresetArgumentError(f"{argument} must be >= 0, got {value}")
+        if value is not None and value > most:
+            raise PresetArgumentError(f"{argument} must be <= {most}, got {value}")
     params = dict(overrides or {})
     if convention:
         params["convention"] = convention

@@ -140,6 +140,19 @@ class TestParseConfig:
             ),
             pytest.param(
                 None,
+                [{"spatial": "A1"}, {"spatial": "A2", "pol_amps": [1e308, 1e308]}],
+                "$.sources.branches.0.photons.1.pol_amps: "
+                "polarization amplitudes not normalized (norm 1.414e+308)",
+                id="pol-amps-past-float-range",
+            ),
+            pytest.param(
+                None,
+                [{"spatial": "A1"}, {"spatial": "A2", "bins": [[1e308, 1e308]]}],
+                "$.sources.branches.0.photons.1.bins: bin amplitudes not normalized (norm 1.414e+308)",
+                id="bins-past-float-range",
+            ),
+            pytest.param(
+                None,
                 [{"spatial": "A1"}, {"spatial": "A2", "bins": [0.6, 0.8, 0, 0, 0]}],
                 "$.sources.branches.0.photons.1.bins: uses 5 bins, the config has 4",
                 id="more-bins-than-config",

@@ -500,6 +500,15 @@ class TestCli:
         assert capsys.readouterr().err == f"eventready: error: {flag} must be >= 0, got -1\n"
         assert built == [] and list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("shots", [2**63 - 1, 2**63, 10**20 - 1], ids=["most", "one-more", "twenty-digits"])
+    def test_shots_at_most_what_numpy_draws(self, capsys, shots):
+        if shots < 2**63:
+            assert main(["--preset", "chsh", "--shots", str(shots)]) == 0
+            assert json.loads(capsys.readouterr().out)["shots_per_setting"] == shots
+        else:
+            assert main(["--preset", "chsh", "--shots", str(shots)]) == 1
+            assert capsys.readouterr().err == f"eventready: error: --shots must be <= {2**63 - 1}, got {shots}\n"
+
     @pytest.mark.parametrize(
         "preset, key, value, message",
         [

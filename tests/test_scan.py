@@ -1,9 +1,10 @@
 """Compile-once scans: the grid path against the per-point path.
 
-A scan checks only the scanned leaves of its points (its first point in
-full when a scanned leaf is absent from the config), compiles once per
-mode registry and evolves its points in blocks.  These tests hold it to the per-point path: the same
-rows, the same error messages, and the committed reference outputs.
+A scan checks only the scanned leaves of its points, a block at once
+(in full its first point when a scanned leaf is absent from the config,
+and any point that fails), compiles once per mode registry and evolves
+its points in blocks.  These tests hold it to the per-point path: the
+same rows, the same error messages, and the committed reference outputs.
 """
 
 import copy
@@ -30,6 +31,7 @@ from eventready.elements import ELEMENT_KINDS, ElementError
 from eventready.fock import FockError, ModeTransform, creator_columns, one_point_grid
 from eventready.presets import (
     MAX_SCAN_POINTS,
+    PRESET_NAMES,
     PresetError,
     build_preset_config,
     evaluate_config,
@@ -76,6 +78,31 @@ def _delayed_config():
     raw = fusion_delay_config()
     raw["elements"][0]["delta_um"] = 150.0
     return raw
+
+
+def _leaf_check_config():
+    """The beamsplitter config with a complex branch amplitude and photon
+    overlap, a model and a delay: a leaf of each kind to check."""
+    raw = _beamsplitter_config()
+    raw["sources"]["branches"][0]["amplitude"] = [1.0, 0.0]
+    raw["sources"]["branches"][0]["photons"][1]["overlap"] = [0.9, 0.0]
+    raw["model"] = {"coherence_length_um": 100.0}
+    raw["elements"].append({"kind": "delay", "port": "A2", "delta_um": 0.0})
+    return raw
+
+
+def _photon_values_config():
+    """The HOM config with complex polarization and bin amplitudes on its first photon."""
+    raw = hom_config()
+    photon = raw["sources"]["branches"][0]["photons"][0]
+    del photon["pol_angle_deg"]
+    photon.update(pol_amps=[0.6, [0.0, 0.8]], bins=[[0.0, 0.6], 0.8])
+    return raw
+
+
+def _leaves(path: str) -> list:
+    """The keys of each of a scan's comma-separated paths."""
+    return [[int(k) if k.isdigit() else k for k in p.split(".")] for p in path.split(",")]
 
 
 def _set(raw: dict, path: str, value) -> dict:
@@ -148,6 +175,49 @@ def scan_cases(draw):
     return build(), path, spec, draw(st.sampled_from([1, 2, 3, presets.SCAN_BLOCK]))
 
 
+def _numeric_leaves(node, keys=()) -> list:
+    """The keys of every number in a raw config."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [keys] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+    return [leaf for key, item in items for leaf in _numeric_leaves(item, (*keys, key))]
+
+
+def _absent_leaves(raw: dict) -> list:
+    """The keys of numeric fields that raw leaves out and a scan may add:
+    `bins`, `photon_budget`, a branch amplitude, a photon's overlap or
+    polarization angle and the model's fields."""
+    leaves = [("bins",), ("photon_budget",)]
+    for b, branch in enumerate(raw["sources"]["branches"]):
+        leaves.append(("sources", "branches", b, "amplitude"))
+        for p, photon in enumerate(branch["photons"]):
+            leaves += [("sources", "branches", b, "photons", p, key) for key in ("overlap", "pol_angle_deg")]
+    if "model" in raw:
+        leaves += [("model", "coherence_length_um"), ("model", "fringe_period_um")]
+    present = set(_numeric_leaves(raw))
+    return [keys for keys in leaves if keys not in present]
+
+
+LEAF_CONFIGS = {
+    **{name: build_preset_config(name, {}).to_dict() for name in PRESET_NAMES},
+    "leaf-check": _leaf_check_config(),
+    "photon-values": _photon_values_config(),
+}
+
+
+@st.composite
+def leaf_values(draw):
+    """(a preset's raw config, the keys of a numeric leaf it holds or
+    leaves out, a list of values for it)."""
+    raw = LEAF_CONFIGS[draw(st.sampled_from(sorted(LEAF_CONFIGS)))]
+    keys = draw(st.sampled_from(_numeric_leaves(raw) if draw(st.booleans()) else _absent_leaves(raw)))
+    value = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 9.0, -1.0, 1e308]), st.floats(-10.0, 10.0))
+    return raw, keys, draw(st.lists(value, min_size=1, max_size=5))
+
+
 class TestGridMatchesPerPointPath:
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(scan_cases())
@@ -218,20 +288,96 @@ class TestGridMatchesPerPointPath:
         _assert_rows_match(rows[60:70], _per_point_rows(raw, "elements.0.delta_um", "-20:-15.5:0.5"))
 
 
+def _counting_checks(monkeypatch, path: str):
+    """(rows, {"validate": full validations, "passes": LeafCheck.passes
+    calls}) of a scan of the herald-scan config in blocks of 8."""
+    raw = _herald_scan_config()
+    counted = {"validate": 0, "passes": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(config_module, "validate_config_dict", counting("validate", config_module.validate_config_dict))
+    monkeypatch.setattr(LeafCheck, "passes", counting("passes", LeafCheck.passes))
+    monkeypatch.setattr(presets, "SCAN_BLOCK", 8)
+    return scan(ExperimentConfig.from_dict(raw), path, "0.43:0.94:0.02"), counted
+
+
 class TestSameErrors:
     @pytest.mark.parametrize(
-        "raw, path, spec, bad_point",
+        "raw, path, spec, bad_point, where",
         [
-            (_beamsplitter_config(0.95), "elements.1.transmissivity", "0.95:1.06:0.05", 2),
-            (hom_config(), "sources.branches.0.photons.1.overlap", "0.8:1.25:0.2", 2),
-            (_delayed_config(), "model.coherence_length_um", "0:100:50", 0),
+            (_beamsplitter_config(0.95), "elements.1.transmissivity", "0.95:1.06:0.05", 2, "$.elements.1.transmissivity"),
+            (hom_config(), "sources.branches.0.photons.1.overlap", "0.8:1.25:0.2", 2, "$.sources.branches.0.photons.1.overlap"),
+            (_delayed_config(), "model.coherence_length_um", "0:100:50", 0, "$.model.coherence_length_um"),
+            (_leaf_check_config(), "elements.1.transmissivity", "-0.1:0.2:0.1", 0, "$.elements.1.transmissivity"),
+            (
+                _leaf_check_config(),
+                "sources.branches.0.photons.1.overlap.0",
+                "0.8:1.25:0.2",
+                2,
+                "$.sources.branches.0.photons.1.overlap",
+            ),
+            (_leaf_check_config(), "bins", "2:3:0.5", 1, "$.bins"),
+            (_leaf_check_config(), "bins", "1:2:1", 0, "$.sources.branches.0.photons.1.overlap"),
+            (_leaf_check_config(), "photon_budget", "1:3:1", 0, "$.sources.branches.0.photons"),
+            (_leaf_check_config(), "heralds.0.require.DA", "-1:1:1", 0, "$.heralds.0.require.DA"),
+            (
+                _photon_values_config(),
+                "sources.branches.0.photons.0.pol_amps.0",
+                "0.6:1:0.3",
+                1,
+                "$.sources.branches.0.photons.0.pol_amps",
+            ),
+            (
+                _photon_values_config(),
+                "sources.branches.0.photons.0.pol_amps.1.1",
+                "0:0.8:0.8",
+                0,
+                "$.sources.branches.0.photons.0.pol_amps",
+            ),
+            (
+                _photon_values_config(),
+                "sources.branches.0.photons.0.bins.1",
+                "0.5:0.8:0.3",
+                0,
+                "$.sources.branches.0.photons.0.bins",
+            ),
+            (
+                _photon_values_config(),
+                "sources.branches.0.photons.0.bins.0.1",
+                "0:0.6:0.6",
+                0,
+                "$.sources.branches.0.photons.0.bins",
+            ),
+            (_photon_values_config(), "photon_budget,bins", "1:2:1", 0, "$.sources.branches.0.photons"),
         ],
-        ids=["transmissivity-1.05", "photon-overlap-1.2", "coherence-length-0"],
+        ids=[
+            "transmissivity-1.05",
+            "photon-overlap-1.2",
+            "coherence-length-0",
+            "transmissivity-negative",
+            "overlap-part-1.2",
+            "bins-non-integral",
+            "bins-1",
+            "photon-budget-1",
+            "herald-count-negative",
+            "pol-amps",
+            "pol-amps-im",
+            "photon-bins",
+            "photon-bins-im",
+            "budget-and-bins",
+        ],
     )
-    def test_bad_point_gives_the_full_validation_messages(self, tmp_path, capsys, raw, path, spec, bad_point):
-        bad = _set(raw, path, parse_range(spec)[bad_point])
+    def test_bad_point_gives_the_full_validation_messages(self, tmp_path, capsys, raw, path, spec, bad_point, where):
+        # The bad point as a config file holds it: an integral value is an int at an integer field.
+        bad = LeafCheck(_leaves(path)).at(raw, parse_range(spec)[bad_point])
         expected = validate_config_dict(bad)
-        assert expected and all(v.startswith(f"$.{path}") for v in expected)
+        assert expected and all(v.startswith(where) for v in expected)
         with pytest.raises(ConfigError) as exc:
             scan(ExperimentConfig.from_dict(raw), path, spec)
         assert exc.value.violations == expected
@@ -308,15 +454,10 @@ class TestSameErrors:
         ],
     )
     def test_leaf_check_equals_full_validation(self, path, value):
-        raw = _beamsplitter_config()
-        raw["sources"]["branches"][0]["amplitude"] = [1.0, 0.0]
-        raw["sources"]["branches"][0]["photons"][1]["overlap"] = [0.9, 0.0]
-        raw["model"] = {"coherence_length_um": 100.0}
-        raw["elements"].append({"kind": "delay", "port": "A2", "delta_um": 0.0})
+        raw = _leaf_check_config()
         assert validate_config_dict(raw) == []
-        keys = [int(k) if k.isdigit() else k for k in path.split(".")]
-        bad = _set(raw, path, value)
-        assert LeafCheck([keys])(bad) == validate_config_dict(bad)
+        check = LeafCheck(_leaves(path))
+        assert check.passes([value], raw) == (validate_config_dict(check.at(raw, value)) == [])
 
     @pytest.mark.parametrize(
         "paths, value",
@@ -331,17 +472,40 @@ class TestSameErrors:
         ids=["pol-amps", "pol-amps-im", "photon-bins", "photon-bins-im", "valid-pol-angle", "budget-and-bins"],
     )
     def test_leaf_check_equals_full_validation_on_photon_values(self, paths, value):
-        raw = hom_config()
-        photon = raw["sources"]["branches"][0]["photons"][0]
-        del photon["pol_angle_deg"]
-        photon["pol_amps"] = [0.6, [0.0, 0.8]]
-        photon["bins"] = [[0.0, 0.6], 0.8]
+        raw = _photon_values_config()
         assert validate_config_dict(raw) == []
-        leaves = [[int(k) if k.isdigit() else k for k in path.split(".")] for path in paths]
-        bad = raw
-        for path in paths:
-            bad = _set(bad, path, value)
-        assert LeafCheck(leaves)(bad) == validate_config_dict(bad)
+        check = LeafCheck(_leaves(",".join(paths)))
+        assert check.passes([value], raw) == (validate_config_dict(check.at(raw, value)) == [])
+
+    @pytest.mark.parametrize(
+        "path, values",
+        [
+            ("elements.1.transmissivity", [0.5, 1.05]),
+            ("elements.1.transmissivity", [-0.1, 0.5]),
+            ("bins", [2.0, 9.0]),
+            ("bins", [1.0, 2.0]),
+            ("sources.branches.0.photons.1.overlap.0", [-1.2, 0.5]),
+            ("sources.branches.0.photons.1.overlap.0", [0.5, 1.2]),
+            ("heralds.0.require.DA", [0.0, 0.5, 1.0]),
+        ],
+        ids=["over-max", "under-min", "bins-over-max", "bins-too-few", "magnitude-low-end", "magnitude-high-end", "non-integral"],
+    )
+    def test_block_with_one_bad_point_fails(self, path, values):
+        # Each block has a good and a bad point, the bad one where a block check could miss it.
+        raw = _leaf_check_config()
+        check = LeafCheck(_leaves(path))
+        verdicts = [validate_config_dict(check.at(raw, value)) == [] for value in values]
+        assert any(verdicts) and not all(verdicts)
+        assert not check.passes(values, raw)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(leaf_values())
+    def test_leaf_check_verdict_equals_full_validation(self, case):
+        raw, keys, values = case
+        check = LeafCheck([keys])
+        verdicts = [validate_config_dict(check.at(raw, value)) == [] for value in values]
+        assert [check.passes([value], raw) for value in values] == verdicts
+        assert check.passes(values, raw) == all(verdicts)
 
     def test_element_scan_runs_no_cross_reference_check_after_its_first_point(self, monkeypatch):
         calls = {"validate": 0, "cross": 0}
@@ -368,22 +532,19 @@ class TestSameErrors:
         assert calls == {"validate": 1, "cross": 1}
 
     def test_photon_scan_checks_each_block_once(self, monkeypatch):
-        calls = {"point": 0, "block": 0}
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(LeafCheck, "__call__", counting("point", LeafCheck.__call__))
-        monkeypatch.setattr(LeafCheck, "passes", counting("block", LeafCheck.passes))
-        monkeypatch.setattr(presets, "SCAN_BLOCK", 8)
-        rows = scan(ExperimentConfig.from_dict(_herald_scan_config()), FUSION_OVERLAPS, "0.43:0.94:0.02")
-        # The compiled first point is checked alone; each block of 8 of the 26 points at once.
+        rows, counted = _counting_checks(monkeypatch, FUSION_OVERLAPS)
+        # The config is validated in full; its compiled first point is
+        # checked alone, then each block of 8 of the 26 points at once.
         assert len(rows) == 26
-        assert calls == {"point": 1, "block": 4}
+        assert counted == {"validate": 1, "passes": 5}
+
+    def test_photon_scan_of_absent_leaves_validates_its_first_point_in_full(self, monkeypatch):
+        path = "sources.branches.0.photons.0.overlap,sources.branches.0.photons.1.overlap"
+        rows, counted = _counting_checks(monkeypatch, path)
+        # The config and the first point, which adds the keys, are
+        # validated in full; then each block of 8 of the 26 points is checked at once.
+        assert len(rows) == 26
+        assert counted == {"validate": 2, "passes": 4}
 
     def test_photon_block_with_a_bad_fourth_point_fails_as_that_point(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -804,28 +965,23 @@ class TestReferenceOutputs:
 
 class TestExactOutputs:
     """Scan CSVs as written before a scan block was herald-pruned and its
-    photons read as columns, compared byte for byte."""
+    photons read as columns, compared byte for byte.  The corpus
+    (test_corpus.py) holds the bytes of the other scans."""
 
     @pytest.mark.parametrize(
         "raw, scan_arg, reference",
         [
-            (_herald_scan_config(), f"{FUSION_OVERLAPS}=0.43:0.94:0.02", "herald_scan.csv"),
             (_correlation_config(), "sources.branches.0.photons.1.pol_angle_deg=0:90:5", "pol_angle_scan.csv"),
             (
                 _with_photon(_with_photon(_correlation_config(), 2, overlap=[0.9, 0.1]), 3, overlap=[0.9, 0.1]),
                 "sources.branches.0.photons.2.overlap.1,sources.branches.0.photons.3.overlap.1=-0.3:0.3:0.05",
                 "overlap_part_scan.csv",
             ),
-            (_correlation_config(), "heralds.0.require.D1=0:2:1", "herald_require_scan.csv"),
         ],
-        ids=["herald-scan", "pol-angle", "overlap-part", "herald-require"],
+        ids=["pol-angle", "overlap-part"],
     )
     def test_scan_csv_bytes(self, tmp_path, raw, scan_arg, reference):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path), "--scan", scan_arg, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "scan.csv").read_bytes() == (DATA / "exact" / reference).read_bytes()
-
-    def test_hom_scan_curve_bytes(self, tmp_path):
-        run_preset("hom-scan", out_dir=tmp_path)
-        assert (tmp_path / "hom-scan.csv").read_bytes() == (DATA / "exact" / "hom_scan.csv").read_bytes()

@@ -114,7 +114,7 @@ SCANS = (
 
 # (name, input, --scan argument) of each scan that fails, and why.
 FAILING_SCANS = (
-    # a LeafCheck failure at the seventh of eleven points of one block
+    # a block of eleven points that fails LeafCheck.passes at its seventh, which is then validated in full
     ("leaf-check-mid-block", "hom", "sources.branches.0.photons.1.overlap=0.5:1.5:0.1"),
     # an overlap past 1 passes the schema and fails the bin mixer's lowering
     ("bin-mixer-overlap-past-1", "walkoff", "elements.5.overlap=0.9:1.1:0.05"),
