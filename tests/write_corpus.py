@@ -92,6 +92,7 @@ def _inputs() -> dict:
         "cancelling-branches": cancelling,
         "photon-overlap-1.2": _set(hom_config(), "sources.branches.0.photons.1.overlap", 1.2),
         "bin-mixer-overlap-1.05": _set(walkoff, "elements.5.overlap", 1.05),
+        "kept-duplicate": {**polarizer_variant_config(), "kept": ["A1", "A1"]},
     }
 
 
@@ -131,7 +132,8 @@ FAILING_SCANS = (
     ("coherence-length-negative", "fusion-delay", "model.coherence_length_um=-10:100:50"),
 )
 
-FAILING_CONFIGS = ("photon-overlap-1.2", "bin-mixer-overlap-1.05")
+# Each config that fails; kept-duplicate names one kept arm twice.
+FAILING_CONFIGS = ("photon-overlap-1.2", "bin-mixer-overlap-1.05", "kept-duplicate")
 
 
 def _runs(inputs: Path):
