@@ -102,6 +102,7 @@ CONFIG_SCHEMA = {
             "items": {"type": "string"},
             "minItems": 2,
             "maxItems": 2,
+            "uniqueItems": True,
         },
         "analyzers": {
             "type": "object",

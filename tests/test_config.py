@@ -7,7 +7,7 @@ from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
 from eventready.cli import build_parser
 from eventready.config import validate_config_dict
 from eventready.elements import PBS_CONVENTIONS
-from eventready.presets import PRESET_NAMES, build_preset_config, fusion_scheme_config, json_text
+from eventready.presets import PRESET_NAMES, build_preset_config, fusion_scheme_config, json_text, polarizer_variant_config
 
 
 MINIMAL = {
@@ -177,6 +177,15 @@ class TestParseConfig:
         assert validate_config_dict(raw) == [message]
         assert main(["--config", str(write_config(tmp_path, raw))]) == 1
         assert capsys.readouterr().err == f"eventready: config error: {message}\n"
+
+    def test_kept_pair_naming_one_arm_twice_is_rejected(self, tmp_path, capsys):
+        from eventready.cli import main
+
+        raw = {**polarizer_variant_config(), "kept": ["A1", "A1"]}
+        message = "$.kept: ['A1', 'A1'] has non-unique elements"
+        assert validate_config_dict(raw) == [message]
+        assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == 1
+        assert capsys.readouterr() == ("", f"eventready: config error: {message}\n")
 
     def test_unparseable_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
