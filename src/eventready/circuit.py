@@ -6,7 +6,8 @@ evolves its points together with `ScanCircuit`, which re-lowers only the
 elements and re-reads only the source branches that the scan's paths
 change, each element once per block of points, and checks their
 unitarity a block at a time.  Every config element lowers to one
-transform, so a circuit has one step per element.
+transform, so a circuit has one step per element.  Its input is
+prepared as a scan's points are (`_weights`, fock.multiply_out).
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ from .fock import (
     ModeTransform,
     PhotonSpec,
     PureState,
+    _check_photon,
+    _one_point_state,
     apply_mode_unitary,
     creator_columns,
     multiply_out,
-    prepare_product_state,
     product_norm,
     push_creators,
-    superpose,
 )
 from .modes import ModeRegistry
 
@@ -74,13 +75,13 @@ class Circuit:
     steps: tuple  # of (label, ModeTransform), one per config element
 
     def prepared_input(self) -> PureState:
-        states = [
-            prepare_product_state(self.registry, branch.photons)
-            for branch in self.branches
-        ]
-        if len(states) == 1:
-            return states[0]
-        return superpose(states, [b.amplitude for b in self.branches])
+        """The normalized input: every branch's creators, weighted, multiplied out at once."""
+        for branch in self.branches:
+            for photon in branch.photons:
+                _check_photon(self.registry, photon)
+        branches = [(b.amplitude, creator_columns(self.registry, b.photons)) for b in self.branches]
+        weighted = [(w, c) for w, (_, c) in zip(_weights(branches), branches)]
+        return _one_point_state(multiply_out(self.registry, weighted, 1))
 
 
 def _photon_from_source(src: dict) -> PhotonSpec:
@@ -171,18 +172,17 @@ def compile_circuit(config) -> Circuit:
     return Circuit(registry, branches, tuple(steps))
 
 
-def run(circuit: Circuit, upto: int | None = None) -> PureState:
-    """Prepare the sources and evolve them through the first `upto` steps,
-    one per config element.
+def run(circuit: Circuit) -> PureState:
+    """Prepare the sources and evolve them through the steps, one per
+    config element.
 
     The steps are composed into one mode unitary, which is applied once;
     with no steps the prepared input is returned as is.
     """
     state = circuit.prepared_input()
-    steps = circuit.steps if upto is None else circuit.steps[:upto]
-    if not steps:
+    if not circuit.steps:
         return state
-    return apply_mode_unitary(state, compose(t for _, t in steps))
+    return apply_mode_unitary(state, compose(t for _, t in circuit.steps))
 
 
 class ScanCircuit:
@@ -222,7 +222,7 @@ class ScanCircuit:
         # (amplitude, creator columns) of each branch no leaf changes, and the weights if none does.
         self.fixed = {b: (branch.amplitude, creator_columns(circuit.registry, branch.photons))
                       for b, branch in enumerate(circuit.branches) if b not in self.branches}
-        self.weights = None if self.branches else self._weights(list(self.fixed.values()))
+        self.weights = None if self.branches else _weights(list(self.fixed.values()))
         self.plan, fixed = [], []
         for i, (_, t) in enumerate(circuit.steps):
             if i in self.elements:
@@ -250,19 +250,6 @@ class ScanCircuit:
         photons = {b: [_photon_from_source(src) for src in sources[b]["photons"]] for b in self.branches}
         return elements, {b: (a, creator_columns(registry, photons[b], len(values))) for b, a in amplitudes.items()}
 
-    def _weights(self, branches) -> list:
-        """Each branch's weight in the block's state, given its (amplitude,
-        creator columns): its amplitude over its input norm and over the
-        norm of the superposed input, each read off the columns
-        (fock.product_norm).  A lone branch's amplitude is a global phase
-        and is dropped."""
-        norms = [_nonzero(product_norm([(1.0, c)])) for _, c in branches]
-        if len(branches) == 1:
-            return [1.0 / norms[0]]
-        weights = [a / norm for (a, _), norm in zip(branches, norms)]
-        total = _nonzero(product_norm([(w, c) for w, (_, c) in zip(weights, branches)]))
-        return [w / total for w in weights]
-
     def evolve(self, elements: dict, branches: dict, n: int, heralds=None) -> GridState:
         """The final states of a block of n points, given its `changes`;
         with heralds (herald_terms' requests), only the rows they keep.
@@ -273,7 +260,7 @@ class ScanCircuit:
             _require_unitary(i, stack)
         registry = self.circuit.registry
         sources = [source for _, source in sorted({**self.fixed, **branches}.items())]
-        weights, columns = self.weights or self._weights(sources), [c for _, c in sources]
+        weights, columns = self.weights or _weights(sources), [c for _, c in sources]
         width = max(c.shape[2] for c in columns)
         pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
         for part in self.plan:
@@ -298,6 +285,20 @@ def _as_stack(t: ModeTransform) -> ModeTransform:
     matrix = t.matrix if t.matrix.ndim == 3 else t.matrix[None]
     matrix = np.ascontiguousarray(matrix[:, order[:, None], order])
     return ModeTransform(tuple(t.modes[j] for j in order), matrix, name=t.name)
+
+
+def _weights(branches) -> list:
+    """Each branch's weight in the normalized input, given its (amplitude,
+    creator columns): its amplitude over its input norm and over the
+    norm of the superposed input, each read off the columns
+    (fock.product_norm).  A lone branch's amplitude is a global phase
+    and is dropped."""
+    norms = [_nonzero(product_norm([(1.0, c)])) for _, c in branches]
+    if len(branches) == 1:
+        return [1.0 / norms[0]]
+    weights = [a / norm for (a, _), norm in zip(branches, norms)]
+    total = _nonzero(product_norm([(w, c) for w, (_, c) in zip(weights, branches)]))
+    return [w / total for w in weights]
 
 
 def _nonzero(norm: np.ndarray) -> np.ndarray:

@@ -17,10 +17,10 @@ multiply_out then expands every branch's product of pushed creators in
 one pass (_creator_product) into a GridState: a (terms, modes) occupation
 matrix and a (terms, points) amplitude matrix, of only the rows heralds
 keep if given; product_norm reads its norm off the columns.
-prepare_product_state multiplies out one branch of a photon's columns;
+prepare_product_state multiplies out one branch of photons' columns, and
+circuit.Circuit.prepared_input every branch of a circuit's input at once;
 apply_mode_unitary takes each ket of a PureState as a branch of its unit
-creators; a scan (circuit.ScanCircuit) evolves the source photons of
-many points of one circuit at once.
+creators; a scan (circuit.ScanCircuit) evolves many points at once.
 
 A herald keeps a term by one rule, herald_rule: bounds on its photon
 count in sets of modes.  multiply_out's pruning reads the rule on a

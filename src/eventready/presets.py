@@ -39,9 +39,8 @@ from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/traci
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
-from .fock import GridState, PureState, basis_state, distinct_rows, inner_product, kept_pair_pass, kept_pair_violation
-from .fock import one_point_grid, ordered_sum, superpose
-from .modes import H, V, ModeId
+from .fock import PRUNE_TOL, GridState, _arm_slices, distinct_rows, kept_pair_pass, kept_pair_violation, one_point_grid
+from .fock import ordered_sum
 
 SUCCESS_PROBABILITY_NOTE = (
     "Exhaustive enumeration of the one-photon-per-detector coincidence "
@@ -536,11 +535,9 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     return rows
 
 
-def _group_counts(state, groups: dict, order) -> dict:
-    """{photon count per detector group, in `order`: probability}.
-
-    For a GridState each probability is an array over its points, 0 where
-    no term of that count survives.
+def _group_counts(state: GridState, groups: dict, order) -> dict:
+    """{photon count per detector group, in `order`: its probability at
+    each of the state's points, 0 where no term of that count survives}.
     """
     read = [m for name in order for m in groups[name]]
     group = {state.registry.index(m): k for k, name in enumerate(order) for m in groups[name]}
@@ -551,36 +548,12 @@ def _group_counts(state, groups: dict, order) -> dict:
     # Each key's patterns added in pattern order, from 0.0, as a dict's get(key, 0.0) + prob adds them.
     table = np.zeros((len(keys),) + probs.shape[1:])
     np.add.at(table, inverse, probs)
-    return dict(zip(map(tuple, keys.tolist()), table.tolist() if table.ndim == 1 else table))
+    return dict(zip(map(tuple, keys.tolist()), table))
 
 
 # ---------------------------------------------------------------------------
 # Preset pipelines
 # ---------------------------------------------------------------------------
-
-
-def _bell_pair_state(registry, arms, which) -> PureState:
-    a, b = arms
-    sign = -1.0 if which.endswith("minus") else 1.0
-    if which.startswith("phi"):
-        kets = [((H, H), 1.0), ((V, V), sign)]
-    else:
-        kets = [((H, V), 1.0), ((V, H), sign)]
-    states = [
-        basis_state(registry, {ModeId(a, pa, 0): 1, ModeId(b, pb, 0): 1})
-        for (pa, pb), _ in kets
-    ]
-    return superpose(states, [amp for _, amp in kets])
-
-
-def _pair_product(registry, state1: PureState, state2: PureState) -> PureState:
-    """Product of two two-photon states on disjoint arms."""
-    terms = {}
-    for occ1, a1 in state1.terms.items():
-        for occ2, a2 in state2.terms.items():
-            merged = tuple(x + y for x, y in zip(occ1, occ2))
-            terms[merged] = terms.get(merged, 0.0j) + a1 * a2
-    return PureState(registry, terms)
 
 
 def run_eq1_check(config: ExperimentConfig, params: dict, seed: int, shots: int):
@@ -612,34 +585,30 @@ def run_eq1_check(config: ExperimentConfig, params: dict, seed: int, shots: int)
 
 def run_bell_decomposition(config: ExperimentConfig, params: dict, seed: int, shots: int):
     circuit = compile_circuit(config)
-    state = run(circuit)
+    grid = one_point_grid(run(circuit))
     registry = circuit.registry
-    # Restrict to one photon in each arm and renormalize.
-    arm_groups = {s: registry.group(s) for s in ("A1", "A2", "B1", "B2")}
-    kept = {
-        occ: amp
-        for occ, amp in state.terms.items()
-        if all(state.count_in(occ, g) == 1 for g in arm_groups.values())
-    }
-    projected = PureState(registry, dict(kept)).normalized()
+    # The terms with one photon in each arm, renormalized, as an array over
+    # the photons' places in A2, B2, A1 and B1 (fock._arm_slices).
+    arms = [grid.occupations[:, arm] for arm in _arm_slices(registry, ("A2", "B2", "A1", "B1"))]
+    kept = np.logical_and.reduce([arm.sum(axis=1) == 1 for arm in arms])
+    projected = np.zeros((2 * registry.bins,) * 4, dtype=complex)
+    projected[tuple(arm[kept].argmax(axis=1) for arm in arms)] = grid.amplitudes[kept, 0]
+    norm_sq = float(ordered_sum(grid.probabilities[kept])[0])
+    projected /= math.sqrt(norm_sq)
+    # Each Bell pair at bin 0: a photon's place in its arm is its
+    # polarization (H, V) times the bins, plus its bin.
     bells = ["psi_plus", "psi_minus", "phi_plus", "phi_minus"]
-    pieces = [
-        _pair_product(
-            registry,
-            _bell_pair_state(registry, ("A2", "B2"), name),
-            _bell_pair_state(registry, ("A1", "B1"), name),
-        )
-        for name in bells
-    ]
-    recomposed = superpose(pieces, [0.5] * 4, normalize=False)
-    diff = superpose([projected, recomposed], [1.0, -1.0], normalize=False)
-    residual = diff.norm()
-    overlap = inner_product(projected, recomposed)
+    pairs = np.zeros((len(bells), 2 * registry.bins, 2 * registry.bins), dtype=complex)
+    pairs[:, :: registry.bins, :: registry.bins] = [BELL_STATES[name].reshape(2, 2) for name in bells]
+    recomposed = 0.5 * np.einsum("kij,klm->ijlm", pairs, pairs)
+    diff = projected - recomposed
+    residual = float(np.linalg.norm(diff[abs(diff) > PRUNE_TOL]))
+    overlap = complex(np.vdot(projected, recomposed))
     passed = residual < 1e-12
     report = {
         "check": "Bell-basis re-expansion of the post-beamsplitter state",
         "convention": config.convention,
-        "projected_norm_sq": sum(abs(a) ** 2 for a in kept.values()),
+        "projected_norm_sq": norm_sq,
         "residual_norm": residual,
         "overlap": [overlap.real, overlap.imag],
         "threshold": 1e-12,
@@ -651,18 +620,16 @@ def run_bell_decomposition(config: ExperimentConfig, params: dict, seed: int, sh
 
 def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: int):
     circuit = compile_circuit(config)
-    state = run(circuit)
+    grid = one_point_grid(run(circuit))
     registry = circuit.registry
     groups = _detector_groups(registry, config.detectors)
     order = ["D1h", "D1v", "D2h", "D2v"]
-    table = _group_counts(state, groups, order)
     # Each term filed once under its counts, as herald_terms would keep it
     # for a herald requiring exactly those counts: the counts are the
     # points of one grid, and a term is 0 at every point but its own.
     read = sorted({m for name in order for m in groups[name]})
     read_idx = [registry.index(m) for m in read]
     group_of = np.array([next(k for k, name in enumerate(order) if m in groups[name]) for m in read])
-    grid = one_point_grid(state)
     patterns = grid.occupations[:, read_idx]
     counts = np.stack([patterns[:, group_of == k].sum(axis=1) for k in range(len(order))], axis=1)
     counts, point = distinct_rows(counts)
@@ -670,22 +637,22 @@ def run_herald_table(config: ExperimentConfig, params: dict, seed: int, shots: i
     emptied = grid.occupations.copy()
     emptied[:, read_idx] = 0
     filed = GridState(registry, emptied, np.where(own, grid.amplitudes, 0j), np.where(own, grid.probabilities, 0.0))
-    _, rhos, bad = kept_pair_pass(filed, config.kept, patterns)
-    points = {key: k for k, key in enumerate(map(tuple, counts.tolist()))}
+    probs, rhos, bad = kept_pair_pass(filed, config.kept, patterns)
+    table = dict(zip(map(tuple, counts.tolist()), probs.tolist()))
     rows = []
     # Rounded so that probabilities equal up to float noise tie and sort by pattern.
-    for key in sorted(table, key=lambda k: (-round(table[k], 12), k)):
+    for k, key in sorted(enumerate(table), key=lambda item: (-round(table[item[1]], 12), item[1])):
         prob = table[key]
         if prob < 1e-15:
             continue
         row = {"pattern": dict(zip(order, key)), "probability": prob}
         if any(key):
-            off_pair = bad & (point == points[key])
+            off_pair = bad & (point == k)
             if off_pair.any():
                 # The first bad term by pattern and occupation, as heralded_polarization_dm reports it.
                 row["kept_support"] = kept_pair_violation(filed, off_pair, config.kept, patterns)
             else:
-                rho = validate_density_matrix(rhos[points[key]])
+                rho = validate_density_matrix(rhos[k])
                 fids = {name: fidelity(rho, vec) for name, vec in BELL_STATES.items()}
                 row["fidelity"] = fids
                 row["concurrence"] = concurrence(rho)

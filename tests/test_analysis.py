@@ -653,7 +653,7 @@ def test_off_pair_messages_do_not_depend_on_term_order(monkeypatch):
     items = list(state.terms.items())
     for order in (items[::-1], [items[i] for i in rng.permutation(len(items))]):
         shuffled = PureState(state.registry, dict(order))
-        monkeypatch.setattr(presets, "run", lambda circuit, upto=None: shuffled)
+        monkeypatch.setattr(presets, "run", lambda circuit: shuffled)
         got = run_preset("herald-table").report["patterns"]
         assert [row.get("kept_support") for row in got] == [row.get("kept_support") for row in want]
         for row in want:

@@ -1,4 +1,7 @@
+import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,24 +11,28 @@ from eventready import (
     basis_state,
     compile_circuit,
     inner_product,
+    prepare_product_state,
     run,
     superpose,
 )
-from eventready.circuit import CircuitError, check_unitarity
+from eventready.circuit import CircuitError, SourceBranch, check_unitarity
 from eventready.distinguishability import OverlapModel
-from eventready.elements import ELEMENT_KINDS, compose, lower_element, rpbs
-from eventready.fock import ModeTransform
-from eventready.modes import ModeId, ModeRegistry
+from eventready.elements import ELEMENT_KINDS, PBS_CONVENTIONS, compose, lower_element, rpbs
+from eventready.fock import FockError, ModeTransform, PhotonSpec, PureState
+from eventready.modes import H, V, ModeId, ModeRegistry
 from eventready.presets import (
     PRESET_NAMES,
     build_preset_config,
     fusion_scheme_config,
+    hom_config,
+    run_bell_decomposition,
     two_pbs_config,
-    _bell_pair_state,
-    _pair_product,
 )
 
 from oracles import embed_transform, evolve_state_via_permanent
+from write_corpus import _inputs, _set
+
+DATA = Path(__file__).parent / "data"
 
 
 def compiled(raw):
@@ -184,13 +191,16 @@ class TestRun:
             calls.append(t)
             return original(state, t)
 
+        def prefix(k):
+            return dataclasses.replace(circuit, steps=circuit.steps[:k])
+
         monkeypatch.setattr(circuit_module, "apply_mode_unitary", counting)
-        assert run(circuit, upto=0).sorted_terms() == circuit.prepared_input().sorted_terms()
+        assert run(prefix(0)).sorted_terms() == circuit.prepared_input().sorted_terms()
         assert calls == []
         stepped = circuit.prepared_input()
         for k, (_, t) in enumerate(circuit.steps, start=1):
             stepped = original(stepped, t)
-            state = run(circuit, upto=k)
+            state = run(prefix(k))
             assert set(state.terms) == set(stepped.terms)
             for occ, amp in stepped.terms.items():
                 assert state.amplitude(occ) == pytest.approx(amp, abs=1e-12)
@@ -211,12 +221,87 @@ class TestRun:
             assert state.amplitude(occ) == pytest.approx(amp, abs=1e-10)
 
 
+def _superposed_input(circuit) -> PureState:
+    """The circuit's input as superpose of its branches' prepare_product_states."""
+    states = [prepare_product_state(circuit.registry, branch.photons) for branch in circuit.branches]
+    return states[0] if len(states) == 1 else superpose(states, [b.amplitude for b in circuit.branches])
+
+
+class TestPreparedInput:
+    """prepared_input multiplies out every branch at once, each weighted as
+    a scan weights it; superpose of prepare_product_states is its reference."""
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            *(build_preset_config(name, {"convention": c}).to_dict() for name in PRESET_NAMES for c in PBS_CONVENTIONS),
+            *(json.loads((DATA / name).read_text()) for name in ("polarizer_variant_config.json", "fusion_delay_config.json")),
+        ],
+    )
+    def test_equals_the_superposed_product_states(self, raw):
+        circuit = compiled(raw)
+        got, want = circuit.prepared_input(), _superposed_input(circuit)
+        assert got.terms.keys() == want.terms.keys()
+        assert all(abs(got.terms[occ] - amp) <= 1e-15 for occ, amp in want.terms.items())
+
+    def test_cancelling_branches_cannot_be_normalized(self):
+        circuit = compiled(_set(_inputs()["cancelling-branches"], "sources.branches.1.amplitude", [-1.0, 0.0]))
+        for prepare in (circuit.prepared_input, lambda: _superposed_input(circuit)):
+            with pytest.raises(FockError, match="^cannot normalize the zero state$"):
+                prepare()
+
+    @pytest.mark.parametrize(
+        "photons",
+        [
+            [PhotonSpec("A1", (1.0, 1.0), (1.0,))],
+            [PhotonSpec("A1", (1.0, 0.0), (1.0,) + (0.0,) * 4)],
+            [PhotonSpec.plus("A1")] * 5,
+        ],
+        ids=["unnormalized", "too-many-bins", "over-budget"],
+    )
+    def test_a_bad_photon_gives_the_product_states_error(self, photons):
+        circuit = compiled(hom_config())
+        circuit = dataclasses.replace(circuit, branches=(SourceBranch(1.0, tuple(photons)),))
+        with pytest.raises(FockError) as want:
+            _superposed_input(circuit)
+        with pytest.raises(FockError) as got:
+            circuit.prepared_input()
+        assert str(got.value) == str(want.value)
+
+
 class TestBellDecomposition:
-    def test_eq_identity_between_pair_bases(self):
-        """Projected two-pair state re-expands into matched Bell products."""
-        circuit = compiled(two_pbs_config())
-        state = run(circuit)
-        reg = circuit.registry
+    """The re-expansion as dict states; run_bell_decomposition, which reads
+    the state's rows into an array, must equal it."""
+
+    @staticmethod
+    def _bell_pair_state(registry, arms, which) -> PureState:
+        a, b = arms
+        sign = -1.0 if which.endswith("minus") else 1.0
+        if which.startswith("phi"):
+            kets = [((H, H), 1.0), ((V, V), sign)]
+        else:
+            kets = [((H, V), 1.0), ((V, H), sign)]
+        states = [
+            basis_state(registry, {ModeId(a, pa, 0): 1, ModeId(b, pb, 0): 1})
+            for (pa, pb), _ in kets
+        ]
+        return superpose(states, [amp for _, amp in kets])
+
+    @staticmethod
+    def _pair_product(registry, state1: PureState, state2: PureState) -> PureState:
+        """Product of two two-photon states on disjoint arms."""
+        terms = {}
+        for occ1, a1 in state1.terms.items():
+            for occ2, a2 in state2.terms.items():
+                merged = tuple(x + y for x, y in zip(occ1, occ2))
+                terms[merged] = terms.get(merged, 0.0j) + a1 * a2
+        return PureState(registry, terms)
+
+    def _reexpansion(self, state):
+        """(kept norm squared, projected, recomposed): the terms of state
+        with one photon in each arm, normalized, and the matched Bell
+        products at bin 0."""
+        reg = state.registry
         kept = {
             occ: amp
             for occ, amp in state.terms.items()
@@ -225,19 +310,32 @@ class TestBellDecomposition:
                 for s in ("A1", "A2", "B1", "B2")
             )
         }
-        from eventready.fock import PureState
-
         projected = PureState(reg, dict(kept)).normalized()
         pieces = [
-            _pair_product(
+            self._pair_product(
                 reg,
-                _bell_pair_state(reg, ("A2", "B2"), name),
-                _bell_pair_state(reg, ("A1", "B1"), name),
+                self._bell_pair_state(reg, ("A2", "B2"), name),
+                self._bell_pair_state(reg, ("A1", "B1"), name),
             )
             for name in ("psi_plus", "psi_minus", "phi_plus", "phi_minus")
         ]
         recomposed = superpose(pieces, [0.5] * 4, normalize=False)
+        return sum(abs(a) ** 2 for a in kept.values()), projected, recomposed
+
+    def test_eq_identity_between_pair_bases(self):
+        """Projected two-pair state re-expands into matched Bell products."""
+        _, projected, recomposed = self._reexpansion(run(compiled(two_pbs_config())))
         assert recomposed.norm() == pytest.approx(1.0, abs=1e-12)
         diff = superpose([projected, recomposed], [1.0, -1.0], normalize=False)
         assert diff.norm() < 1e-12
         assert inner_product(projected, recomposed) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("convention", PBS_CONVENTIONS)
+    def test_runner_equals_the_dict_state_reexpansion(self, convention):
+        config = build_preset_config("bell-decomposition", {"convention": convention})
+        report, _, _ = run_bell_decomposition(config, {}, 5, 0)
+        norm_sq, projected, recomposed = self._reexpansion(run(compile_circuit(config)))
+        residual = superpose([projected, recomposed], [1.0, -1.0], normalize=False).norm()
+        assert abs(report["projected_norm_sq"] - norm_sq) <= 1e-15
+        assert abs(report["residual_norm"] - residual) <= 1e-15
+        assert abs(complex(*report["overlap"]) - inner_product(projected, recomposed)) <= 1e-15
