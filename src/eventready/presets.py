@@ -602,6 +602,7 @@ def run_bell_decomposition(config: ExperimentConfig, params: dict, seed: int, sh
     pairs[:, :: registry.bins, :: registry.bins] = [BELL_STATES[name].reshape(2, 2) for name in bells]
     recomposed = 0.5 * np.einsum("kij,klm->ijlm", pairs, pairs)
     diff = projected - recomposed
+    # Entries within PRUNE_TOL of 0 are dropped, as a state's terms are, so an exact re-expansion reads 0.
     residual = float(np.linalg.norm(diff[abs(diff) > PRUNE_TOL]))
     overlap = complex(np.vdot(projected, recomposed))
     passed = residual < 1e-12
