@@ -69,7 +69,13 @@ def _photon(raw: dict, photon: int, **fields) -> dict:
 
 def _inputs() -> dict:
     """{name: raw config} of the scans' and failing runs' inputs."""
-    from eventready.presets import build_preset_config, fusion_delay_config, hom_config, polarizer_variant_config
+    from eventready.presets import (
+        build_preset_config,
+        fusion_delay_config,
+        fusion_scheme_config,
+        hom_config,
+        polarizer_variant_config,
+    )
 
     correlation = build_preset_config("polarization-correlation", {}).to_dict()
     delayed = _set(fusion_delay_config(), "elements.0.delta_um", 150.0)
@@ -78,6 +84,9 @@ def _inputs() -> dict:
     branch = cancelling["sources"]["branches"][0]
     cancelling["sources"]["branches"] = [dict(branch, amplitude=[1.0, 0.0]), dict(branch, amplitude=[0.5, 0.0])]
     walkoff = polarizer_variant_config(analyzer_walkoff=0.9)
+    bucket = fusion_scheme_config()
+    bucket["detectors"]["D1"] = {"spatial": "A2"}
+    pair = hom_config()["sources"]["branches"][0]["photons"]
     return {
         "hom": hom_config(),
         "fusion-delay": fusion_delay_config(),
@@ -93,6 +102,10 @@ def _inputs() -> dict:
         "photon-overlap-1.2": _set(hom_config(), "sources.branches.0.photons.1.overlap", 1.2),
         "bin-mixer-overlap-1.05": _set(walkoff, "elements.5.overlap", 1.05),
         "kept-duplicate": {**polarizer_variant_config(), "kept": ["A1", "A1"]},
+        "zero-shares-required": {**bucket, "heralds": [{"name": "vh", "require": {"D1": 1, "D2h": 1}, "zero": ["D1h", "D2v"]}]},
+        "zero-is-required": {**bucket, "heralds": [{"name": "hh", "require": {"D1h": 1, "D2h": 1}, "zero": ["D1h", "D1v", "D2v"]}]},
+        "branch-of-1-photon": _set(hom_config(), "sources.branches", [{"photons": pair}, {"photons": pair[:1]}]),
+        "branch-of-3-photons": _set(hom_config(), "sources.branches", [{"photons": pair}, {"photons": pair + pair[:1]}]),
     }
 
 
@@ -132,8 +145,18 @@ FAILING_SCANS = (
     ("coherence-length-negative", "fusion-delay", "model.coherence_length_um=-10:100:50"),
 )
 
-# Each config that fails; kept-duplicate names one kept arm twice.
-FAILING_CONFIGS = ("photon-overlap-1.2", "bin-mixer-overlap-1.05", "kept-duplicate")
+# Each config that fails; kept-duplicate names one kept arm twice, the
+# zero-* heralds zero a detector that shares modes with a required one, and
+# the branch-of-* sources hold a second branch of another photon count.
+FAILING_CONFIGS = (
+    "photon-overlap-1.2",
+    "bin-mixer-overlap-1.05",
+    "kept-duplicate",
+    "zero-shares-required",
+    "zero-is-required",
+    "branch-of-1-photon",
+    "branch-of-3-photons",
+)
 
 
 def _runs(inputs: Path):
