@@ -187,6 +187,48 @@ class TestParseConfig:
         assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == 1
         assert capsys.readouterr() == ("", f"eventready: config error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "require, zero, message",
+        [
+            ({"D1": 1, "D2h": 1}, ["D1h", "D2v"], "$.heralds.0.zero: detector 'D1h' shares modes with required detector 'D1'"),
+            ({"D1h": 1, "D2h": 1}, ["D1", "D2v"], "$.heralds.0.zero: detector 'D1' shares modes with required detector 'D1h'"),
+            (
+                {"D1h": 1, "D2h": 1},
+                ["D1h", "D1v", "D2v"],
+                "$.heralds.0.zero: detector 'D1h' shares modes with required detector 'D1h'",
+            ),
+            ({"D1v": 1, "D2h": 1}, ["D1h", "D2v"], None),
+        ],
+        ids=["bucket-required", "bucket-zeroed", "same-detector", "other-polarization"],
+    )
+    def test_zeroed_detector_sharing_a_required_ones_modes_is_rejected(self, tmp_path, capsys, require, zero, message):
+        """A zeroed mode that a requirement also counts would be read as required only."""
+        from eventready.cli import main
+
+        raw = fusion_scheme_config()
+        raw["detectors"]["D1"] = {"spatial": "A2"}
+        raw["heralds"] = [{"name": "h", "require": require, "zero": zero}]
+        assert validate_config_dict(raw) == ([message] if message else [])
+        assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == (1 if message else 0)
+        out, err = capsys.readouterr()
+        if message:
+            assert (out, err) == ("", f"eventready: config error: {message}\n")
+        else:
+            assert json.loads(out)["p_h"] == pytest.approx(1 / 32, abs=1e-15)
+
+    @pytest.mark.parametrize("photons", [1, 3])
+    def test_branches_of_different_photon_counts_are_rejected(self, tmp_path, capsys, photons):
+        from eventready.cli import main
+        from eventready.presets import hom_config
+
+        raw = hom_config()
+        pair = raw["sources"]["branches"][0]["photons"]
+        raw["sources"]["branches"].append({"photons": (pair * 2)[:photons]})
+        message = f"$.sources.branches.1.photons: {photons} photons, branch 0 has 2"
+        assert validate_config_dict(raw) == [message]
+        assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == 1
+        assert capsys.readouterr() == ("", f"eventready: config error: {message}\n")
+
     def test_unparseable_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
