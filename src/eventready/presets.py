@@ -31,11 +31,10 @@ from .analysis import (
     heralded_polarization_dm,
     herald_terms,
     joint_visibility,
-    outcome_distribution,
     sample_counts,
     validate_density_matrix,
 )
-from .analysis import group_herald_outcomes  # noqa: F401 -- unused, bench/tracing.py wraps it here
+from .analysis import group_herald_outcomes, outcome_distribution  # noqa: F401 -- bench/tracing.py wraps them here
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
@@ -460,7 +459,7 @@ def _checked(check: LeafCheck, base: dict, value: float) -> ExperimentConfig:
     return ExperimentConfig._from_valid(raw) if check.passes([value], base) else ExperimentConfig.from_dict(raw)
 
 
-def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded: bool = False):
+def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
     block of at most SCAN_BLOCK points of scan()'s grid.
 
@@ -476,7 +475,8 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
     its check fails) and compiled alone as --config compiles it, so its
     first bad point raises the error it raises alone.
     A `bins`, `photon_budget` or `bin_map` scan compiles each point alone.
-    Where heralded, a block holds only the rows its heralds, if any, keep.
+    A block holds only the rows its points' heralds keep, or its full
+    state where they have none.
     """
     values = parse_range(range_spec)
     paths = [p.strip() for p in path.split(",") if p.strip()]
@@ -506,7 +506,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str, heralded:
                 points = [point] * len(block)
             groups = _detector_groups(grid.circuit.registry, point.detectors)
             specs = {json.dumps(s, sort_keys=True): s for p in {id(p): p for p in points}.values() for s in p.heralds}
-            heralds = [_herald_request(groups, spec) for spec in specs.values()] if heralded else None
+            heralds = [_herald_request(groups, spec) for spec in specs.values()]
             state = grid.evolve(*grid.changes(block, points), len(block), heralds)
         except ValueError:
             # Each point compiled alone, as --config compiles it: the first bad one raises its own error.
@@ -530,25 +530,9 @@ def scan(config: ExperimentConfig, path: str, range_spec: str):
     delayed pair sharing one overlap.
     """
     rows = []
-    for values, points, grid, groups in _scan_blocks(config, path, range_spec, heralded=True):
+    for values, points, grid, groups in _scan_blocks(config, path, range_spec):
         rows += [{"param": value, **obs} for value, obs in zip(values, _observables(points, grid, groups))]
     return rows
-
-
-def _group_counts(state: GridState, groups: dict, order) -> dict:
-    """{photon count per detector group, in `order`: its probability at
-    each of the state's points, 0 where no term of that count survives}.
-    """
-    read = [m for name in order for m in groups[name]]
-    group = {state.registry.index(m): k for k, name in enumerate(order) for m in groups[name]}
-    patterns, probs = map(np.array, zip(*outcome_distribution(state, read)))
-    # A pattern's columns are the read modes' sorted registry indices.
-    members = np.eye(len(order), dtype=np.intp)[[group[i] for i in sorted(group)]]
-    keys, inverse = distinct_rows(patterns @ members)
-    # Each key's patterns added in pattern order, from 0.0, as a dict's get(key, 0.0) + prob adds them.
-    table = np.zeros((len(keys),) + probs.shape[1:])
-    np.add.at(table, inverse, probs)
-    return dict(zip(map(tuple, keys.tolist()), table))
 
 
 # ---------------------------------------------------------------------------
@@ -703,20 +687,20 @@ def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
 
 
 def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
-    """The delay fringe; with shots, all points drawn from one default_rng(seed), whatever SCAN_BLOCK is."""
+    """The delay fringe: each point's coincidence probability, the sum of
+    its block's rows, which hold only what the one herald keeps; with
+    shots, coincidence against the rest at every point, all drawn from
+    one default_rng(seed), whatever SCAN_BLOCK is."""
     model = OverlapModel(**config.model)
     # Both photons of the delayed pair acquire the fringe phase.
     effective_period = model.fringe_period_um / 2.0
-    curve, tables = [], []
-    for values, _, grid, groups in _scan_blocks(config, "elements.0.delta_um", params["delta_range"]):
-        table = _group_counts(grid, groups, ("D1", "D2"))
-        tables.append((len(values), table))
-        coincidences = table.get((1, 1), np.zeros(len(values))).tolist()
+    curve = []
+    for values, _, grid, _ in _scan_blocks(config, "elements.0.delta_um", params["delta_range"]):
+        coincidences = ordered_sum(grid.probabilities).tolist()
         curve += [{"delta_um": delta, "p_coincidence": p} for delta, p in zip(values, coincidences)]
     if shots:
-        keys = sorted(set().union(*(table for _, table in tables)))
-        probabilities = [np.concatenate([table.get(key, np.zeros(n)) for n, table in tables]) for key in keys]
-        sampled = dict(sample_counts(list(zip(keys, probabilities)), shots, seed)).get((1, 1), [0] * len(curve))
+        p = np.array([row["p_coincidence"] for row in curve])
+        (_, sampled), _ = sample_counts([("coincidence", p), ("rest", 1.0 - p)], shots, seed)
         for row, n in zip(curve, sampled):
             row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
     deltas = [r["delta_um"] for r in curve]

@@ -27,7 +27,7 @@ from eventready.cli import main
 from eventready.analysis import HeraldError, heralded_polarization_dm, outcome_distribution
 from eventready.circuit import CircuitError, ScanCircuit, compile_circuit, run
 from eventready.config import ConfigError, LeafCheck, validate_config_dict
-from eventready.elements import ELEMENT_KINDS, ElementError
+from eventready.elements import ELEMENT_KINDS, PBS_CONVENTIONS, ElementError
 from eventready.fock import FockError, ModeTransform, creator_columns, one_point_grid
 from eventready.presets import (
     MAX_SCAN_POINTS,
@@ -740,8 +740,8 @@ class TestPhotonColumns:
 
 class TestHeraldPruning:
     """scan() reads a block only through its heralds, so a block is
-    multiplied out only into the rows they keep; the delay scan, which
-    reads every outcome, keeps its full state."""
+    multiplied out only into the rows they keep; so does the delay scan,
+    whose one herald keeps the coincidence rows."""
 
     def _states(self, monkeypatch):
         states = []
@@ -759,10 +759,30 @@ class TestHeraldPruning:
         scan(ExperimentConfig.from_dict(_herald_scan_config()), FUSION_OVERLAPS, "0.43:0.94:0.02")
         assert [(len(state.occupations), len(full.occupations)) for state, full in states] == [(46, 1247)]
 
-    def test_delay_scan_block_holds_its_full_state(self, monkeypatch):
+    def test_delay_scan_block_holds_only_its_heralds_rows(self, monkeypatch):
         states = self._states(monkeypatch)
         run_preset("fusion-delay-scan", overrides={"delta_range": "-10:10:1"}, shots=0)
-        assert states and all(np.array_equal(state.occupations, full.occupations) for state, full in states)
+        assert [(len(state.occupations), len(full.occupations)) for state, full in states] == [(4, 16)]
+        [(state, full)] = states
+        # The full state's rows with one photon on each detector's arm, in its order and with its bits.
+        arms = [[full.registry.index(m) for m in full.registry.group(arm)] for arm in ("A2", "B2")]
+        coincident = np.logical_and.reduce([full.occupations[:, arm].sum(axis=1) == 1 for arm in arms])
+        assert np.array_equal(state.occupations, full.occupations[coincident])
+        assert np.array_equal(state.amplitudes, full.amplitudes[coincident])
+        assert np.array_equal(state.probabilities, full.probabilities[coincident])
+
+    @pytest.mark.parametrize("convention", PBS_CONVENTIONS)
+    def test_delay_scan_coincidence_is_the_full_states_pattern(self, monkeypatch, convention):
+        """p_coincidence, the sum of a block's rows, against the (1, 1)
+        count of the block's full state, read through outcome_distribution."""
+        states = self._states(monkeypatch)
+        params = {"delta_range": "-80:80:1", "peak_visibility": 1.0}
+        config = build_preset_config("fusion-delay-scan", {**params, "convention": convention})
+        _, (_, curve), _ = presets.run_fusion_delay_scan(config, params, 5, 0)
+        groups = presets._detector_groups(states[0][1].registry, config.detectors)
+        want = np.concatenate([_group_counts_by_loop(full, groups, ("D1", "D2"))[(1, 1)] for _, full in states])
+        got = np.array([row["p_coincidence"] for row in curve])
+        assert len(got) == 161 and np.abs(got - want).max() <= 1e-15
 
     @pytest.mark.parametrize("preset, rows", [("polarization-correlation", (46, 1247)), ("chsh", (2, 144))])
     def test_heralded_preset_holds_only_its_heralds_rows(self, monkeypatch, preset, rows):
@@ -772,8 +792,9 @@ class TestHeraldPruning:
 
 
 def _group_counts_by_loop(state, groups: dict, order) -> dict:
-    """_group_counts as a loop over outcome_distribution's patterns, each
-    added to its count's running sum from 0.0."""
+    """{photon count per detector group, in order: its probability}, a
+    loop over outcome_distribution's patterns, each added to its count's
+    running sum from 0.0."""
     modes = sorted({m for name in order for m in groups[name]})
     position = {m: order.index(name) for name in order for m in groups[name]}
     table: dict = {}
@@ -783,19 +804,6 @@ def _group_counts_by_loop(state, groups: dict, order) -> dict:
             counts[position[m]] += c
         table[tuple(counts)] = table.get(tuple(counts), 0.0) + prob
     return table
-
-
-def test_group_counts_equal_the_pattern_loop_bit_for_bit():
-    config = build_preset_config("herald-table", {})
-    state = run(compile_circuit(config))
-    groups = presets._detector_groups(state.registry, config.detectors)
-    order = ["D1h", "D1v", "D2h", "D2v"]
-    got, want = presets._group_counts(one_point_grid(state), groups, order), _group_counts_by_loop(state, groups, order)
-    assert got.keys() == want.keys() and all(got[key].tolist() == [want[key]] for key in want)
-    blocks = presets._scan_blocks(build_preset_config("fusion-delay-scan", {}), "elements.0.delta_um", "-80:80:1")
-    for _, _, grid, groups in blocks:
-        got, want = presets._group_counts(grid, groups, ("D1", "D2")), _group_counts_by_loop(grid, groups, ("D1", "D2"))
-        assert got.keys() == want.keys() and all(np.array_equal(got[key], want[key]) for key in want)
 
 
 def _ket_path_pair(config):
@@ -945,6 +953,15 @@ class TestReferenceOutputs:
         monkeypatch.setattr(presets, "SCAN_BLOCK", 64)
         run_preset("fusion-delay-scan", out_dir=tmp_path / "64", seed=5)
         assert (tmp_path / "fusion-delay-scan.csv").read_bytes() == (tmp_path / "64" / "fusion-delay-scan.csv").read_bytes()
+
+    def test_fusion_delay_scan_draws_coincidence_against_the_rest(self):
+        """Each point's count is drawn from two outcomes, coincidence and
+        the rest, all points from one generator in CSV order."""
+        params = presets.PRESETS["fusion-delay-scan"].defaults
+        _, (_, curve), _ = presets.run_fusion_delay_scan(build_preset_config("fusion-delay-scan", {}), params, 5, 10_000)
+        p = [row["p_coincidence"] for row in curve]
+        want = np.random.default_rng(5).multinomial(10_000, [[q, 1.0 - q] for q in p])[:, 0]
+        assert [row["counts_coincidence"] for row in curve] == want.tolist()
 
     def test_fusion_overlap_scan(self, tmp_path):
         cfg_path = tmp_path / "config.json"
