@@ -237,6 +237,8 @@ def fusion_delay_config(peak_visibility=1.0) -> dict:
 _UNIT_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
 # Range parameters and the fewest points each needs: the delay fringe fit has four parameters.
 _RANGE_PARAMS = {"scan": 2, "delta_range": 5}
+# The correlations of a chsh report, the keys a reference's 'E' may give.
+_CHSH_CORRELATIONS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
 
 def _is_finite(value) -> bool:
@@ -259,8 +261,8 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     any other key, a squared overlap or visibility outside [0, 1], a
     range that is not a start:stop:step string of enough points, chsh
     settings that are not four finite angles, or a chsh reference that is
-    not null or a dict of finite 'S' and 'E' values, raises PresetError
-    before a config is built.
+    not null or a dict of finite 'S' and 'E' values, or that gives a key
+    the report does not hold, raises PresetError before a config is built.
     """
     if name not in PRESETS:
         raise PresetError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
@@ -294,6 +296,12 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
             f"preset {name!r}: reference must be null or a dict with a finite 'S' "
             f"and an 'E' dict of finite numbers, got {reference!r}"
         )
+    if reference is not None:
+        keys = (("reference", reference, ("E", "S")), ("reference 'E'", reference.get("E", {}), _CHSH_CORRELATIONS))
+        for where, given, known in keys:
+            unknown = [key for key in given if key not in known]
+            if unknown:
+                raise PresetError(f"preset {name!r}: {where} has no key {unknown[0]!r}; choose from {list(known)}")
     raw = preset.build(full)
     if "convention" in params:
         raw["convention"] = params["convention"]
@@ -673,13 +681,18 @@ def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
         for r in rows
     ]
     baseline = curve[0]["coincidence_probability"]
+    if not baseline:
+        raise PresetError(
+            f"preset 'hom-scan': scan must start where the coincidence probability, the dip's baseline, is not 0; "
+            f"{params['scan']!r} starts at overlap {curve[0]['overlap']!r}, where it is 0"
+        )
     operating = evaluate_config(config)["p_coincidence"]
     report = {
         "scan_parameter": "source overlap of the second photon",
         "baseline_coincidence": baseline,
         "operating_overlap_sq": params["operating_overlap_sq"],
         "operating_coincidence": operating,
-        "dip_visibility": 1.0 - operating / baseline if baseline else float("nan"),
+        "dip_visibility": 1.0 - operating / baseline,
         "points": len(curve),
     }
     columns = ["overlap", "overlap_sq", "coincidence_probability"]
@@ -785,8 +798,7 @@ def run_chsh(config: ExperimentConfig, params: dict, seed: int, shots: int):
     if reference:
         comparison = {}
         for key, value in reference.get("E", {}).items():
-            if key in report["E"]:
-                comparison[f"E_{key}_delta"] = report["E"][key] - value
+            comparison[f"E_{key}_delta"] = report["E"][key] - value
         if "S" in reference:
             comparison["S_delta"] = report["S"] - reference["S"]
         report["reference_comparison"] = comparison

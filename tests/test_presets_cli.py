@@ -523,6 +523,13 @@ class TestCli:
             ("chsh", "reference", 5, f"{REFERENCE_DOMAIN}, got 5"),
             ("chsh", "reference", {"S": "2.8"}, f"{REFERENCE_DOMAIN}, got {{'S': '2.8'}}"),
             ("chsh", "reference", {"E": {"ab": None}}, f"{REFERENCE_DOMAIN}, got {{'E': {{'ab': None}}}}"),
+            ("chsh", "reference", {"E": {"abx": 0.5}, "s": 2.7}, "reference has no key 's'; choose from ['E', 'S']"),
+            (
+                "chsh",
+                "reference",
+                {"E": {"abx": 0.5}, "S": 2.7},
+                "reference 'E' has no key 'abx'; choose from ['ab', 'ab_prime', 'a_prime_b', 'a_prime_b_prime']",
+            ),
             ("polarization-correlation", "visibility", 1.2, "visibility must be <= 1, got 1.2"),
             ("chsh", "fusion_overlap_sq", 1.5, "fusion_overlap_sq must be <= 1, got 1.5"),
             ("hom-scan", "operating_overlap_sq", 1.01, "operating_overlap_sq must be <= 1, got 1.01"),
@@ -548,6 +555,19 @@ class TestCli:
             run_preset(preset, overrides={key: value}, out_dir=tmp_path)
         assert str(exc.value) == f"preset {preset!r}: {message}"
         assert built == [] and list(tmp_path.iterdir()) == []
+
+    def test_hom_scan_starting_at_no_coincidence_rejected_before_any_file(self, tmp_path):
+        """A scan that starts where the coincidence probability is 0 leaves
+        the dip without a baseline, which would report a NaN visibility."""
+        message = (
+            "preset 'hom-scan': scan must start where the coincidence probability, the dip's baseline, is not 0; "
+            "'-1:1:0.5' starts at overlap -1.0, where it is 0"
+        )
+        with pytest.raises(PresetError, match=f"^{re.escape(message)}$"):
+            run_preset("hom-scan", overrides={"scan": "-1:1:0.5"}, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        # Under i-reflect the same scan starts at a peak, not at 0.
+        assert math.isfinite(run_preset("hom-scan", overrides={"scan": "-1:1:0.5"}, convention="i-reflect").report["dip_visibility"])
 
     @pytest.mark.parametrize(
         "preset, key",
