@@ -5,9 +5,10 @@ violation at once, not just the first.  It then checks each element
 against its kind's entry in `elements.ELEMENT_KINDS`, rejects photon
 fields that would override each other and photons the sources cannot
 prepare (unnormalized amplitudes, an overlap above 1, more bins than the
-config has, more photons than the budget), and checks label cross-references
-(element ports, detector groups, herald names, kept arms) against the
-declared spatial labels.
+config has, more photons than the budget, branches of different photon
+counts), checks label cross-references (element ports, detector groups,
+herald names, kept arms) against the declared spatial labels, and
+refuses a herald that zeroes a mode it requires.
 """
 
 from __future__ import annotations
@@ -345,7 +346,9 @@ def _cross_reference_violations(raw: dict):
             # A zeroed mode that a requirement also counts would be read as required only.
             for required in herald_spec.get("require", {}):
                 if required in detectors and _share_modes(detectors[key], detectors[required]):
-                    problems.append(f"$.heralds.{i}.zero: detector {key!r} shares modes with required detector {required!r}")
+                    problems.append(
+                        f"$.heralds.{i}.zero: detector {key!r} shares modes with required detector {required!r}"
+                    )
     for arm in raw.get("kept", []) or []:
         if arm not in labels:
             problems.append(f"$.kept: dangling label {arm!r}")
