@@ -293,13 +293,6 @@ def _photon_violations(path: str, photon: dict, bins: int):
     return problems
 
 
-def _share_modes(a: dict, b: dict) -> bool:
-    """Whether two detectors read a mode in common: the same spatial label,
-    and the same polarization unless one of them reads both."""
-    pols = (a.get("pol"), b.get("pol"))
-    return a.get("spatial") == b.get("spatial") and (None in pols or pols[0] == pols[1])
-
-
 def _cross_reference_violations(raw: dict):
     """Checks that need a schema-valid config: field combinations, photon
     amplitudes and labels."""
@@ -308,10 +301,9 @@ def _cross_reference_violations(raw: dict):
     problems = []
     branches = raw.get("sources", {}).get("branches", [])
     for b, branch in enumerate(branches):
-        photons = branch.get("photons", [])
+        photons, first = branch.get("photons", []), len(branches[0].get("photons", []))
         if len(photons) > budget:
             problems.append(f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}")
-        first = len(branches[0].get("photons", []))
         if len(photons) != first:
             problems.append(f"$.sources.branches.{b}.photons: {len(photons)} photons, branch 0 has {first}")
         for p, photon in enumerate(photons):
@@ -332,23 +324,22 @@ def _cross_reference_violations(raw: dict):
         if loss is not None and loss not in labels:
             problems.append(f"$.elements.{i}.loss: dangling label {loss!r}")
     detectors = raw.get("detectors", {})
+    # The (label, polarization) pairs each detector reads, in every bin.
+    reads = {name: {(d["spatial"], pol) for pol in d.get("pol", "HV")} for name, d in detectors.items()}
     for name, det in detectors.items():
         if det.get("spatial") not in labels:
             problems.append(f"$.detectors.{name}.spatial: dangling label {det.get('spatial')!r}")
     for i, herald_spec in enumerate(raw.get("heralds", [])):
-        for key in herald_spec.get("require", {}):
-            if key not in detectors:
-                problems.append(f"$.heralds.{i}.require: unknown detector {key!r}")
-        for key in herald_spec.get("zero", []):
-            if key not in detectors:
-                problems.append(f"$.heralds.{i}.zero: unknown detector {key!r}")
-                continue
-            # A zeroed mode that a requirement also counts would be read as required only.
-            for required in herald_spec.get("require", {}):
-                if required in detectors and _share_modes(detectors[key], detectors[required]):
-                    problems.append(
-                        f"$.heralds.{i}.zero: detector {key!r} shares modes with required detector {required!r}"
-                    )
+        require, zero = herald_spec.get("require", {}), herald_spec.get("zero", [])
+        for where, names in (("require", require), ("zero", zero)):
+            problems += [f"$.heralds.{i}.{where}: unknown detector {key!r}" for key in names if key not in detectors]
+        # A zeroed mode that a requirement also counts would be read as required only.
+        problems += [
+            f"$.heralds.{i}.zero: detector {key!r} shares modes with required detector {other!r}"
+            for key in zero
+            for other in require
+            if key in detectors and other in detectors and reads[key] & reads[other]
+        ]
     for arm in raw.get("kept", []) or []:
         if arm not in labels:
             problems.append(f"$.kept: dangling label {arm!r}")

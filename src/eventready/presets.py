@@ -291,12 +291,12 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
     if not (isinstance(settings, (list, tuple)) and len(settings) == 4 and all(map(_is_finite, settings))):
         raise PresetError(f"preset {name!r}: settings must be four angles (a, a', b, b'), got {settings!r}")
     reference = full.get("reference")
-    if reference is not None and not _is_chsh_reference(reference):
-        raise PresetError(
-            f"preset {name!r}: reference must be null or a dict with a finite 'S' "
-            f"and an 'E' dict of finite numbers, got {reference!r}"
-        )
     if reference is not None:
+        if not _is_chsh_reference(reference):
+            raise PresetError(
+                f"preset {name!r}: reference must be null or a dict with a finite 'S' "
+                f"and an 'E' dict of finite numbers, got {reference!r}"
+            )
         keys = (("reference", reference, ("E", "S")), ("reference 'E'", reference.get("E", {}), _CHSH_CORRELATIONS))
         for where, given, known in keys:
             unknown = [key for key in given if key not in known]
@@ -717,9 +717,7 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
         for row, n in zip(curve, sampled):
             row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
     deltas = [r["delta_um"] for r in curve]
-    fit_analytic = fit_delay_fringe(
-        deltas, [r["p_coincidence"] for r in curve], effective_period
-    )
+    fit_analytic = fit_delay_fringe(deltas, [r["p_coincidence"] for r in curve], effective_period)
     report = {
         "scan_parameter": "delay delta_um on the movable input",
         "configured_peak_visibility": params["peak_visibility"],
@@ -731,10 +729,7 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
     }
     columns = ["delta_um", "p_coincidence"]
     if shots:
-        fit_sampled = fit_delay_fringe(
-            deltas, [r["counts_coincidence"] for r in curve], effective_period
-        )
-        report["fit_sampled"] = fit_sampled
+        report["fit_sampled"] = fit_delay_fringe(deltas, [r["counts_coincidence"] for r in curve], effective_period)
         report["shots_per_point"] = shots
         report["seed"] = seed
         columns += ["counts_coincidence", "error_coincidence", "shots"]
@@ -796,9 +791,7 @@ def run_chsh(config: ExperimentConfig, params: dict, seed: int, shots: int):
     report["fusion_overlap_sq"] = params["fusion_overlap_sq"]
     reference = params["reference"]
     if reference:
-        comparison = {}
-        for key, value in reference.get("E", {}).items():
-            comparison[f"E_{key}_delta"] = report["E"][key] - value
+        comparison = {f"E_{key}_delta": report["E"][key] - value for key, value in reference.get("E", {}).items()}
         if "S" in reference:
             comparison["S_delta"] = report["S"] - reference["S"]
         report["reference_comparison"] = comparison
