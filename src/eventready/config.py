@@ -300,12 +300,13 @@ def _cross_reference_violations(raw: dict):
     budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
     problems = []
     branches = raw.get("sources", {}).get("branches", [])
+    counts = [len(branch.get("photons", [])) for branch in branches]
     for b, branch in enumerate(branches):
-        photons, first = branch.get("photons", []), len(branches[0].get("photons", []))
+        photons = branch.get("photons", [])
         if len(photons) > budget:
             problems.append(f"$.sources.branches.{b}.photons: {len(photons)} photons exceed the budget of {budget}")
-        if len(photons) != first:
-            problems.append(f"$.sources.branches.{b}.photons: {len(photons)} photons, branch 0 has {first}")
+        if counts[b] != counts[0]:
+            problems.append(f"$.sources.branches.{b}.photons: {counts[b]} photons, branch 0 has {counts[0]}")
         for p, photon in enumerate(photons):
             path = f"$.sources.branches.{b}.photons.{p}"
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
