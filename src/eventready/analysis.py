@@ -225,18 +225,8 @@ class ChshReport:
 
     def to_dict(self):
         out = {
-            "settings_deg": {
-                "a": self.a,
-                "a_prime": self.a_prime,
-                "b": self.b,
-                "b_prime": self.b_prime,
-            },
-            "E": {
-                "ab": self.e_ab,
-                "ab_prime": self.e_ab_prime,
-                "a_prime_b": self.e_a_prime_b,
-                "a_prime_b_prime": self.e_a_prime_b_prime,
-            },
+            "settings_deg": {key: getattr(self, key) for key in ("a", "a_prime", "b", "b_prime")},
+            "E": {key: getattr(self, f"e_{key}") for key in ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")},
             "S": self.s,
             "violates_classical_bound": self.violation,
         }
@@ -285,20 +275,19 @@ def chsh_S(
     if abs(s) > TSIRELSON + 1e-9 and shots is None:
         raise ValueError(f"S = {s} exceeds the Tsirelson bound")
     return ChshReport(
-        a,
-        a_prime,
-        b,
-        b_prime,
-        es[0],
-        es[1],
-        es[2],
-        es[3],
-        float(s),
-        bool(abs(s) > 2.0),
+        a, a_prime, b, b_prime, *es, float(s), bool(abs(s) > 2.0),
         e_std=tuple(stds) if stds else None,
         s_std=math.sqrt(sum(v * v for v in stds)) if stds else None,
         shots_per_setting=shots,
     )
+
+
+def _harmonic_lstsq(ys, cos, sin, envelope=1.0):
+    """Least squares of ys, one column or several, on the columns 1,
+    envelope cos and envelope sin: (coefficients, residuals)."""
+    design = np.column_stack([np.ones_like(cos), envelope * cos, envelope * sin])
+    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return coef, ys - design @ coef
 
 
 def fit_sinusoid(xs, ys, period: float):
@@ -313,9 +302,7 @@ def fit_sinusoid(xs, ys, period: float):
     if xs.max() - xs.min() < period - 1e-9:
         raise ValueError("sinusoid fit needs at least one full period of data")
     w = 2.0 * math.pi / period
-    design = np.column_stack([np.ones_like(xs), np.cos(w * xs), np.sin(w * xs)])
-    coef, *_ = np.linalg.lstsq(design, ys, rcond=None)
-    c0, cc, cs = coef
+    (c0, cc, cs), _ = _harmonic_lstsq(ys, np.cos(w * xs), np.sin(w * xs))
     amp = math.hypot(cc, cs)
     phase = math.atan2(cs, cc)
     return float(c0), float(amp), float(phase)
@@ -364,37 +351,45 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
     """Fit C [1 + V0 exp(-(d/width)^2) cos(2 pi d / period + phase)].
 
     Returns a dict with the fitted peak visibility V0 and the 1/e
-    half-width of the visibility envelope.
+    half-width of the visibility envelope.  At a fixed width the model is
+    linear in (C, C V0 cos phase, -C V0 sin phase), which fit_sinusoid's
+    solve gives exactly, so only log width is searched (variable
+    projection, Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)):
+    a grid over [1e-6, 10 max|d|], then Gauss-Newton steps, each halved
+    until it lowers the sum of squared residuals (SSE).
     """
     deltas = np.asarray(deltas, dtype=float)
-    values = np.asarray(values, dtype=float)
+    k = 2.0 * math.pi / fringe_period_um
+    cos, sin = np.cos(k * deltas), np.sin(k * deltas)
+    lo, hi = 1e-6, 10.0 * (float(np.max(np.abs(deltas))) or 1.0)
 
-    def model(d, c, v0, width, phase):
-        env = np.exp(-((d / width) ** 2))
-        return c * (1.0 + v0 * env * np.cos(2.0 * math.pi * d / fringe_period_um + phase))
+    def solve(width):
+        """(SSE, coefficients, Gauss-Newton step on log width, the SSE drop it predicts) at one width."""
+        envelope = np.exp(-((deltas / width) ** 2))
+        slope = 2.0 * (deltas / width) ** 2 * envelope  # d envelope / d log width
+        coef, res = _harmonic_lstsq(np.column_stack([values, slope * cos, slope * sin]), cos, sin, envelope)
+        # Kaufman's Jacobian: the model's width derivative less its part in the design's span.
+        jac, r = res[:, 1:] @ coef[1:, 0], res[:, 0]
+        jj, jr = float(jac @ jac), float(jac @ r)
+        step = jr / jj if jj else 0.0
+        return float(r @ r), coef[:, 0], step, step * jr
 
-    c_guess = float(np.mean(values))
-    span = float(np.max(np.abs(deltas))) or 1.0
-    v_guess = min(1.0, float(np.max(values) - np.min(values)) / (2.0 * c_guess + 1e-30))
-    p0 = [c_guess, max(0.1, v_guess), span / 3.0, 0.0]
-    # Imported here: scipy is the slowest import, and only fits need it.
-    from scipy.optimize import curve_fit
-
-    popt, _ = curve_fit(
-        model,
-        deltas,
-        values,
-        p0=p0,
-        bounds=([0.0, 0.0, 1e-6, -math.pi], [np.inf, 1.5, 10.0 * span, math.pi]),
-        maxfev=20000,
-    )
-    c, v0, width, phase = popt
-    return {
-        "offset": float(c),
-        "peak_visibility": float(v0),
-        "envelope_width_um": float(width),
-        "fringe_phase": float(phase),
-    }
+    fits = [(width, solve(width)) for width in np.geomspace(lo, hi, 16).tolist()]
+    width, (sse, coef, step, gain) = min(fits, key=lambda fit: fit[1][0])
+    while gain > np.finfo(float).eps * sse:
+        trial = min(hi, max(lo, width * math.exp(step)))
+        if trial == width:
+            break
+        fit = solve(trial)
+        if fit[0] < sse:
+            width, (sse, coef, step, gain) = trial, fit
+        else:
+            step /= 2.0
+    c, a, b = coef.tolist()
+    v0 = math.hypot(a, b) / c if c > 0 else math.inf
+    if not math.isfinite(v0):
+        raise ValueError(f"delay fringe fit: no finite peak visibility at the fitted offset C = {c}")
+    return {"offset": c, "peak_visibility": v0, "envelope_width_um": width, "fringe_phase": math.atan2(-b, a)}
 
 
 def sample_counts(distribution, shots: int, seed: int):

@@ -235,8 +235,9 @@ def fusion_delay_config(peak_visibility=1.0) -> dict:
 
 # Squared overlaps and visibilities, in [0, 1]: the builders take their square roots.
 _UNIT_PARAMS = ("fusion_overlap_sq", "operating_overlap_sq", "peak_visibility", "visibility")
-# Range parameters and the fewest points each needs: the delay fringe fit has four parameters.
-_RANGE_PARAMS = {"scan": 2, "delta_range": 5}
+# Range parameters and the fewest points each needs: the delay fringe fit has four parameters,
+# and theta_step_deg steps the 0:180 grid of each correlation fit, 8 points over a full period.
+_RANGE_PARAMS = {"scan": 2, "delta_range": 5, "theta_step_deg": 8}
 # The correlations of a chsh report, the keys a reference's 'E' may give.
 _CHSH_CORRELATIONS = ("ab", "ab_prime", "a_prime_b", "a_prime_b_prime")
 
@@ -259,7 +260,8 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
 
     Every preset takes `convention` besides the keys of its defaults;
     any other key, a squared overlap or visibility outside [0, 1], a
-    range that is not a start:stop:step string of enough points, chsh
+    range that is not a start:stop:step string of enough points, a theta
+    step that does not divide 180 into 7 or more steps, chsh
     settings that are not four finite angles, or a chsh reference that is
     not null or a dict of finite 'S' and 'E' values, or that gives a key
     the report does not hold, raises PresetError before a config is built.
@@ -281,11 +283,14 @@ def build_preset_config(name: str, params: dict) -> ExperimentConfig:
             raise PresetError(f"preset {name!r}: {key} must be <= 1, got {value!r}")
         least = _RANGE_PARAMS.get(key)
         if least:
+            spec = f"0:180:{value}" if key == "theta_step_deg" else value
             try:
-                points = len(parse_range(value)) if isinstance(value, str) else 0
+                points = parse_range(spec) if isinstance(spec, str) else []
             except PresetError as exc:
                 raise PresetError(f"preset {name!r}: {key}: {exc}") from None
-            if points < least:
+            if key == "theta_step_deg" and (len(points) < least or points[-1] < 180.0 - 1e-9):
+                raise PresetError(f"preset {name!r}: {key} must divide 180 into {least - 1} or more steps, got {value!r}")
+            if len(points) < least:
                 raise PresetError(f"preset {name!r}: {key} must be a range of {least} or more points, got {value!r}")
     settings = full.get("settings", (0.0,) * 4)
     if not (isinstance(settings, (list, tuple)) and len(settings) == 4 and all(map(_is_finite, settings))):
@@ -922,12 +927,12 @@ def _library_versions() -> tuple:
     """(name, version) of Python and of each library a run depends on.
 
     Read once per process from the installed package metadata, which
-    does not import the libraries (scipy takes longest to import).
+    does not import the libraries.
     """
     from importlib import metadata
 
     versions = [("python", platform.python_version())]
-    for name in ("numpy", "scipy", "jsonschema"):
+    for name in ("numpy", "jsonschema"):
         try:
             versions.append((name, metadata.version(name)))
         except metadata.PackageNotFoundError:

@@ -8,6 +8,10 @@ Two routes evolve states, and neither uses the package's evolution code
 - creators on a sparse {occupation: amplitude} map (evolve_state_via_creators):
   each ket's creators are replaced by their column images under U and
   applied one at a time, a_i^dag |n> = sqrt(n_i + 1) |n + e_i>.
+
+A third reference fits the delay fringe with scipy's bounded curve_fit
+over all four parameters (delay_fringe_via_curve_fit), which shares no
+code with the package's variable-projection fit.
 """
 
 from __future__ import annotations
@@ -204,3 +208,32 @@ def heralded_rho_via_projector(terms: dict, modes, groups: dict, read_out, kept)
         vec[qubit, envs.index(env)] += amp
     dense = np.outer(vec.ravel(), vec.ravel().conj()).reshape(4, len(envs), 4, len(envs))
     return p, np.einsum("iaja->ij", dense) / p
+
+
+def delay_fringe_model(deltas, fit: dict, fringe_period_um: float) -> np.ndarray:
+    """C [1 + V0 exp(-(d/width)^2) cos(2 pi d / period + phase)] at each delay."""
+    d = np.asarray(deltas, dtype=float)
+    envelope = np.exp(-((d / fit["envelope_width_um"]) ** 2))
+    fringe = np.cos(2.0 * math.pi * d / fringe_period_um + fit["fringe_phase"])
+    return fit["offset"] * (1.0 + fit["peak_visibility"] * envelope * fringe)
+
+
+def delay_fringe_via_curve_fit(deltas, values, fringe_period_um: float) -> dict:
+    """The delay fringe fitted by a bounded four-parameter curve_fit from
+    guessed starting values, in fit_delay_fringe's report keys."""
+    from scipy.optimize import curve_fit
+
+    deltas = np.asarray(deltas, dtype=float)
+    values = np.asarray(values, dtype=float)
+    keys = ("offset", "peak_visibility", "envelope_width_um", "fringe_phase")
+
+    def model(d, *params):
+        return delay_fringe_model(d, dict(zip(keys, params)), fringe_period_um)
+
+    c_guess = float(np.mean(values))
+    span = float(np.max(np.abs(deltas))) or 1.0
+    v_guess = min(1.0, float(np.max(values) - np.min(values)) / (2.0 * c_guess + 1e-30))
+    p0 = [c_guess, max(0.1, v_guess), span / 3.0, 0.0]
+    bounds = ([0.0, 0.0, 1e-6, -math.pi], [np.inf, 1.5, 10.0 * span, math.pi])
+    popt, _ = curve_fit(model, deltas, values, p0=p0, bounds=bounds, maxfev=20000)
+    return dict(zip(keys, map(float, popt)))

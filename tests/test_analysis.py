@@ -23,6 +23,7 @@ from eventready import (
     concurrence,
     correlation_E,
     fidelity,
+    fit_delay_fringe,
     fit_sinusoid,
     group_herald_outcomes,
     heralded_polarization_dm,
@@ -39,12 +40,14 @@ from eventready.presets import (
     _detector_groups,
     _herald_request,
     build_preset_config,
+    fusion_delay_config,
     fusion_scheme_config,
     polarizer_variant_config,
     run_preset,
+    scan,
 )
 
-from oracles import heralded_rho_via_projector, random_unitary
+from oracles import delay_fringe_model, delay_fringe_via_curve_fit, heralded_rho_via_projector, random_unitary
 
 PHI = BELL_STATES["phi_plus"]
 RHO_PHI = np.outer(PHI, PHI.conj())
@@ -406,6 +409,76 @@ class TestVisibilityFits:
         y2 = 0.25 * (1 + 0.89 * np.sin(2 * np.pi * xs / 180.0))
         v = joint_visibility([(xs, y1), (xs, y2)], period=180.0)
         assert v == pytest.approx(0.89, abs=1e-12)
+
+
+CORPUS = Path(__file__).resolve().parent / "data" / "exact" / "corpus"
+DELAY_PERIOD = 0.788 / 2.0  # both photons of the delayed pair acquire the fringe phase
+
+
+def _sse(fit: dict, deltas, values) -> float:
+    residuals = np.asarray(values, dtype=float) - delay_fringe_model(deltas, fit, DELAY_PERIOD)
+    return float(residuals @ residuals)
+
+
+def _delay_curve(peak_visibility: float, delta_range: str):
+    rows = scan(ExperimentConfig.from_dict(fusion_delay_config(peak_visibility)), "elements.0.delta_um", delta_range)
+    return [r["param"] for r in rows], [r["p_coincidence"] for r in rows]
+
+
+def _fit_at_most_curve_fit(deltas, values) -> dict:
+    """fit_delay_fringe's fit, after checking that its sum of squared
+    residuals is at most curve_fit's, within 1e-12 relative, or below
+    1e-26, where an exact curve leaves only rounding."""
+    fit = fit_delay_fringe(deltas, values, DELAY_PERIOD)
+    sse, oracle = _sse(fit, deltas, values), _sse(delay_fringe_via_curve_fit(deltas, values, DELAY_PERIOD), deltas, values)
+    assert sse <= oracle * (1.0 + 1e-12) or sse < 1e-26, (sse, oracle)
+    return fit
+
+
+class TestDelayFringeFit:
+    @pytest.mark.parametrize("run", ["perm", "i-reflect", "seed12345/perm", "seed12345/i-reflect"])
+    @pytest.mark.parametrize("column", ["p_coincidence", "counts_coincidence"])
+    def test_corpus_curves_fit_at_least_as_well_as_curve_fit(self, run, column):
+        with open(CORPUS / run / "fusion-delay-scan" / "fusion-delay-scan.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        fit = _fit_at_most_curve_fit([float(r["delta_um"]) for r in rows], [float(r[column]) for r in rows])
+        assert fit["envelope_width_um"] == pytest.approx(200.0, rel=0.01)
+
+    def test_flat_curve_has_no_visibility(self):
+        """curve_fit stopped at V0 = 4.5e-5 on this curve."""
+        fit = _fit_at_most_curve_fit(*_delay_curve(0.0, "-600:600:1"))
+        assert fit["peak_visibility"] < 1e-12
+
+    def test_half_visibility_on_a_narrow_scan(self):
+        """Without its halved steps the width search stopped at its upper bound here."""
+        fit = _fit_at_most_curve_fit(*_delay_curve(0.5, "-50:50:1"))
+        assert fit["peak_visibility"] == pytest.approx(0.5, abs=1e-12)
+        assert fit["envelope_width_um"] == pytest.approx(200.0, rel=1e-9)
+
+    def test_far_tail_recovers_the_envelope(self):
+        """curve_fit stopped at V0 = 0.069 on the tail, where the fringe is under 1e-11."""
+        fit = _fit_at_most_curve_fit(*_delay_curve(1.0, "1000:1200:1"))
+        assert fit["peak_visibility"] == pytest.approx(1.0, abs=1e-3)
+        assert fit["envelope_width_um"] == pytest.approx(200.0, rel=1e-4)
+
+    def test_width_held_at_its_bound(self):
+        """Five points within 2 um of zero delay cannot resolve a 200 um
+        envelope: the width stops at its bound, 10 max|d|."""
+        fit = _fit_at_most_curve_fit(*_delay_curve(1.0, "-2:2:1"))
+        assert fit["envelope_width_um"] == 20.0
+
+    def test_visibility_above_curve_fits_bound_is_reported(self):
+        deltas = np.arange(-300.0, 301.0)
+        truth = {"offset": 0.3, "peak_visibility": 2.0, "envelope_width_um": 120.0, "fringe_phase": 0.7}
+        fit = fit_delay_fringe(deltas, delay_fringe_model(deltas, truth, DELAY_PERIOD), DELAY_PERIOD)
+        assert fit == pytest.approx(truth, rel=1e-9)
+
+    @pytest.mark.parametrize("offset", [0.0, -0.25])
+    def test_offset_not_positive_rejected(self, offset):
+        deltas = np.arange(-50.0, 51.0)
+        truth = {"offset": offset, "peak_visibility": 0.5, "envelope_width_um": 30.0, "fringe_phase": 0.0}
+        with pytest.raises(ValueError, match="^delay fringe fit: no finite peak visibility at the fitted offset C = "):
+            fit_delay_fringe(deltas, delay_fringe_model(deltas, truth, DELAY_PERIOD), DELAY_PERIOD)
 
 
 class TestSampleCounts:

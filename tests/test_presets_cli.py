@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Subprocesses import the package from this checkout, however pytest was started.
 SRC_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 REFERENCE_DOMAIN = "reference must be null or a dict with a finite 'S' and an 'E' dict of finite numbers"
+THETA_STEP_DOMAIN = "theta_step_deg must divide 180 into 7 or more steps"
 
 
 class TestScan:
@@ -539,6 +540,30 @@ class TestCli:
             ("fusion-delay-scan", "delta_range", "0:1", "delta_range: bad range spec '0:1', expected start:stop:step"),
             ("hom-scan", "scan", None, "scan must be a range of 2 or more points, got None"),
             ("hom-scan", "scan", "0:inf:0.1", "scan: range '0:inf:0.1' has a non-finite start, stop or step"),
+            *(
+                ("polarization-correlation", "theta_step_deg", step, f"{THETA_STEP_DOMAIN}, got {step!r}")
+                for step in (7, 11, 25, 30, 179, 180.0)
+            ),
+            ("polarization-correlation", "theta_step_deg", 0, "theta_step_deg: range step must be positive"),
+            ("polarization-correlation", "theta_step_deg", -10.0, "theta_step_deg: range step must be positive"),
+            (
+                "polarization-correlation",
+                "theta_step_deg",
+                math.inf,
+                "theta_step_deg: range '0:180:inf' has a non-finite start, stop or step",
+            ),
+            (
+                "polarization-correlation",
+                "theta_step_deg",
+                True,
+                "theta_step_deg: bad range spec '0:180:True', expected start:stop:step",
+            ),
+            (
+                "polarization-correlation",
+                "theta_step_deg",
+                1e-3,
+                "theta_step_deg: range '0:180:0.001' yields more than 100000 points",
+            ),
         ],
     )
     def test_parameter_outside_its_domain_rejected_before_any_work(self, tmp_path, monkeypatch, preset, key, value, message):
@@ -555,6 +580,11 @@ class TestCli:
             run_preset(preset, overrides={key: value}, out_dir=tmp_path)
         assert str(exc.value) == f"preset {preset!r}: {message}"
         assert built == [] and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("step, points", [(180.0 / 7.0, 8), (22.5, 9)])
+    def test_theta_step_dividing_180_runs(self, step, points):
+        report = run_preset("polarization-correlation", overrides={"theta_step_deg": step}, shots=0).report
+        assert report["points_per_curve"] == points
 
     def test_hom_scan_starting_at_no_coincidence_rejected_before_any_file(self, tmp_path):
         """A scan that starts where the coincidence probability is 0 leaves
@@ -671,35 +701,44 @@ def test_public_names_are_unique_and_resolve():
     assert [name for name in names if not hasattr(eventready, name)] == []
 
 
-def test_scipy_is_imported_only_to_fit(tmp_path):
-    """A preset that fits nothing, manifest included, never imports scipy;
-    fusion-delay-scan still reports its fits."""
+def test_no_run_imports_scipy(tmp_path):
+    """Every preset, a sampled fusion-delay-scan, a --config and a --scan
+    run without importing scipy; the manifests record the versions of
+    Python and the two runtime dependencies, and the delay scan still
+    reports both fits."""
     import eventready
 
     code = """
 import json, sys
 from pathlib import Path
-import eventready
-from eventready.presets import run_preset
+from eventready.cli import main
+from eventready.presets import PRESET_NAMES
 
-out = Path(sys.argv[1])
-run_preset("eq1-check", out_dir=out)
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
-print(json.dumps(json.loads((out / "eq1-check.manifest.json").read_text())["versions"]))
-report = run_preset("fusion-delay-scan", overrides={"delta_range": "-300:300:10"}, shots=100).report
-print(json.dumps(sorted(key for key in report if key.startswith("fit_"))))
+out, config = Path(sys.argv[1]), sys.argv[2]
+runs = [["--preset", name, "--out", str(out / name)] for name in PRESET_NAMES]
+runs += [
+    ["--preset", "fusion-delay-scan", "--shots", "100", "--out", str(out / "shots")],
+    ["--config", config, "--out", str(out / "config")],
+    ["--config", config, "--scan", "elements.0.delta_um=-10:10:1", "--out", str(out / "scan")],
+]
+print(json.dumps([main(argv) for argv in runs]), file=sys.stderr)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
 """
     src = str(Path(eventready.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)],
+        [sys.executable, "-c", code, str(tmp_path), str(ROOT / "tests" / "data" / "fusion_delay_config.json")],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    scipy_modules, versions, fits = (json.loads(line) for line in proc.stdout.splitlines())
+    exit_codes, scipy_modules = (json.loads(line) for line in proc.stderr.splitlines())
+    assert exit_codes == [0] * (len(PRESET_NAMES) + 3)
     assert scipy_modules == []
-    assert list(versions) == ["jsonschema", "numpy", "python", "scipy"]
-    assert versions["python"] == platform.python_version()
-    assert all(isinstance(v, str) and v for v in versions.values())
-    assert fits == ["fit_analytic", "fit_sampled"]
+    for name in PRESET_NAMES:
+        versions = json.loads((tmp_path / name / f"{name}.manifest.json").read_text())["versions"]
+        assert list(versions) == ["jsonschema", "numpy", "python"]
+        assert versions["python"] == platform.python_version()
+        assert all(isinstance(v, str) and v for v in versions.values())
+    report = json.loads((tmp_path / "shots" / "fusion-delay-scan.report.json").read_text())
+    assert sorted(key for key in report if key.startswith("fit_")) == ["fit_analytic", "fit_sampled"]
