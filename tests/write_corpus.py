@@ -106,6 +106,10 @@ def _inputs() -> dict:
         "zero-is-required": {**bucket, "heralds": [{"name": "hh", "require": {"D1h": 1, "D2h": 1}, "zero": ["D1h", "D1v", "D2v"]}]},
         "branch-of-1-photon": _set(hom_config(), "sources.branches", [{"photons": pair}, {"photons": pair[:1]}]),
         "branch-of-3-photons": _set(hom_config(), "sources.branches", [{"photons": pair}, {"photons": pair + pair[:1]}]),
+        "loss-duplicate": _set(hom_config(), "elements.2.loss", "LP1"),
+        "loss-photon": _set(polarizer_variant_config(), "sources.branches.0.photons.0.spatial", "LD1"),
+        "spatial-duplicate": _set(hom_config(), "spatial_labels", ["A1", "A1", "A2", "LP1", "LP2"]),
+        "modes-over-cap": _set(hom_config(), "spatial_labels", ["A1", "A2", "LP1", "LP2"] + [f"X{k}" for k in range(13)]),
     }
 
 
@@ -146,8 +150,11 @@ FAILING_SCANS = (
 )
 
 # Each config that fails; kept-duplicate names one kept arm twice, the
-# zero-* heralds zero a detector that shares modes with a required one, and
-# the branch-of-* sources hold a second branch of another photon count.
+# zero-* heralds zero a detector that shares modes with a required one, the
+# branch-of-* sources hold a second branch of another photon count, the
+# loss-* configs give two polarizers one loss label and put a photon on a
+# loss label, and the last two repeat a spatial label and hold 17 labels at
+# 4 bins, 136 modes.
 FAILING_CONFIGS = (
     "photon-overlap-1.2",
     "bin-mixer-overlap-1.05",
@@ -156,6 +163,10 @@ FAILING_CONFIGS = (
     "zero-is-required",
     "branch-of-1-photon",
     "branch-of-3-photons",
+    "loss-duplicate",
+    "loss-photon",
+    "spatial-duplicate",
+    "modes-over-cap",
 )
 
 
