@@ -19,7 +19,7 @@ import numpy as np
 
 from .distinguishability import OverlapModel, bins_for_reference_overlap
 from .config import _with_leaves
-from .elements import ELEMENT_KINDS, ElementError, _complex, compose, element_ports, lower_element
+from .elements import ELEMENT_KINDS, ElementError, _complex, compose, lower_element
 from .fock import (
     NORM_TOL,
     PRUNE_TOL,
@@ -119,24 +119,14 @@ def _require_unitary(i: int, t: ModeTransform):
         raise CircuitError(f"$.elements.{i}: non-unitary lowering: {report}")
 
 
-def _source_branch(b: int, br: dict, losses) -> SourceBranch:
-    photons = tuple(_photon_from_source(s) for s in br["photons"])
-    for p, photon in enumerate(photons):
-        if photon.spatial in losses:
-            raise CircuitError(
-                f"$.sources.branches.{b}.photons.{p}.spatial: "
-                f"loss label {photon.spatial!r} must start in vacuum"
-            )
-    return SourceBranch(_complex(br.get("amplitude", 1.0)), photons)
-
-
 def compile_circuit(config) -> Circuit:
     """Lower a validated ExperimentConfig into a runnable circuit.
 
     Elements are lowered strictly in config order, each to one step;
     every transform is checked for unitarity before it is accepted.  A
     scan lowers a block of points at once with _lowered and checks the
-    block's stacks with the same error (ScanCircuit.evolve).
+    block's stacks with the same error (ScanCircuit.evolve).  Labels,
+    loss labels and sources were checked by validate_config_dict.
     """
     registry = ModeRegistry(
         config.spatial_labels,
@@ -144,31 +134,15 @@ def compile_circuit(config) -> Circuit:
         photon_budget=config.photon_budget,
     )
     model = OverlapModel(**config.model)
-
-    seen_losses = set()
     steps = []
     for i, el in enumerate(config.elements):
-        path = f"$.elements.{i}"
-        for port in element_ports(el):
-            if not registry.has_spatial(port):
-                raise CircuitError(f"{path}: unbound spatial label {port!r}")
-        loss = el.get("loss")
-        if loss is not None:
-            if loss in seen_losses:
-                raise CircuitError(f"{path}.loss: duplicate loss label {loss!r}")
-            if not registry.has_spatial(loss):
-                raise CircuitError(f"{path}.loss: unbound loss label {loss!r}")
-            seen_losses.add(loss)
         t = _lowered(i, el, registry, model, config.convention)
         _require_unitary(i, t)
         steps.append((t.name or el["kind"], t))
-
     branches = tuple(
-        _source_branch(b, br, seen_losses) for b, br in enumerate(config.source_branches)
+        SourceBranch(_complex(br.get("amplitude", 1.0)), tuple(map(_photon_from_source, br["photons"])))
+        for br in config.source_branches
     )
-    if not branches:
-        raise CircuitError("config declares no source photons")
-
     return Circuit(registry, branches, tuple(steps))
 
 
@@ -305,5 +279,5 @@ def _nonzero(norm: np.ndarray) -> np.ndarray:
     """norm, an input's norm at each point; FockError where it is not above
     PRUNE_TOL, so that no term of the input survives multiply_out."""
     if not (norm > PRUNE_TOL).all():
-        raise FockError("cannot normalize the zero state")
+        raise FockError("$.sources.branches: cannot normalize the zero state")
     return norm

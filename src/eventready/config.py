@@ -6,9 +6,10 @@ against its kind's entry in `elements.ELEMENT_KINDS`, rejects photon
 fields that would override each other and photons the sources cannot
 prepare (unnormalized amplitudes, an overlap above 1, more bins than the
 config has, more photons than the budget, branches of different photon
-counts), checks label cross-references (element ports, detector groups,
-herald names, kept arms) against the declared spatial labels, and
-refuses a herald that zeroes a mode it requires.
+counts, a photon on a loss label), checks label cross-references
+(element ports, loss labels, detector groups, herald names, kept arms)
+against the declared spatial labels, and refuses a shared loss label,
+more than `modes.MAX_MODES` modes and a herald that zeroes a mode it requires.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import jsonschema
 from .distinguishability import OverlapError, bins_for_reference_overlap
 from .elements import ELEMENT_KINDS, PBS_CONVENTIONS, _complex, element_ports
 from .fock import INPUT_NORM_TOL
+from .modes import MAX_MODES
 
 SCHEMA_VERSION = 1
 
@@ -39,6 +41,7 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"type": "string", "minLength": 1},
             "minItems": 1,
+            "uniqueItems": True,
         },
         "bins": {"type": "integer", "minimum": 1, "maximum": 8},
         "photon_budget": {"type": "integer", "minimum": 1, "maximum": 6},
@@ -298,7 +301,14 @@ def _cross_reference_violations(raw: dict):
     amplitudes and labels."""
     labels = set(raw.get("spatial_labels", []))
     budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
+    bins = raw.get("bins", ExperimentConfig.bins)
     problems = []
+    if 2 * bins * len(labels) > MAX_MODES:
+        where, modes = "bins" if "bins" in raw else "spatial_labels", 2 * bins * len(labels)
+        problems.append(f"$.{where}: {len(labels)} spatial labels at {bins} bins would hold {modes} modes, cap is {MAX_MODES}")
+    elements = raw.get("elements", [])
+    # Each loss label's first element, which alone it serves; it starts in vacuum.
+    owners = {el["loss"]: i for i, el in reversed(list(enumerate(elements))) if "loss" in el}
     branches = raw.get("sources", {}).get("branches", [])
     counts = [len(branch.get("photons", [])) for branch in branches]
     for b, branch in enumerate(branches):
@@ -312,11 +322,13 @@ def _cross_reference_violations(raw: dict):
             for first, second in (("pol_amps", "pol_angle_deg"), ("bins", "overlap")):
                 if first in photon and second in photon:
                     problems.append(f"{path}: set {first} or {second}, not both")
-            problems.extend(_photon_violations(path, photon, raw.get("bins", ExperimentConfig.bins)))
+            problems.extend(_photon_violations(path, photon, bins))
             s = photon.get("spatial")
             if s not in labels:
                 problems.append(f"{path}.spatial: dangling label {s!r}")
-    for i, el in enumerate(raw.get("elements", [])):
+            elif s in owners:
+                problems.append(f"{path}.spatial: loss label {s!r} must start in vacuum")
+    for i, el in enumerate(elements):
         problems.extend(_element_violations(f"$.elements.{i}", el))
         for port in element_ports(el):
             if port not in labels:
@@ -324,6 +336,8 @@ def _cross_reference_violations(raw: dict):
         loss = el.get("loss")
         if loss is not None and loss not in labels:
             problems.append(f"$.elements.{i}.loss: dangling label {loss!r}")
+        if loss is not None and owners[loss] != i:
+            problems.append(f"$.elements.{i}.loss: duplicate loss label {loss!r}")
     detectors = raw.get("detectors", {})
     # The (label, polarization) pairs each detector reads, in every bin.
     reads = {name: {(d["spatial"], pol) for pol in d.get("pol", "HV")} for name, d in detectors.items()}

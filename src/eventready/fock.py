@@ -172,15 +172,9 @@ def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
     the final normalization.
     """
     photons = list(photons)
-    _check_budget(registry, len(photons))
     for photon in photons:
         _check_photon(registry, photon)
     return _one_point_state(multiply_out(registry, [(1.0, creator_columns(registry, photons))], 1)).normalized()
-
-
-def _check_budget(registry: ModeRegistry, n_photons: int):
-    if n_photons > registry.photon_budget:
-        raise FockError(f"{n_photons} photons exceed the budget of {registry.photon_budget}")
 
 
 def _at_points(fn, *fields):
@@ -238,7 +232,8 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
     photon_counts = sorted({columns.shape[1] for _, columns in branches})
     if len(photon_counts) > 1:
         raise FockError(f"superpose mixes photon numbers {photon_counts}")
-    _check_budget(registry, photon_counts[0])
+    if photon_counts[0] > registry.photon_budget:
+        raise FockError(f"{photon_counts[0]} photons exceed the budget of {registry.photon_budget}")
     width = max(columns.shape[2] for _, columns in branches)
     weights = np.empty((len(branches), points), dtype=complex)
     columns = np.empty((len(branches), registry.size, photon_counts[0], width), dtype=complex)
@@ -590,40 +585,22 @@ def _arm_slices(registry: ModeRegistry, kept_spatial) -> list:
 
 
 def kept_pair_violation(state: GridState, bad, kept_spatial, patterns=None) -> str:
-    """Why the first row that bad marks is off the kept pair: _kept_pair's
-    message.  Rows are ordered by pattern, then by occupation, as
-    PureState.sorted_terms orders terms, whatever their order in state."""
+    """Why the first row that bad marks is off the kept pair: its first photon, in registry order, outside
+    the arms or past one in an arm, or else the arms it leaves empty.  Rows are ordered by pattern, then
+    by occupation, as PureState.sorted_terms orders terms, whatever their order in state."""
     rows = np.flatnonzero(bad)
     keys = state.occupations[rows] if patterns is None else np.column_stack([patterns[rows], state.occupations[rows]])
-    first = rows[np.lexsort(keys.T[::-1])[0]]
+    occ = state.occupations[rows[np.lexsort(keys.T[::-1])[0]]].tolist()
     registry = state.registry
-    arms = _arm_slices(registry, kept_spatial)
-    kept_idx = {i: registry.modes[i] for arm in arms for i in range(arm.start, arm.stop)}
-    try:
-        _kept_pair(registry, state.occupations[first].tolist(), kept_idx, kept_spatial)
-    except FockError as exc:
-        return str(exc)
-
-
-def _kept_pair(registry: ModeRegistry, occ, kept_idx: dict, kept_spatial):
-    """The modes of occ's photons in the two kept arms, first arm first;
-    FockError unless those are its only photons, one per arm."""
-    arm_a, arm_b = kept_spatial
-    found = {}
-    for i, n in enumerate(occ):
-        if n == 0:
-            continue
-        mode = kept_idx.get(i)
-        if mode is None:
-            raise FockError(f"non-vacuum residual mode {registry.modes[i]} in kept-pair state")
+    kept = {i for arm in _arm_slices(registry, kept_spatial) for i in range(arm.start, arm.stop)}
+    found = []
+    for i in np.flatnonzero(occ).tolist():
+        mode, n = registry.modes[i], occ[i]
+        if i not in kept:
+            return f"non-vacuum residual mode {mode} in kept-pair state"
         if n > 1:
-            raise FockError(f"non-qubit support: {n} photons in {mode}")
+            return f"non-qubit support: {n} photons in {mode}"
         if mode.spatial in found:
-            raise FockError(f"non-qubit support: two photons in arm {mode.spatial}")
-        found[mode.spatial] = mode
-    if set(found) != {arm_a, arm_b}:
-        raise FockError(
-            f"non-qubit support: arms {sorted(found)} occupied, "
-            f"expected one photon in each of {arm_a}, {arm_b}"
-        )
-    return found[arm_a], found[arm_b]
+            return f"non-qubit support: two photons in arm {mode.spatial}"
+        found.append(mode.spatial)
+    return f"non-qubit support: arms {sorted(found)} occupied, expected one photon in each of {', '.join(kept_spatial)}"

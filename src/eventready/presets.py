@@ -38,7 +38,7 @@ from .analysis import group_herald_outcomes, outcome_distribution  # noqa: F401 
 from .circuit import ScanCircuit, compile_circuit, run
 from .config import SCHEMA_VERSION, ConfigError, ExperimentConfig, LeafCheck
 from .distinguishability import OverlapModel
-from .fock import PRUNE_TOL, GridState, _arm_slices, distinct_rows, kept_pair_pass, kept_pair_violation, one_point_grid
+from .fock import NORM_TOL, PRUNE_TOL, GridState, _arm_slices, distinct_rows, kept_pair_pass, kept_pair_violation, one_point_grid
 from .fock import ordered_sum
 
 SUCCESS_PROBABILITY_NOTE = (
@@ -686,7 +686,8 @@ def run_hom_scan(config: ExperimentConfig, params: dict, seed: int, shots: int):
         for r in rows
     ]
     baseline = curve[0]["coincidence_probability"]
-    if not baseline:
+    # A baseline within NORM_TOL of 0 is a rounding remnant, which would make the visibility noise.
+    if not baseline > NORM_TOL:
         raise PresetError(
             f"preset 'hom-scan': scan must start where the coincidence probability, the dip's baseline, is not 0; "
             f"{params['scan']!r} starts at overlap {curve[0]['overlap']!r}, where it is 0"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,8 @@ from eventready import (
     run,
     superpose,
 )
-from eventready.circuit import CircuitError, SourceBranch, check_unitarity
+from eventready.circuit import SourceBranch, check_unitarity
+from eventready.config import ConfigError
 from eventready.distinguishability import OverlapModel
 from eventready.elements import ELEMENT_KINDS, PBS_CONVENTIONS, compose, lower_element, rpbs
 from eventready.fock import FockError, ModeTransform, PhotonSpec, PureState
@@ -72,8 +74,9 @@ class TestCompile:
 
         raw = polarizer_variant_config()
         raw["sources"]["branches"][0]["photons"][0]["spatial"] = "LD1"
-        with pytest.raises(CircuitError, match="vacuum"):
-            compiled(raw)
+        message = "$.sources.branches.0.photons.0.spatial: loss label 'LD1' must start in vacuum"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(raw)
 
     def test_duplicate_loss_label_rejected(self):
         raw = two_pbs_config()
@@ -84,8 +87,9 @@ class TestCompile:
         raw["elements"].append(
             {"kind": "polarizer", "port": "A2", "angle_deg": 0.0, "loss": "L1"}
         )
-        with pytest.raises(CircuitError, match="duplicate loss"):
-            compiled(raw)
+        message = "$.elements.3.loss: duplicate loss label 'L1'"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(raw)
 
     def test_deterministic_lowering(self):
         c1 = compiled(fusion_scheme_config())
@@ -246,9 +250,10 @@ class TestPreparedInput:
 
     def test_cancelling_branches_cannot_be_normalized(self):
         circuit = compiled(_set(_inputs()["cancelling-branches"], "sources.branches.1.amplitude", [-1.0, 0.0]))
-        for prepare in (circuit.prepared_input, lambda: _superposed_input(circuit)):
-            with pytest.raises(FockError, match="^cannot normalize the zero state$"):
-                prepare()
+        with pytest.raises(FockError, match=r"^\$\.sources\.branches: cannot normalize the zero state$"):
+            circuit.prepared_input()
+        with pytest.raises(FockError, match="^cannot normalize the zero state$"):
+            _superposed_input(circuit)
 
     @pytest.mark.parametrize(
         "photons",

@@ -229,6 +229,45 @@ class TestParseConfig:
         assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == 1
         assert capsys.readouterr() == ("", f"eventready: config error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "labels, bins, message",
+        [
+            (["A1", "A1", "A2", "LP1", "LP2"], None, "$.spatial_labels: ['A1', 'A1', 'A2', 'LP1', 'LP2'] has non-unique elements"),
+            (
+                ["A1", "A2", "LP1", "LP2"] + [f"X{k}" for k in range(13)],
+                None,
+                "$.spatial_labels: 17 spatial labels at 4 bins would hold 136 modes, cap is 128",
+            ),
+            (["A1", "A2", "LP1", "LP2"] + [f"X{k}" for k in range(5)], 8, "$.bins: 9 spatial labels at 8 bins would hold 144 modes, cap is 128"),
+            (["A1", "A2", "LP1", "LP2"] + [f"X{k}" for k in range(12)], None, None),
+        ],
+        ids=["repeated-label", "labels-over-the-cap", "bins-over-the-cap", "at-the-cap"],
+    )
+    def test_registry_the_labels_cannot_make_is_rejected_with_its_path(self, tmp_path, capsys, labels, bins, message):
+        """A repeated spatial label and more modes than modes.MAX_MODES are
+        refused by validation, not by ModeRegistry after it."""
+        from eventready.cli import main
+        from eventready.presets import hom_config
+
+        raw = {**hom_config(), "spatial_labels": labels, **({"bins": bins} if bins else {})}
+        assert validate_config_dict(raw) == ([message] if message else [])
+        assert main(["--config", str(write_config(tmp_path, raw)), "--format", "json"]) == (1 if message else 0)
+        out, err = capsys.readouterr()
+        if message:
+            assert (out, err) == ("", f"eventready: config error: {message}\n")
+
+    def test_loss_label_shared_or_holding_a_photon_is_rejected_with_the_others(self):
+        """Both loss-label rules are reported with every other violation."""
+        raw = polarizer_variant_config()
+        raw["elements"][4]["loss"] = "LD1"
+        raw["sources"]["branches"][0]["photons"][0]["spatial"] = "LD1"
+        raw["kept"] = ["A1", "Z9"]
+        assert validate_config_dict(raw) == [
+            "$.sources.branches.0.photons.0.spatial: loss label 'LD1' must start in vacuum",
+            "$.elements.4.loss: duplicate loss label 'LD1'",
+            "$.kept: dangling label 'Z9'",
+        ]
+
     def test_unparseable_json_reported(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

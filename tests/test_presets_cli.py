@@ -599,6 +599,18 @@ class TestCli:
         # Under i-reflect the same scan starts at a peak, not at 0.
         assert math.isfinite(run_preset("hom-scan", overrides={"scan": "-1:1:0.5"}, convention="i-reflect").report["dip_visibility"])
 
+    def test_hom_scan_starting_at_a_rounding_remnant_rejected(self):
+        """A start one ulp off -1 leaves a baseline of 2.8e-17, not 0, which
+        would report a visibility of -2.7e14: a baseline within NORM_TOL of
+        0 is refused as 0 is."""
+        spec = "-0.9999999999999999:1:0.5"
+        message = (
+            "preset 'hom-scan': scan must start where the coincidence probability, the dip's baseline, is not 0; "
+            f"{spec!r} starts at overlap -0.9999999999999999, where it is 0"
+        )
+        with pytest.raises(PresetError, match=f"^{re.escape(message)}$"):
+            run_preset("hom-scan", overrides={"scan": spec})
+
     @pytest.mark.parametrize(
         "preset, key",
         [("eq1-check", "amplitudes"), ("hom-scan", "operating_coincidence")],

@@ -355,6 +355,7 @@ class TestSameErrors:
                 "$.sources.branches.0.photons.0.bins",
             ),
             (_photon_values_config(), "photon_budget,bins", "1:2:1", 0, "$.sources.branches.0.photons"),
+            (_set(hom_config(), "spatial_labels", ["A1", "A2", "LP1", "LP2"] + [f"X{k}" for k in range(8)]), "bins", "4:8:1", 2, "$.bins"),
         ],
         ids=[
             "transmissivity-1.05",
@@ -371,6 +372,7 @@ class TestSameErrors:
             "photon-bins",
             "photon-bins-im",
             "budget-and-bins",
+            "bins-over-the-mode-cap",
         ],
     )
     def test_bad_point_gives_the_full_validation_messages(self, tmp_path, capsys, raw, path, spec, bad_point, where):
@@ -690,7 +692,7 @@ class TestBlockChecks:
         branch = raw["sources"]["branches"][0]
         raw["sources"]["branches"] = [dict(branch, amplitude=[1.0, 0.0]), dict(branch, amplitude=[0.5, 0.0])]
         # At amplitude -1 the two equal branches cancel.
-        with pytest.raises(FockError, match=r"^cannot normalize the zero state$"):
+        with pytest.raises(FockError, match=r"^\$\.sources\.branches: cannot normalize the zero state$"):
             scan(ExperimentConfig.from_dict(raw), "sources.branches.1.amplitude.0", "-1.5:0:0.5")
 
     def test_norm_drift_past_its_tolerance_raises(self, monkeypatch):
