@@ -303,8 +303,9 @@ def _cross_reference_violations(raw: dict):
     budget = raw.get("photon_budget", ExperimentConfig.photon_budget)
     bins = raw.get("bins", ExperimentConfig.bins)
     problems = []
-    if 2 * bins * len(labels) > MAX_MODES:
-        where, modes = "bins" if "bins" in raw else "spatial_labels", 2 * bins * len(labels)
+    modes = 2 * bins * len(labels)
+    if modes > MAX_MODES:
+        where = "bins" if "bins" in raw else "spatial_labels"
         problems.append(f"$.{where}: {len(labels)} spatial labels at {bins} bins would hold {modes} modes, cap is {MAX_MODES}")
     elements = raw.get("elements", [])
     # Each loss label's first element, which alone it serves; it starts in vacuum.
