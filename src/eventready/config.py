@@ -1,26 +1,29 @@
 """Experiment configuration: JSON schema, parsing, cross-reference checks.
 
 A config is a plain JSON document.  Validation reports every schema
-violation at once, not just the first.  It then checks each element
-against its kind's entry in `elements.ELEMENT_KINDS`, rejects photon
-fields that would override each other and photons the sources cannot
-prepare (unnormalized amplitudes, an overlap above 1, more bins than the
-config has, more photons than the budget, branches of different photon
-counts, a photon on a loss label), checks label cross-references
-(element ports, loss labels, detector groups, herald names, kept arms)
-against the declared spatial labels, and refuses a shared loss label,
-more than `modes.MAX_MODES` modes and a herald that zeroes a mode it requires.
+violation at once, not just the first; the package decides the schema
+(`_valid`) and imports jsonschema only to word the violations.  It then
+checks each element against its kind's entry in
+`elements.ELEMENT_KINDS`, rejects photon fields that would override each
+other and photons the sources cannot prepare (unnormalized amplitudes,
+an overlap above 1, more bins than the config has, more photons than the
+budget, branches of different photon counts, a photon on a loss label),
+checks label cross-references (element ports, loss labels, detector
+groups, herald names, kept arms) against the declared spatial labels,
+and refuses a shared loss label, more than `modes.MAX_MODES` modes and a
+herald that zeroes a mode it requires.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, fields
-
-import jsonschema
 
 from .distinguishability import OverlapError, bins_for_reference_overlap
 from .elements import ELEMENT_KINDS, PBS_CONVENTIONS, _complex, element_ports
@@ -382,12 +385,78 @@ def _non_finite_violations(value, path: str = "$"):
     return [p for key, item in items for p in _non_finite_violations(item, f"{path}.{key}")]
 
 
+# Draft 2020-12's types: a bool is neither a number nor an integer, and an integral float is an integer.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "number": lambda x: isinstance(x, numbers.Number) and not isinstance(x, bool),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool) or isinstance(x, float) and x.is_integer(),
+}
+# The bound keywords, each as the comparison that breaks it; a bound reads numbers only.
+_BREAKS = {"minimum": operator.lt, "maximum": operator.gt, "exclusiveMinimum": operator.le}
+
+
+def _same(a, b) -> bool:
+    """JSON equality, as enum, const and uniqueItems read it: True is not 1, 1 is 1.0."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[key], b[key]) for key in a)
+    return a is b or (isinstance(a, bool) == isinstance(b, bool) and a == b)
+
+
+def _resolved(schema: dict) -> dict:
+    """schema, or the CONFIG_SCHEMA $defs entry its $ref names."""
+    return CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]] if "$ref" in schema else schema
+
+
+def _valid(value, schema: dict = CONFIG_SCHEMA) -> bool:
+    """Whether value meets schema, a part of CONFIG_SCHEMA, as a Draft 2020-12
+    validator decides it, for each keyword CONFIG_SCHEMA uses."""
+    schema = _resolved(schema)
+    if (
+        "type" in schema and not _TYPES[schema["type"]](value)
+        or "anyOf" in schema and not any(_valid(value, option) for option in schema["anyOf"])
+        or "enum" in schema and not any(_same(value, option) for option in schema["enum"])
+        or "const" in schema and not _same(value, schema["const"])
+    ):
+        return False
+    if _TYPES["number"](value):
+        return not any(breaks(value, schema[key]) for key, breaks in _BREAKS.items() if key in schema)
+    if isinstance(value, str):
+        return len(value) >= schema.get("minLength", 0)
+    if isinstance(value, dict):
+        properties, other = schema.get("properties", {}), schema.get("additionalProperties", {})
+        subs = [(item, properties.get(key, other)) for key, item in value.items()]
+        return (
+            len(value) >= schema.get("minProperties", 0)
+            and all(key in value for key in schema.get("required", ()))
+            and all(sub is not False and _valid(item, sub) for item, sub in subs)
+        )
+    if isinstance(value, list):
+        return (
+            schema.get("minItems", 0) <= len(value) <= schema.get("maxItems", len(value))
+            and not (schema.get("uniqueItems") and any(_same(a, b) for i, a in enumerate(value) for b in value[:i]))
+            and all(_valid(item, schema.get("items", {})) for item in value)
+        )
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def _validator():
+    """jsonschema's validator, which words a refused config's violations, built once per process."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+
+
 def validate_config_dict(raw: dict):
     """Every schema violation, non-finite number and cross-reference problem, as strings."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
     problems = []
-    for err in sorted(validator.iter_errors(raw), key=lambda e: list(e.absolute_path)):
-        problems.append(f"${''.join(f'.{key}' for key in err.absolute_path)}: {err.message}")
+    if not _valid(raw):
+        for err in sorted(_validator().iter_errors(raw), key=lambda e: list(e.absolute_path)):
+            problems.append(f"${''.join(f'.{key}' for key in err.absolute_path)}: {err.message}")
     problems.extend(_non_finite_violations(raw))
     if not problems:
         problems.extend(_cross_reference_violations(raw))
@@ -409,8 +478,7 @@ def _subschema(keys):
     not know."""
     schema = CONFIG_SCHEMA
     for key in keys:
-        if "$ref" in schema:
-            schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+        schema = _resolved(schema)
         if "anyOf" in schema:
             break
         if key in schema.get("properties", {}):
@@ -419,8 +487,7 @@ def _subschema(keys):
             schema = schema["additionalProperties"]
         else:
             schema = schema.get("items", {})
-    if "$ref" in schema:
-        schema = CONFIG_SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[1]]
+    schema = _resolved(schema)
     return {"type": "number"} if "anyOf" in schema else schema
 
 
@@ -444,8 +511,7 @@ class LeafCheck:
 
     def __init__(self, leaves):
         self._leaves = leaves = [tuple(keys) for keys in leaves]
-        schemas = [_subschema(keys) for keys in leaves]
-        self._checks = [jsonschema.Draft202012Validator(schema) for schema in schemas]
+        self._schemas = schemas = [_subschema(keys) for keys in leaves]
         self._integers = [keys for keys, schema in zip(leaves, schemas) if schema.get("type") == "integer"]
         bounds = {"type", "minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"}
         self._interval = all(s.get("type") in ("number", "integer") and set(s) <= bounds for s in schemas)
@@ -467,7 +533,7 @@ class LeafCheck:
         return (
             not any(_non_finite_violations(x) for x in values)
             and (not self._integers or all(x % 1 == 0 for x in values))
-            and all(check.is_valid(x) for x in checked for check in self._checks)
+            and all(_valid(x, schema) for x in checked for schema in self._schemas)
             and not any(_cross_reference_violations(self.at(raw, x)) for x in magnitudes)
         )
 

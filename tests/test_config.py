@@ -1,13 +1,25 @@
+import copy
 import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
 from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
 from eventready.cli import build_parser
-from eventready.config import validate_config_dict
+from eventready.config import CONFIG_SCHEMA, LeafCheck, _subschema, _valid, validate_config_dict
 from eventready.elements import PBS_CONVENTIONS
-from eventready.presets import PRESET_NAMES, build_preset_config, fusion_scheme_config, json_text, polarizer_variant_config
+from eventready.presets import (
+    PRESET_NAMES,
+    build_preset_config,
+    fusion_delay_config,
+    fusion_scheme_config,
+    json_text,
+    polarizer_variant_config,
+    two_pbs_config,
+)
 
 
 MINIMAL = {
@@ -339,3 +351,130 @@ def test_readme_lists_every_element_kind_with_its_fields():
             assert f"`{key}`" in items[name] and f"[`{key}`]" not in items[name]
         for key in kind.optional:
             assert f"[`{key}`]" in items[name]
+
+
+# The keywords the in-package verdict interprets; "$schema" only names the draft.
+VERDICT_KEYWORDS = {
+    "$schema", "type", "properties", "additionalProperties", "items", "required", "minItems", "maxItems",
+    "uniqueItems", "minLength", "minProperties", "minimum", "maximum", "exclusiveMinimum", "enum", "const",
+    "$ref", "$defs", "anyOf",
+}
+VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+PRESET_CONFIGS = [build_preset_config(name, {}).to_dict() for name in PRESET_NAMES]
+
+
+def _nodes(node, keys=()):
+    """(keys, value) of node and of everything under it."""
+    yield keys, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, item in items:
+        yield from _nodes(item, (*keys, key))
+
+
+def _schema_keywords(schema):
+    """Every keyword CONFIG_SCHEMA uses, at any depth."""
+    found = set(schema)
+    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(), *schema.get("anyOf", [])]
+    subschemas += [schema[key] for key in ("items", "additionalProperties") if isinstance(schema.get(key), dict)]
+    return found.union(*map(_schema_keywords, subschemas))
+
+
+FIELD_NAMES = sorted({key for _, node in _nodes(CONFIG_SCHEMA) if isinstance(node, dict) for key in node.get("properties", {})})
+# Wrong types, bools, 1 against 1.0, bounds and huge ints, and empties;
+# then the parts of every preset config, which are right in some places only.
+ODD_VALUES = [
+    None, True, False, 0, 1, 1.0, -1, 0.5, 2.5, 4, 4.0, 6, 7, 8, 9, 10**400, -(10**400), 1e308, float("inf"),
+    "", "x", "H", "A1", "perm", [], {}, [1, 1.0], [True, 1], [1.0, 0.0, 0.0], ["A1", "A1"], ["A1", "B1", "A2"],
+    {"theta_a_deg": 0.0, "theta_b_deg": 45.0}, {"coherence_length_um": 0}, {"x": 1},
+]
+PRESET_PARTS = [value for raw in PRESET_CONFIGS for _, value in _nodes(raw)]
+VALUES = st.one_of(st.sampled_from(ODD_VALUES), st.sampled_from(PRESET_PARTS))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A preset config with one to three mutations: a value replaced, a
+    field dropped or added, an item repeated, a field's value duplicated
+    into another field, a container emptied or a number turned into its
+    float, int or bool."""
+    holder = {"raw": copy.deepcopy(draw(st.sampled_from(PRESET_CONFIGS)))}
+    for _ in range(draw(st.integers(1, 3))):
+        if "raw" not in holder:
+            break
+        *parent_keys, key = draw(st.sampled_from([keys for keys, _ in _nodes(holder) if keys]))
+        parent = holder
+        for k in parent_keys:
+            parent = parent[k]
+        node = parent[key]
+        what = draw(st.sampled_from(["replace", "drop", "add", "repeat", "duplicate", "empty", "number"]))
+        if what == "replace":
+            parent[key] = copy.deepcopy(draw(VALUES))
+        elif what == "drop":
+            del parent[key]
+        elif what == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from([*FIELD_NAMES, "junk"]))] = copy.deepcopy(draw(VALUES))
+        elif what == "repeat" and isinstance(node, list) and node:
+            node.append(copy.deepcopy(draw(st.sampled_from(node))))
+        elif what == "duplicate" and isinstance(node, dict) and node:
+            node[draw(st.sampled_from(FIELD_NAMES))] = copy.deepcopy(draw(st.sampled_from(list(node.values()))))
+        elif what == "empty" and isinstance(node, (dict, list)):
+            parent[key] = type(node)()
+        elif what == "number" and isinstance(node, (int, float)) and not isinstance(node, bool):
+            twins = [-node, bool(node), *([float(node)] if abs(node) < 1e308 else []), *([int(node)] if node % 1 == 0 else [])]
+            parent[key] = draw(st.sampled_from(twins))
+    return holder.get("raw")
+
+
+def _with(raw, **changes):
+    return {**raw, **changes}
+
+
+class TestSchemaVerdict:
+    def test_the_verdict_interprets_every_keyword_of_the_schema(self):
+        assert _schema_keywords(CONFIG_SCHEMA) == VERDICT_KEYWORDS
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(mutated_configs())
+    @example(_with(two_pbs_config(), bins=4.0))  # an integral float is an integer
+    @example(_with(two_pbs_config(), bins=True))  # a bool is no integer
+    @example(_with(two_pbs_config(), analyzers={"theta_a_deg": False, "theta_b_deg": 0}))  # nor a number
+    @example(_with(two_pbs_config(), schema_version=True))  # const tells True from 1
+    @example(_with(two_pbs_config(), schema_version=1.0))
+    @example(_with(polarizer_variant_config(), kept=[1, 1.0]))  # uniqueItems counts 1 and 1.0 as equal
+    @example(_with(fusion_delay_config(), model={"coherence_length_um": 0}))  # exclusiveMinimum
+    @example(_with(two_pbs_config(), spatial_labels=["A1", "A2", "B1", "B2", ""]))  # minLength
+    def test_verdict_equals_jsonschema(self, raw):
+        assert _valid(raw) == VALIDATOR.is_valid(raw)
+
+    @pytest.mark.parametrize(
+        "value, schema, valid",
+        [
+            (1.0, {"type": "integer"}, True),
+            (True, {"type": "integer"}, False),
+            (True, {"type": "number"}, False),
+            (True, {"const": 1}, False),
+            (True, {"enum": [1, "perm"]}, False),
+            (1.0, {"enum": [1]}, True),
+            ([1, 1.0], {"uniqueItems": True}, False),
+            ([True, 1], {"uniqueItems": True}, True),
+            ([[1], [1.0]], {"uniqueItems": True}, False),
+        ],
+    )
+    def test_draft_2020_12_traps(self, value, schema, valid):
+        assert _valid(value, schema) == Draft202012Validator(schema).is_valid(value) == valid
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_leaf_verdict_equals_the_per_leaf_jsonschema_check(self, data):
+        """LeafCheck decides a numeric leaf's subschema with the verdict, as
+        it did with one jsonschema validator per leaf, and a scanned float
+        passes where the whole config validates."""
+        raw = data.draw(st.sampled_from(PRESET_CONFIGS))
+        numbers = [keys for keys, node in _nodes(raw) if isinstance(node, (int, float)) and not isinstance(node, bool)]
+        keys = data.draw(st.sampled_from([*numbers, ("bins",), ("photon_budget",), ("analyzers", "theta_a_deg")]))
+        value = data.draw(VALUES)
+        schema = _subschema(keys)
+        assert _valid(value, schema) == Draft202012Validator(schema).is_valid(value)
+        if keys in numbers and isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < 1e308:
+            check = LeafCheck([keys])
+            assert check.passes([float(value)], raw) == (validate_config_dict(check.at(raw, float(value))) == [])
