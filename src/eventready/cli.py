@@ -8,11 +8,12 @@ acceptance threshold.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, parse_config, schema_json
+from .config import ConfigError, parse_config, schema_json
 from .elements import PBS_CONVENTIONS
 from .presets import (
     PRESET_NAMES,
@@ -52,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scan",
         metavar="PATH=START:STOP:STEP",
         default=None,
-        help="scan a numeric config field, e.g. elements.0.delta_um=-600:600:1",
+        help="scan a numeric field of the --config file, e.g. elements.0.delta_um=-600:600:1",
     )
     parser.add_argument(
         "--convention",
@@ -67,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="fmt",
         help="report format (default json); a --scan writes CSV",
     )
-    parser.add_argument("--print-schema", action="store_true", help="print the config schema and exit")
+    parser.add_argument("--print-schema", action="store_true", help="print the config schema and exit (no other flag)")
     return parser
 
 
@@ -78,31 +79,34 @@ _parser = functools.lru_cache(maxsize=None)(build_parser)
 def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
-    if args.print_schema:
+    # The flags given besides --print-schema, since every flag but it and --help defaults to None.
+    others = [a.option_strings[0] for a in parser._actions if a.default is None and getattr(args, a.dest) is not None]
+    if args.print_schema and not others:
         print(schema_json())
         return 0
+    # Each flag the run would ignore is refused.  A config run does no
+    # sampling, --scan output is always CSV, and a preset has no --scan.
+    for given, message in (
+        (args.print_schema, f"--print-schema cannot be used with {', '.join(others)}"),
+        (args.preset and args.scan, "--scan needs --config"),
+        (args.config and args.shots is not None, "--shots cannot be used with --config"),
+        (args.config and args.seed is not None, "--seed cannot be used with --config"),
+        (args.config and args.fmt == "csv" and not args.scan, "--format csv needs --scan when used with --config"),
+        (args.config and args.fmt == "json" and args.scan, "--format json cannot be used with --scan"),
+    ):
+        if given:
+            print(f"eventready: error: {message}", file=sys.stderr)
+            return 1
     if not args.preset and not args.config:
         parser.print_usage(sys.stderr)
         print("eventready: error: one of --preset or --config is required", file=sys.stderr)
         return 1
-    if args.config:
-        # A config run does no sampling, and --scan output is always CSV.
-        for given, message in (
-            (args.shots is not None, "--shots cannot be used with --config"),
-            (args.seed is not None, "--seed cannot be used with --config"),
-            (args.fmt == "csv" and not args.scan, "--format csv needs --scan when used with --config"),
-            (args.fmt == "json" and args.scan, "--format json cannot be used with --scan"),
-        ):
-            if given:
-                print(f"eventready: error: {message}", file=sys.stderr)
-                return 1
     try:
         if args.config:
             config = parse_config(args.config)
             if args.convention:
-                raw = config.to_dict()
-                raw["convention"] = args.convention
-                config = ExperimentConfig.from_dict(raw)
+                # argparse allows only PBS_CONVENTIONS, and no config rule reads the convention.
+                config = dataclasses.replace(config, convention=args.convention)
             if args.scan:
                 path, _, range_spec = args.scan.partition("=")
                 if not range_spec:

@@ -449,6 +449,31 @@ class TestCli:
         assert '"schema_version"' in capsys.readouterr().out
 
     @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--preset", "chsh", "--out", "OUT"], "--preset, --out"),
+            (["--config", "CONFIG"], "--config"),
+            (["--config", "CONFIG", "--scan", "sources.branches.0.photons.1.overlap=0:1:0.5", "--out", "OUT"], "--config, --out, --scan"),
+            (["--format", "json"], "--format"),
+            (["--convention", "perm"], "--convention"),
+        ],
+        ids=["preset-out", "config", "config-scan-out", "format", "convention"],
+    )
+    def test_print_schema_refuses_every_other_flag(self, tmp_path, capsys, flags, named):
+        cfg_path = tmp_path / "hom.json"
+        cfg_path.write_text(json.dumps(hom_config()))
+        argv = [{"OUT": str(tmp_path / "out"), "CONFIG": str(cfg_path)}.get(flag, flag) for flag in flags]
+        assert main(["--print-schema", *argv]) == 1
+        assert capsys.readouterr() == ("", f"eventready: error: --print-schema cannot be used with {named}\n")
+        assert list(tmp_path.iterdir()) == [cfg_path]
+
+    def test_scan_with_a_preset_is_refused(self, tmp_path, capsys):
+        argv = ["--preset", "eq1-check", "--scan", "elements.0.angle_deg=0:1:1", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "eventready: error: --scan needs --config\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["--preset", "nope"], "argument --preset: invalid choice: 'nope'"),
@@ -754,3 +779,36 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), 
         assert all(isinstance(v, str) and v for v in versions.values())
     report = json.loads((tmp_path / "shots" / "fusion-delay-scan.report.json").read_text())
     assert sorted(key for key in report if key.startswith("fit_")) == ["fit_analytic", "fit_sampled"]
+
+
+def test_valid_run_never_imports_jsonschema(tmp_path):
+    """Every preset, a valid --config, a valid --config --scan and
+    --print-schema run without importing jsonschema; an invalid --config
+    imports it to word its refusal."""
+    code = """
+import json, sys
+from pathlib import Path
+from eventready.cli import main
+from eventready.presets import PRESET_NAMES
+
+out, config, bad = Path(sys.argv[1]), sys.argv[2], sys.argv[3]
+runs = [["--preset", name, "--out", str(out / name)] for name in PRESET_NAMES]
+runs += [
+    ["--config", config, "--out", str(out / "config")],
+    ["--config", config, "--scan", "elements.0.delta_um=-10:10:1", "--out", str(out / "scan")],
+    ["--print-schema"],
+    ["--config", bad],
+]
+print(json.dumps([(main(argv), "jsonschema" in sys.modules) for argv in runs]), file=sys.stderr)
+"""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**hom_config(), "bins": True}))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path), str(ROOT / "tests" / "data" / "fusion_delay_config.json"), str(bad)],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    *refusal, verdicts = proc.stderr.splitlines()
+    assert refusal == ["eventready: config error: $.bins: True is not of type 'integer'"]
+    assert json.loads(verdicts) == [[0, False]] * (len(PRESET_NAMES) + 3) + [[1, True]]
