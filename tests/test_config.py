@@ -9,7 +9,7 @@ from jsonschema import Draft202012Validator
 
 from eventready import ConfigError, ExperimentConfig, parse_config, schema_json
 from eventready.cli import build_parser
-from eventready.config import CONFIG_SCHEMA, LeafCheck, _subschema, _valid, validate_config_dict
+from eventready.config import _TYPES, CONFIG_SCHEMA, LeafCheck, _subschema, _valid, validate_config_dict
 from eventready.elements import PBS_CONVENTIONS
 from eventready.presets import (
     PRESET_NAMES,
@@ -371,15 +371,16 @@ def _nodes(node, keys=()):
         yield from _nodes(item, (*keys, key))
 
 
-def _schema_keywords(schema):
-    """Every keyword CONFIG_SCHEMA uses, at any depth."""
-    found = set(schema)
-    subschemas = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(), *schema.get("anyOf", [])]
-    subschemas += [schema[key] for key in ("items", "additionalProperties") if isinstance(schema.get(key), dict)]
-    return found.union(*map(_schema_keywords, subschemas))
+def _subschemas(schema):
+    """schema and every schema inside it."""
+    yield schema
+    inner = [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values(), *schema.get("anyOf", [])]
+    inner += [schema[key] for key in ("items", "additionalProperties") if isinstance(schema.get(key), dict)]
+    for sub in inner:
+        yield from _subschemas(sub)
 
 
-FIELD_NAMES = sorted({key for _, node in _nodes(CONFIG_SCHEMA) if isinstance(node, dict) for key in node.get("properties", {})})
+FIELD_NAMES = sorted({key for schema in _subschemas(CONFIG_SCHEMA) for key in schema.get("properties", {})})
 # Wrong types, bools, 1 against 1.0, bounds and huge ints, and empties;
 # then the parts of every preset config, which are right in some places only.
 ODD_VALUES = [
@@ -425,24 +426,22 @@ def mutated_configs(draw):
     return holder.get("raw")
 
 
-def _with(raw, **changes):
-    return {**raw, **changes}
-
-
 class TestSchemaVerdict:
-    def test_the_verdict_interprets_every_keyword_of_the_schema(self):
-        assert _schema_keywords(CONFIG_SCHEMA) == VERDICT_KEYWORDS
+    def test_the_verdict_interprets_every_keyword_and_type_of_the_schema(self):
+        schemas = list(_subschemas(CONFIG_SCHEMA))
+        assert set().union(*schemas) == VERDICT_KEYWORDS
+        assert {schema["type"] for schema in schemas if "type" in schema} == set(_TYPES)
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(mutated_configs())
-    @example(_with(two_pbs_config(), bins=4.0))  # an integral float is an integer
-    @example(_with(two_pbs_config(), bins=True))  # a bool is no integer
-    @example(_with(two_pbs_config(), analyzers={"theta_a_deg": False, "theta_b_deg": 0}))  # nor a number
-    @example(_with(two_pbs_config(), schema_version=True))  # const tells True from 1
-    @example(_with(two_pbs_config(), schema_version=1.0))
-    @example(_with(polarizer_variant_config(), kept=[1, 1.0]))  # uniqueItems counts 1 and 1.0 as equal
-    @example(_with(fusion_delay_config(), model={"coherence_length_um": 0}))  # exclusiveMinimum
-    @example(_with(two_pbs_config(), spatial_labels=["A1", "A2", "B1", "B2", ""]))  # minLength
+    @example({**two_pbs_config(), "bins": 4.0})  # an integral float is an integer
+    @example({**two_pbs_config(), "bins": True})  # a bool is no integer
+    @example({**two_pbs_config(), "analyzers": {"theta_a_deg": False, "theta_b_deg": 0}})  # nor a number
+    @example({**two_pbs_config(), "schema_version": True})  # const tells True from 1
+    @example({**two_pbs_config(), "schema_version": 1.0})
+    @example({**polarizer_variant_config(), "kept": [1, 1.0]})  # uniqueItems counts 1 and 1.0 as equal
+    @example({**fusion_delay_config(), "model": {"coherence_length_um": 0}})  # exclusiveMinimum
+    @example({**two_pbs_config(), "spatial_labels": ["A1", "A2", "B1", "B2", ""]})  # minLength
     def test_verdict_equals_jsonschema(self, raw):
         assert _valid(raw) == VALIDATOR.is_valid(raw)
 
