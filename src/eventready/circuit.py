@@ -175,10 +175,13 @@ class ScanCircuit:
     re-lowered element's stack.  It checks their norm (fock.product_norm)
     and multiplies them out once (fock.multiply_out), into the rows the
     block's heralds keep if given.  Fixed branches' creators are built here.
+    A branch's creator columns hold `cells` entries a point: the
+    registry's modes times the photons, as many in every branch.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
         self.circuit = circuit
+        self.cells = circuit.registry.size * len(circuit.branches[0].photons)
         registry = any(keys[0] in ("bins", "photon_budget") for keys in leaves)
         self.per_point = registry or any(keys[2:3] == ["bin_map"] for keys in leaves)
         heads = set() if registry else {tuple(keys[:3]) for keys in leaves}

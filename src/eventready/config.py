@@ -545,7 +545,10 @@ def parse_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"JSON parse error: {exc}"]) from exc
-    return ExperimentConfig.from_dict(raw)
+    violations = validate_config_dict(raw)
+    if violations:
+        raise ConfigError(violations)
+    return ExperimentConfig._from_valid(raw)
 
 
 def schema_json() -> str:

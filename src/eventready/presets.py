@@ -57,9 +57,10 @@ class PresetArgumentError(PresetError):
     """A run_preset argument out of range; the message begins with its name."""
 
 
-# A scan evolves its grid in blocks of this many points, which bounds its
-# memory; a grid may hold at most MAX_SCAN_POINTS points.
-SCAN_BLOCK = 64
+# A scan evolves its grid in blocks of at least one point and at most this
+# many creator cells (ScanCircuit.cells a point), which bounds its memory;
+# a grid may hold at most MAX_SCAN_POINTS points.
+SCAN_CELLS = 2**14
 MAX_SCAN_POINTS = 100_000
 
 
@@ -474,7 +475,7 @@ def _checked(check: LeafCheck, base: dict, value: float) -> ExperimentConfig:
 
 def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
     """Yield (values, point configs, GridState, detector groups) for each
-    block of at most SCAN_BLOCK points of scan()'s grid.
+    block of scan()'s grid, as many points as SCAN_CELLS holds (at least one).
 
     config is already validated, so a point has only its scanned leaves
     checked (LeafCheck), a block of them at once.  The exception is a leaf
@@ -504,7 +505,7 @@ def _scan_blocks(config: ExperimentConfig, path: str, range_spec: str):
         point = ExperimentConfig.from_dict(check.at(base, values[0]))
     grid = ScanCircuit(compile_circuit(point), point, leaves)
     per_config = any(keys[0] in ("heralds", "analyzers", "model") for keys in leaves)
-    size = 1 if grid.per_point else SCAN_BLOCK
+    size = 1 if grid.per_point else max(1, SCAN_CELLS // grid.cells)
     for start in range(0, len(values), size):
         block = values[start : start + size]
         try:
@@ -709,7 +710,7 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
     """The delay fringe: each point's coincidence probability, the sum of
     its block's rows, which hold only what the one herald keeps; with
     shots, coincidence against the rest at every point, all drawn from
-    one default_rng(seed), whatever SCAN_BLOCK is."""
+    one default_rng(seed), whatever the blocks are."""
     model = OverlapModel(**config.model)
     # Both photons of the delayed pair acquire the fringe phase.
     effective_period = model.fringe_period_um / 2.0
@@ -814,12 +815,12 @@ class _Preset:
     """build maps the full parameter dict to a raw config; run maps
     (config, params, seed, shots) to (report, (columns, rows) or None,
     passed).  defaults names every parameter the preset takes, besides
-    `convention`."""
+    `convention`; shots is the default shots, None where run draws none."""
 
     build: Callable[[dict], dict]
     run: Callable
     defaults: dict
-    shots: int = 0
+    shots: int | None = None
 
 
 PRESETS = {
@@ -854,6 +855,7 @@ PRESETS = {
         lambda p: polarizer_variant_config(math.sqrt(p["fusion_overlap_sq"])),
         run_chsh,
         {"fusion_overlap_sq": 1.0, "settings": (0.0, 45.0, 22.5, 67.5), "reference": None},
+        shots=0,
     ),
 }
 
@@ -907,7 +909,11 @@ def csv_text(columns, rows) -> str:
     text.write(f"# schema_version={SCHEMA_VERSION}\n")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_format_cell(row.get(c, "")) for c in columns] for row in rows)
+    cells = []
+    for column in ([row.get(c, "") for row in rows] for c in columns):
+        types = set(map(type, column))  # one type: the column in one map, as _format_cell would
+        cells.append(list(map(len(types) == 1 and _CELL_FORMATS.get(types.pop()) or _format_cell, column)))
+    writer.writerows(zip(*cells) if columns else [[]] * len(rows))
     return text.getvalue()
 
 
@@ -969,6 +975,8 @@ def run_preset(
             raise PresetArgumentError(f"{argument} must be >= 0, got {value}")
         if value is not None and value > most:
             raise PresetArgumentError(f"{argument} must be <= {most}, got {value}")
+    if shots and name in PRESETS and PRESETS[name].shots is None:
+        raise PresetArgumentError(f"shots cannot be used with preset {name!r}, which draws no samples")
     params = dict(overrides or {})
     if convention:
         params["convention"] = convention
@@ -977,7 +985,7 @@ def run_preset(
     if seed is None:
         seed = 2024
     if shots is None:
-        shots = preset.shots
+        shots = preset.shots or 0
     report, curve, ok = preset.run(config, {**preset.defaults, **params}, seed, shots)
 
     exit_code = 0 if ok else 2

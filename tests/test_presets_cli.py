@@ -1,6 +1,7 @@
 import ast
 import csv
 import importlib
+import io
 import json
 import math
 import os
@@ -220,6 +221,29 @@ class TestPresets:
         for line in lines[2:]:
             for cell in line.split(","):
                 float(cell)
+
+    def test_csv_columns_format_as_each_cell_does(self):
+        """csv_text formats a column of one cell type at once, any other
+        column cell by cell; either way as _format_cell formats each cell."""
+        from eventready.presets import _format_cell, csv_text
+
+        columns = ["float", "float_int", "bools", "float64", "int64", "missing", "text"]
+        rows = [
+            {"float": 0.1, "float_int": 0.5, "bools": True, "float64": np.float64(1 / 3), "int64": np.int64(7), "text": "a,b"},
+            {"float": 1e-300, "float_int": 2, "bools": np.bool_(False), "float64": np.float64(-0.0), "missing": 1.5},
+            {"float": -2.5, "float_int": np.float32(0.25), "bools": False, "float64": np.float64(2.0), "int64": 3, "text": ""},
+        ]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_format_cell(row.get(c, "")) for c in columns] for row in rows)
+        text = csv_text(columns, rows)
+        assert text == "# schema_version=1\n" + expected.getvalue()
+        assert text.splitlines()[2:] == [
+            '0.1,0.5,True,0.3333333333333333,7,,"a,b"',
+            "1e-300,2,False,-0.0,,1.5,",
+            "-2.5,0.25,False,2.0,3,,",
+        ]
 
     def test_evaluate_config_exposes_herald_and_bells(self):
         config = build_preset_config("chsh", {})
@@ -534,6 +558,22 @@ class TestCli:
         else:
             assert main(["--preset", "chsh", "--shots", str(shots)]) == 1
             assert capsys.readouterr().err == f"eventready: error: --shots must be <= {2**63 - 1}, got {shots}\n"
+
+    @pytest.mark.parametrize("preset", ["eq1-check", "bell-decomposition", "herald-table", "hom-scan"])
+    def test_shots_refused_where_a_preset_draws_no_samples(self, tmp_path, capsys, monkeypatch, preset):
+        import eventready.presets as presets
+
+        built = []
+        monkeypatch.setattr(presets, "build_preset_config", lambda *a: built.append(a))
+        message = f"shots cannot be used with preset {preset!r}, which draws no samples"
+        with pytest.raises(PresetError, match=f"^{re.escape(message)}$"):
+            run_preset(preset, out_dir=tmp_path, shots=10)
+        assert main(["--preset", preset, "--shots", "10", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"eventready: error: --{message}\n"
+        assert built == [] and list(tmp_path.iterdir()) == []
+        monkeypatch.undo()
+        assert main(["--preset", preset, "--shots", "0", "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / f"{preset}.manifest.json").read_text())["shots"] == 0
 
     @pytest.mark.parametrize(
         "preset, key, value, message",

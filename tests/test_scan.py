@@ -80,6 +80,17 @@ def _delayed_config():
     return raw
 
 
+def _cells(raw: dict) -> int:
+    """The creator cells of one point of a scan of raw (ScanCircuit.cells)."""
+    config = ExperimentConfig.from_dict(raw)
+    return ScanCircuit(compile_circuit(config), config, ()).cells
+
+
+def _block_points(raw: dict) -> int:
+    """The points of a full block of a scan of raw under SCAN_CELLS."""
+    return presets.SCAN_CELLS // _cells(raw)
+
+
 def _leaf_check_config():
     """The beamsplitter config with a complex branch amplitude and photon
     overlap, a model and a delay: a leaf of each kind to check."""
@@ -172,7 +183,8 @@ def scan_cases(draw):
     n = draw(st.integers(2, 5))
     # The stop sits half a step past the last point, so rounding never changes the count.
     spec = f"{start!r}:{start + (n - 1) * step + step / 2!r}:{step!r}"
-    return build(), path, spec, draw(st.sampled_from([1, 2, 3, presets.SCAN_BLOCK]))
+    # Blocks of 1, 2 or 3 points, or of as many as SCAN_CELLS holds (None).
+    return build(), path, spec, draw(st.sampled_from([1, 2, 3, None]))
 
 
 def _numeric_leaves(node, keys=()) -> list:
@@ -223,7 +235,8 @@ class TestGridMatchesPerPointPath:
     @given(scan_cases())
     def test_rows_equal_per_point_evaluation(self, case):
         raw, path, spec, block = case
-        with mock.patch.object(presets, "SCAN_BLOCK", block):
+        budget = presets.SCAN_CELLS if block is None else block * _cells(raw)
+        with mock.patch.object(presets, "SCAN_CELLS", budget):
             rows = scan(ExperimentConfig.from_dict(raw), path, spec)
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
 
@@ -233,7 +246,7 @@ class TestGridMatchesPerPointPath:
         rows = scan(ExperimentConfig.from_dict(raw), path, spec)
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
         # One block: D1h = 1 heralds a qubit pair, 0 and 2 fire off the kept pair, 3 and 4 never.
-        assert len(rows) <= presets.SCAN_BLOCK
+        assert len(rows) <= _block_points(raw)
         assert [row["p_hh"] > 0 for row in rows] == [True, True, True, False, False]
         assert [math.isnan(row["concurrence"]) for row in rows] == [True, False, True, True, True]
 
@@ -246,7 +259,7 @@ class TestGridMatchesPerPointPath:
         assert compiled == [4, 5, 6]
         _assert_rows_match(rows, _per_point_rows(raw, "bins,elements.0.delta_um", "4:6:1"))
 
-    @pytest.mark.parametrize("block", [1, presets.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, None])
     def test_bin_map_scan_mixes_mode_layouts(self, monkeypatch, block):
         # Each bin_map value moves the delay onto other modes, so each of
         # the three points is compiled on its own.
@@ -256,13 +269,39 @@ class TestGridMatchesPerPointPath:
         compiled = []
         original = presets.compile_circuit
         monkeypatch.setattr(presets, "compile_circuit", lambda c: compiled.append(c.elements[0]["bin_map"]) or original(c))
-        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
+        if block:
+            monkeypatch.setattr(presets, "SCAN_CELLS", block * _cells(raw))
         rows = scan(ExperimentConfig.from_dict(raw), path, spec)
         assert compiled == [{"0": 1.0}, {"0": 2.0}, {"0": 3.0}]
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
         assert rows[0]["p_coincidence"] != rows[1]["p_coincidence"]
 
+    @pytest.mark.parametrize(
+        "build, path, spec, sizes",
+        [
+            (fusion_delay_config, "elements.0.delta_um", "-600:600:1", [256] * 4 + [177]),
+            (polarizer_variant_config, FUSION_OVERLAPS, "0:0.995:0.01", [85, 15]),
+            (_delayed_config, "bins", "4:6:1", [1, 1, 1]),
+        ],
+        ids=["delay", "polarizer-variant", "bins"],
+    )
+    def test_a_block_holds_at_most_the_budgets_cells(self, monkeypatch, build, path, spec, sizes):
+        blocks = []  # (points, cells a point) of each evolved block
+        evolve = ScanCircuit.evolve
+
+        def recording(grid, elements, branches, n, heralds=None):
+            blocks.append((n, grid.cells))
+            return evolve(grid, elements, branches, n, heralds)
+
+        monkeypatch.setattr(ScanCircuit, "evolve", recording)
+        rows = scan(ExperimentConfig.from_dict(build()), path, spec)
+        assert [n for n, _ in blocks] == sizes
+        assert sum(sizes) == len(rows)
+        assert all(n * cells <= presets.SCAN_CELLS for n, cells in blocks)
+
     def test_blocks_cover_the_grid_in_order(self, monkeypatch):
+        raw = fusion_delay_config()
+        assert _block_points(raw) == 256
         composed, pushed = [], []
         compose, push_creators = circuit_module.compose, circuit_module.push_creators
 
@@ -277,21 +316,22 @@ class TestGridMatchesPerPointPath:
 
         monkeypatch.setattr(circuit_module, "compose", composing)
         monkeypatch.setattr(circuit_module, "push_creators", pushing)
-        raw = fusion_delay_config()
-        spec = "-50:50:0.5"  # 201 points: three full blocks of 64 and one of 9
+        spec = "-150:150:0.5"  # 601 points: two full blocks of 256 and one of 89
         rows = scan(ExperimentConfig.from_dict(raw), "elements.0.delta_um", spec)
         # Each block pushes its creators through its stacked delay, then the
         # other seven elements, composed once per scan; no stack is composed.
-        assert pushed == [3, 2] * 4
+        assert pushed == [3, 2] * 3
         assert composed == [2] * 7
         assert [r["param"] for r in rows] == parse_range(spec)
-        _assert_rows_match(rows[60:70], _per_point_rows(raw, "elements.0.delta_um", "-20:-15.5:0.5"))
+        # Rows 250 to 261 straddle the first block's end.
+        _assert_rows_match(rows[250:262], _per_point_rows(raw, "elements.0.delta_um", "-25:-19.5:0.5"))
 
 
 def _counting_checks(monkeypatch, path: str):
     """(rows, {"validate": full validations, "passes": LeafCheck.passes
     calls}) of a scan of the herald-scan config in blocks of 8."""
     raw = _herald_scan_config()
+    monkeypatch.setattr(presets, "SCAN_CELLS", 8 * _cells(raw))
     counted = {"validate": 0, "passes": 0}
 
     def counting(name, fn):
@@ -303,7 +343,6 @@ def _counting_checks(monkeypatch, path: str):
 
     monkeypatch.setattr(config_module, "validate_config_dict", counting("validate", config_module.validate_config_dict))
     monkeypatch.setattr(LeafCheck, "passes", counting("passes", LeafCheck.passes))
-    monkeypatch.setattr(presets, "SCAN_BLOCK", 8)
     return scan(ExperimentConfig.from_dict(raw), path, "0.43:0.94:0.02"), counted
 
 
@@ -566,6 +605,7 @@ class TestSameErrors:
 
             return wrapper
 
+        block = _block_points(fusion_delay_config())
         monkeypatch.setattr(
             config_module, "validate_config_dict", counting("validate", config_module.validate_config_dict)
         )
@@ -577,7 +617,7 @@ class TestSameErrors:
         assert calls["compile"] == 1
         # The compiled first point lowers every element once, then each
         # block of the 1201 points lowers the delay once.
-        assert calls["lower"] == 8 + math.ceil(1201 / presets.SCAN_BLOCK)
+        assert calls["lower"] == 8 + math.ceil(1201 / block)
 
     @pytest.mark.parametrize(
         "path, spec, per_block",
@@ -587,13 +627,14 @@ class TestSameErrors:
     def test_scan_paths_fix_what_every_point_re_lowers(self, monkeypatch, path, spec, per_block):
         raw = _delayed_config()
         assert len(raw["elements"]) == 8
+        block = _block_points(raw)
         lowered = []
         original = circuit_module.lower_element
         monkeypatch.setattr(circuit_module, "lower_element", lambda el, *a, **kw: lowered.append(el) or original(el, *a, **kw))
         rows = scan(ExperimentConfig.from_dict(raw), path, spec)
         # The compiled first point lowers every element once; the one block
         # of points lowers the delay, which reads the model, once.
-        assert len(rows) <= presets.SCAN_BLOCK
+        assert len(rows) <= block
         assert len(lowered) == 8 + per_block
         _assert_rows_match(rows, _per_point_rows(raw, path, spec))
 
@@ -628,16 +669,17 @@ def _refused(t: ModeTransform):
 
 
 class TestPerBlockUnitarity:
-    @pytest.mark.parametrize("block", [1, 4, presets.SCAN_BLOCK])
+    @pytest.mark.parametrize("block", [1, 4, None])
     @pytest.mark.parametrize("bad_index", [0, 6, 20])
     def test_non_unitary_point_gives_its_own_error(self, tmp_path, capsys, monkeypatch, block, bad_index):
         raw, path, spec = fusion_delay_config(), "elements.0.delta_um", "-10:10:1"
+        if block:
+            monkeypatch.setattr(presets, "SCAN_CELLS", block * _cells(raw))
         bad_value = parse_range(spec)[bad_index]
         _lowering_with(monkeypatch, "delay", "delta_um", {bad_value: _scaled})
         with pytest.raises(CircuitError) as alone:
             evaluate_config(ExperimentConfig.from_dict(_set(raw, path, bad_value)))
         assert "non-unitary lowering" in str(alone.value)
-        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
         with pytest.raises(CircuitError) as scanned:
             scan(ExperimentConfig.from_dict(raw), path, spec)
         assert str(scanned.value) == str(alone.value)
@@ -950,11 +992,11 @@ class TestReferenceOutputs:
     @pytest.mark.parametrize("block", [1, 7, 64])
     def test_fusion_delay_scan_draws_do_not_depend_on_the_block(self, tmp_path, monkeypatch, block):
         """One generator draws the whole grid, whatever the blocks it was evolved in."""
-        monkeypatch.setattr(presets, "SCAN_BLOCK", block)
+        run_preset("fusion-delay-scan", out_dir=tmp_path / "default", seed=5)
+        monkeypatch.setattr(presets, "SCAN_CELLS", block * _cells(fusion_delay_config()))
         run_preset("fusion-delay-scan", out_dir=tmp_path, seed=5)
-        monkeypatch.setattr(presets, "SCAN_BLOCK", 64)
-        run_preset("fusion-delay-scan", out_dir=tmp_path / "64", seed=5)
-        assert (tmp_path / "fusion-delay-scan.csv").read_bytes() == (tmp_path / "64" / "fusion-delay-scan.csv").read_bytes()
+        default = (tmp_path / "default" / "fusion-delay-scan.csv").read_bytes()
+        assert (tmp_path / "fusion-delay-scan.csv").read_bytes() == default
 
     def test_fusion_delay_scan_draws_coincidence_against_the_rest(self):
         """Each point's count is drawn from two outcomes, coincidence and
