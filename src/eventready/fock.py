@@ -205,11 +205,11 @@ def push_creators(registry: ModeRegistry, columns: np.ndarray, t: "ModeTransform
     at each point by that point's matrix of a stack.  Width 1 means the
     same column at every point, and stays so under a single matrix."""
     idxs = np.array([registry.index(m) for m in t.modes])
-    rows = columns[idxs]
+    # The rows on t.modes are a copy, freed once multiplied.
     if t.matrix.ndim == 2:
-        image = (t.matrix @ rows.reshape(len(idxs), -1)).reshape(rows.shape)
+        image = (t.matrix @ columns[idxs].reshape(len(idxs), -1)).reshape(len(idxs), *columns.shape[1:])
     else:
-        image = (t.matrix @ rows.transpose(2, 0, 1)).transpose(1, 2, 0)
+        image = (t.matrix @ columns[idxs].transpose(2, 0, 1)).transpose(1, 2, 0)
     pushed = np.array(np.broadcast_to(columns, columns.shape[:2] + image.shape[2:]))
     pushed[idxs] = image
     return pushed
