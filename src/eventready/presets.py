@@ -913,7 +913,7 @@ def csv_text(columns, rows) -> str:
     for column in ([row.get(c, "") for row in rows] for c in columns):
         types = set(map(type, column))  # one type: the column in one map, as _format_cell would
         cells.append(list(map(len(types) == 1 and _CELL_FORMATS.get(types.pop()) or _format_cell, column)))
-    writer.writerows(zip(*cells) if columns else [[]] * len(rows))
+    writer.writerows(zip(*cells))
     return text.getvalue()
 
 
