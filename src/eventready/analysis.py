@@ -351,19 +351,21 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
     """Fit C [1 + V0 exp(-(d/width)^2) cos(2 pi d / period + phase)].
 
     Returns a dict with the fitted peak visibility V0 and the 1/e
-    half-width of the visibility envelope.  At a fixed width the model is
-    linear in (C, C V0 cos phase, -C V0 sin phase), which fit_sinusoid's
+    half-width of the visibility envelope, or for several curves, the
+    rows of values, a list of one per curve.  At a fixed width the model
+    is linear in (C, C V0 cos phase, -C V0 sin phase), which fit_sinusoid's
     solve gives exactly, so only log width is searched (variable
     projection, Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)):
-    a grid over [1e-6, 10 max|d|], then Gauss-Newton steps, each halved
+    a grid over [1e-6, 10 max|d|], each width solved once for all curves,
+    then Gauss-Newton steps from each curve's best width, each halved
     until it lowers the sum of squared residuals (SSE).
     """
-    deltas = np.asarray(deltas, dtype=float)
+    deltas, curves = np.asarray(deltas, dtype=float), np.asarray(values, dtype=float)
     k = 2.0 * math.pi / fringe_period_um
     cos, sin = np.cos(k * deltas), np.sin(k * deltas)
     lo, hi = 1e-6, 10.0 * (float(np.max(np.abs(deltas))) or 1.0)
 
-    def solve(width):
+    def solve(values, width):
         """(SSE, coefficients, Gauss-Newton step on log width, the SSE drop it predicts) at one width."""
         envelope = np.exp(-((deltas / width) ** 2))
         slope = 2.0 * (deltas / width) ** 2 * envelope  # d envelope / d log width
@@ -374,22 +376,28 @@ def fit_delay_fringe(deltas, values, fringe_period_um: float):
         step = jr / jj if jj else 0.0
         return float(r @ r), coef[:, 0], step, step * jr
 
-    fits = [(width, solve(width)) for width in np.geomspace(lo, hi, 16).tolist()]
-    width, (sse, coef, step, gain) = min(fits, key=lambda fit: fit[1][0])
-    while gain > np.finfo(float).eps * sse:
-        trial = min(hi, max(lo, width * math.exp(step)))
-        if trial == width:
-            break
-        fit = solve(trial)
-        if fit[0] < sse:
-            width, (sse, coef, step, gain) = trial, fit
-        else:
-            step /= 2.0
-    c, a, b = coef.tolist()
-    v0 = math.hypot(a, b) / c if c > 0 else math.inf
-    if not math.isfinite(v0):
-        raise ValueError(f"delay fringe fit: no finite peak visibility at the fitted offset C = {c}")
-    return {"offset": c, "peak_visibility": v0, "envelope_width_um": width, "fringe_phase": math.atan2(-b, a)}
+    def fit(values, width):
+        sse, coef, step, gain = solve(values, width)
+        while gain > np.finfo(float).eps * sse:
+            # A step past the upper bound lands on it; math.exp of such a step may overflow.
+            trial = hi if step >= math.log(hi / width) else min(hi, max(lo, width * math.exp(step)))
+            if trial == width:
+                break
+            trial_fit = solve(values, trial)
+            if trial_fit[0] < sse:
+                width, (sse, coef, step, gain) = trial, trial_fit
+            else:
+                step /= 2.0
+        c, a, b = coef.tolist()
+        v0 = math.hypot(a, b) / c if c > 0 else math.inf
+        if not math.isfinite(v0):
+            raise ValueError(f"delay fringe fit: no finite peak visibility at the fitted offset C = {c}")
+        return {"offset": c, "peak_visibility": v0, "envelope_width_um": width, "fringe_phase": math.atan2(-b, a)}
+
+    grid, rows = np.geomspace(lo, hi, 16).tolist(), np.atleast_2d(curves)
+    sse = [(_harmonic_lstsq(rows.T, cos, sin, np.exp(-((deltas / w) ** 2)))[1] ** 2).sum(axis=0) for w in grid]
+    fits = [fit(values, grid[i]) for values, i in zip(rows, np.argmin(sse, axis=0).tolist())]
+    return fits if curves.ndim == 2 else fits[0]
 
 
 def sample_counts(distribution, shots: int, seed: int):

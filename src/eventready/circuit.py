@@ -33,6 +33,7 @@ from .fock import (
     _one_point_state,
     apply_mode_unitary,
     creator_columns,
+    live_creators,
     multiply_out,
     product_norm,
     push_creators,
@@ -80,7 +81,7 @@ class Circuit:
             for photon in branch.photons:
                 _check_photon(self.registry, photon)
         branches = [(b.amplitude, creator_columns(self.registry, b.photons)) for b in self.branches]
-        weighted = [(w, c) for w, (_, c) in zip(_weights(branches), branches)]
+        weighted = [(w, live_creators(c)) for w, (_, c) in zip(_weights(branches), branches)]
         return _one_point_state(multiply_out(self.registry, weighted, 1))
 
 
@@ -169,14 +170,15 @@ class ScanCircuit:
     block with an array of values; a leaf under `sources.branches.B`
     rebuilds branch B's amplitude and creators the same way.  A `bins`,
     `photon_budget` or `bin_map` leaf moves modes, so each point is
-    compiled alone (`per_point`).  `evolve` checks a block's stacks, then
-    pushes each source photon's creator, a column over the points, through
-    `plan`: each run of the other elements, composed once, and each
-    re-lowered element's stack.  It checks their norm (fock.product_norm)
+    compiled alone (`per_point`).  `evolve` checks a block's stacks, trims
+    the source photons' creators, columns over the points, to their live
+    modes (fock.live_creators) and pushes them through `plan`: each run of
+    the other elements, composed once, and each re-lowered element's
+    stack.  It checks their norm (fock.product_norm)
     and multiplies them out once (fock.multiply_out), into the rows the
     block's heralds keep if given.  Fixed branches' creators are built here.
-    A branch's creator columns hold `cells` entries a point: the
-    registry's modes times the photons, as many in every branch.
+    `cells` counts a branch's creator columns at a point, live or not:
+    the registry's modes times the photons, as many in every branch.
     """
 
     def __init__(self, circuit: Circuit, config, leaves):
@@ -239,11 +241,9 @@ class ScanCircuit:
         sources = [source for _, source in sorted({**self.fixed, **branches}.items())]
         weights, columns = self.weights or _weights(sources), [c for _, c in sources]
         width = max(c.shape[2] for c in columns)
-        pushed = np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1)
+        live, pushed = live_creators(np.concatenate([np.broadcast_to(c, c.shape[:2] + (width,)) for c in columns], axis=1))
         for part in self.plan:
-            if isinstance(part, int):
-                part = elements[part]
-            pushed = push_creators(registry, pushed, part)
+            live, pushed = push_creators(registry, (live, pushed), elements[part] if isinstance(part, int) else part)
         starts = np.cumsum([0] + [c.shape[1] for c in columns])
         parts = [(w, pushed[:, i:j]) for w, i, j in zip(weights, starts, starts[1:])]
         after = product_norm(parts)
@@ -251,7 +251,7 @@ class ScanCircuit:
         if drift.max() > NORM_TOL:
             k = int(drift.argmax())
             raise FockError(f"norm drifted 1.000000000000 -> {after[k]:.12f} under the scan's elements")
-        return multiply_out(registry, parts, n, heralds)
+        return multiply_out(registry, [(w, (live, c)) for w, c in parts], n, heralds)
 
 
 def _as_stack(t: ModeTransform) -> ModeTransform:

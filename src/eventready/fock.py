@@ -10,9 +10,10 @@ column image sum_i U[i, j] a_i^dag, which reproduces the permanent formula
 Every state is built by one construction, the creation form of Heurtel
 et al., "Strong simulation of linear optical processes", CPC 291, 108848
 (2023).  A state is a weighted sum of branches, each a product of
-one-photon creators.  Each creator is a dense (modes, points) column
-(creator_columns), which push_creators carries through a mode unitary,
-or a stack with one unitary per point, as one matrix product.
+one-photon creators, each a (modes, points) column (creator_columns).
+A creator set holds them on their live modes only, the rows that can be
+nonzero (live_creators); push_creators carries it through a mode unitary,
+or a stack with one per point, by one product on those rows.
 multiply_out then expands every branch's product of pushed creators in
 one pass (_creator_product) into a GridState: a (terms, modes) occupation
 matrix and a (terms, points) amplitude matrix, of only the rows heralds
@@ -174,7 +175,7 @@ def prepare_product_state(registry: ModeRegistry, photons) -> PureState:
     photons = list(photons)
     for photon in photons:
         _check_photon(registry, photon)
-    return _one_point_state(multiply_out(registry, [(1.0, creator_columns(registry, photons))], 1)).normalized()
+    return _one_point_state(multiply_out(registry, [(1.0, live_creators(creator_columns(registry, photons)))], 1)).normalized()
 
 
 def _at_points(fn, *fields):
@@ -199,20 +200,38 @@ def creator_columns(registry: ModeRegistry, photons, points: int = 1) -> np.ndar
     return columns
 
 
-def push_creators(registry: ModeRegistry, columns: np.ndarray, t: "ModeTransform") -> np.ndarray:
-    """Creator columns (modes, photons, width) after the mode unitary t:
-    their rows on t.modes are multiplied by t's matrix in one product, or
-    at each point by that point's matrix of a stack.  Width 1 means the
-    same column at every point, and stays so under a single matrix."""
+def live_creators(columns: np.ndarray):
+    """(live, columns[live]): the ascending registry indices of the rows of
+    creator columns (modes, photons, width) that hold an entry, and those
+    rows, the creator set that push_creators and multiply_out read."""
+    live = np.flatnonzero(columns.any(axis=(1, 2)))
+    return live, columns[live]
+
+
+def push_creators(registry: ModeRegistry, creators, t: "ModeTransform"):
+    """The creator set (live, columns) after the mode unitary t, or a stack:
+    t's block from the live modes to the rows it reaches multiplies them
+    in one product, or at each point by that point's matrix; other live
+    rows are kept.  Width 1 means the same column at every point, and
+    stays so under a single matrix."""
+    live, columns = creators
     idxs = np.array([registry.index(m) for m in t.modes])
-    # The rows on t.modes are a copy, freed once multiplied.
+    place = np.full(registry.size, -1)  # each mode's row in columns, -1 if not live
+    place[live] = np.arange(len(live))
+    source = place[idxs]
+    cols = np.flatnonzero(source >= 0)  # t's columns on live modes
+    reach = np.flatnonzero(t.matrix[..., cols].any(axis=-1).reshape(-1, len(idxs)).any(axis=0))
+    block, rows = t.matrix[..., reach[:, None], cols], columns[source[cols]]
     if t.matrix.ndim == 2:
-        image = (t.matrix @ columns[idxs].reshape(len(idxs), -1)).reshape(len(idxs), *columns.shape[1:])
+        image = (block @ rows.reshape(len(cols), math.prod(columns.shape[1:]))).reshape(len(reach), *columns.shape[1:])
     else:
-        image = (t.matrix @ columns[idxs].transpose(2, 0, 1)).transpose(1, 2, 0)
-    pushed = np.array(np.broadcast_to(columns, columns.shape[:2] + image.shape[2:]))
-    pushed[idxs] = image
-    return pushed
+        image = (block @ rows.transpose(2, 0, 1)).transpose(1, 2, 0)
+    place[idxs] = -1
+    kept = place[live] >= 0
+    live = np.concatenate([live[kept], idxs[reach]])
+    order = np.argsort(live)
+    pushed = np.concatenate([np.broadcast_to(columns[kept], (kept.sum(),) + image.shape[1:]), image])
+    return live[order], pushed[order]
 
 
 def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) -> "GridState":
@@ -220,26 +239,28 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
     pruned at PRUNE_TOL.
 
     branches holds (w_b, C_b): a weight, a number or an array over the
-    points, and the branch's creator columns (modes, photons, width), of
-    width `points`, or 1 if the same at every point, and each of the same
+    points, and the branch's creator set (live_creators), of width
+    `points`, or 1 if the same at every point, and each of the same
     number of photons, at most the registry's budget.  _creator_product
-    expands every branch's product at once; each branch's rows, times its
-    weight, are then summed key by key in branch order.  Since
-    (a^dag)^n |vacuum> = sqrt(n!) |n>, each occupation then gets the
-    factor sqrt(prod_j n_j!).  Given heralds (analysis.herald_terms'
-    requests), the state holds only the rows one keeps, with their bits.
+    expands every branch's product at once, on the union of their live
+    modes; each branch's rows, times its weight, are then summed key by
+    key in branch order.  Since (a^dag)^n |vacuum> = sqrt(n!) |n>, each
+    occupation then gets the factor sqrt(prod_j n_j!).  Given heralds
+    (analysis.herald_terms' requests), only the rows one keeps remain.
     """
-    photon_counts = sorted({columns.shape[1] for _, columns in branches})
+    photon_counts = sorted({columns.shape[1] for _, (_, columns) in branches})
     if len(photon_counts) > 1:
         raise FockError(f"superpose mixes photon numbers {photon_counts}")
     if photon_counts[0] > registry.photon_budget:
         raise FockError(f"{photon_counts[0]} photons exceed the budget of {registry.photon_budget}")
-    width = max(columns.shape[2] for _, columns in branches)
+    width = max(columns.shape[2] for _, (_, columns) in branches)
+    live = np.unique(np.concatenate([rows for _, (rows, _) in branches]))
     weights = np.empty((len(branches), points), dtype=complex)
-    columns = np.empty((len(branches), registry.size, photon_counts[0], width), dtype=complex)
-    for b, (weight, branch_columns) in enumerate(branches):
-        weights[b], columns[b] = weight, branch_columns
-    branch, keys, coefficients = _creator_product(columns, heralds and herald_rule(registry, heralds))
+    columns = np.zeros((len(branches), len(live), photon_counts[0], width), dtype=complex)
+    for b, (weight, (rows, branch_columns)) in enumerate(branches):
+        weights[b], columns[b, np.searchsorted(live, rows)] = weight, branch_columns
+    rule = heralds and herald_rule(registry, heralds)
+    branch, keys, coefficients = _creator_product(columns, rule and (rule[0][:, live], rule[1]))
     amplitudes = np.broadcast_to(coefficients, (len(keys), points)) * weights[branch]
     if len(branches) > 1:
         keys, amplitudes = _summed(keys, amplitudes)
@@ -254,7 +275,7 @@ def multiply_out(registry: ModeRegistry, branches, points: int, heralds=None) ->
     keys, amplitudes = keys[kept], amplitudes[kept]
     occupations = np.zeros((len(keys), registry.size), dtype=np.uint8)
     for column in keys.T:
-        occupations[np.arange(len(keys)), column] += 1
+        occupations[np.arange(len(keys)), live[column]] += 1
     return GridState(registry, occupations, amplitudes)
 
 
@@ -456,10 +477,10 @@ def apply_mode_unitary(state: PureState, t: ModeTransform) -> PureState:
         modes = np.repeat(np.tile(np.arange(registry.size), len(counts)), counts.ravel())
         units = np.zeros((registry.size, len(modes), 1), dtype=complex)
         units[modes, np.arange(len(modes)), 0] = 1.0
-        pushed = push_creators(registry, units, t)
+        live, pushed = push_creators(registry, live_creators(units), t)
         starts = np.cumsum([0, *counts.sum(axis=1)])
         branches = [
-            (amp / math.sqrt(math.prod(map(math.factorial, occ))), pushed[:, i:j])
+            (amp / math.sqrt(math.prod(map(math.factorial, occ))), (live, pushed[:, i:j]))
             for (occ, amp), i, j in zip(state.terms.items(), starts, starts[1:])
         ]
         out = _one_point_state(multiply_out(registry, branches, 1))

@@ -723,20 +723,20 @@ def run_fusion_delay_scan(config: ExperimentConfig, params: dict, seed: int, sho
         (_, sampled), _ = sample_counts([("coincidence", p), ("rest", 1.0 - p)], shots, seed)
         for row, n in zip(curve, sampled):
             row.update(counts_coincidence=n, error_coincidence=math.sqrt(max(1, n)), shots=shots)
-    deltas = [r["delta_um"] for r in curve]
-    fit_analytic = fit_delay_fringe(deltas, [r["p_coincidence"] for r in curve], effective_period)
+    keys = ["p_coincidence", "counts_coincidence"][: 2 if shots else 1]
+    fits = fit_delay_fringe([r["delta_um"] for r in curve], [[r[key] for r in curve] for key in keys], effective_period)
     report = {
         "scan_parameter": "delay delta_um on the movable input",
         "configured_peak_visibility": params["peak_visibility"],
         "coherence_length_um": model.coherence_length_um,
         "fringe_period_um": model.fringe_period_um,
         "effective_fringe_period_um": effective_period,
-        "fit_analytic": fit_analytic,
+        "fit_analytic": fits[0],
         "points": len(curve),
     }
     columns = ["delta_um", "p_coincidence"]
     if shots:
-        report["fit_sampled"] = fit_delay_fringe(deltas, [r["counts_coincidence"] for r in curve], effective_period)
+        report["fit_sampled"] = fits[1]
         report["shots_per_point"] = shots
         report["seed"] = seed
         columns += ["counts_coincidence", "error_coincidence", "shots"]

@@ -42,6 +42,7 @@ from eventready.presets import (
     build_preset_config,
     fusion_delay_config,
     fusion_scheme_config,
+    parse_range,
     polarizer_variant_config,
     run_preset,
     scan,
@@ -435,14 +436,40 @@ def _fit_at_most_curve_fit(deltas, values) -> dict:
     return fit
 
 
+CORPUS_DELAY_RUNS = ["perm", "i-reflect", "seed12345/perm", "seed12345/i-reflect"]
+
+
+def _corpus_delay_curves(run: str):
+    """(deltas, {column: values}) of a corpus fusion-delay-scan curve."""
+    with open(CORPUS / run / "fusion-delay-scan" / "fusion-delay-scan.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    columns = ("p_coincidence", "counts_coincidence")
+    return [float(r["delta_um"]) for r in rows], {c: [float(r[c]) for r in rows] for c in columns}
+
+
 class TestDelayFringeFit:
-    @pytest.mark.parametrize("run", ["perm", "i-reflect", "seed12345/perm", "seed12345/i-reflect"])
+    @pytest.mark.parametrize("run", CORPUS_DELAY_RUNS)
     @pytest.mark.parametrize("column", ["p_coincidence", "counts_coincidence"])
     def test_corpus_curves_fit_at_least_as_well_as_curve_fit(self, run, column):
-        with open(CORPUS / run / "fusion-delay-scan" / "fusion-delay-scan.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
-        fit = _fit_at_most_curve_fit([float(r["delta_um"]) for r in rows], [float(r[column]) for r in rows])
+        deltas, curves = _corpus_delay_curves(run)
+        fit = _fit_at_most_curve_fit(deltas, curves[column])
         assert fit["envelope_width_um"] == pytest.approx(200.0, rel=0.01)
+
+    @pytest.mark.parametrize("run", CORPUS_DELAY_RUNS)
+    def test_several_curves_fit_as_each_alone(self, run):
+        """The curves of one call share each grid width's solve; every fit
+        equals the one-curve call's, bit for bit."""
+        deltas, curves = _corpus_delay_curves(run)
+        fits = fit_delay_fringe(deltas, list(curves.values()), DELAY_PERIOD)
+        assert fits == [fit_delay_fringe(deltas, values, DELAY_PERIOD) for values in curves.values()]
+
+    def test_step_past_the_width_bound_lands_on_it(self):
+        """On this sampled curve a Gauss-Newton step overflowed math.exp;
+        the width stops at its bound, 10 max|d|."""
+        spec = "1e300:1.00000000000001e300:1e285"
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_preset("fusion-delay-scan", overrides={"delta_range": spec}, seed=1, shots=100).report
+        assert report["fit_sampled"]["envelope_width_um"] == 10.0 * max(parse_range(spec))
 
     def test_flat_curve_has_no_visibility(self):
         """curve_fit stopped at V0 = 4.5e-5 on this curve."""

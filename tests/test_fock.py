@@ -28,6 +28,7 @@ from eventready.fock import (
     PureState,
     creator_columns,
     kept_pair_pass,
+    live_creators,
     multiply_out,
     push_creators,
 )
@@ -351,10 +352,10 @@ def _grid_columns(reg, photon_grid):
 def _pushed_grid(reg, photon_grid, steps):
     """The block's photons' creators pushed through steps in turn, then
     multiplied out and normalized."""
-    columns = _grid_columns(reg, photon_grid)
+    creators = live_creators(_grid_columns(reg, photon_grid))
     for step in steps:
-        columns = push_creators(reg, columns, step)
-    grid = multiply_out(reg, [(1.0, columns)], len(photon_grid))
+        creators = push_creators(reg, creators, step)
+    grid = multiply_out(reg, [(1.0, creators)], len(photon_grid))
     return GridState(reg, grid.occupations, grid.amplitudes / grid.norm())
 
 
@@ -362,6 +363,87 @@ def _assert_same_state(got: PureState, want: dict):
     assert set(got.terms) == set(want)
     for occ, amp in want.items():
         assert abs(got.terms[occ] - amp) < 1e-12
+
+
+def _sparse_unitary(n: int, rng, blocks: int) -> np.ndarray:
+    """A random n x n unitary that mixes only the modes within each of up
+    to `blocks` random blocks, so that most of its entries are 0."""
+    cuts = np.sort(rng.choice(np.arange(1, n), size=min(blocks, n) - 1, replace=False)) if n > 1 else []
+    u = np.zeros((n, n), dtype=complex)
+    for block in np.split(rng.permutation(n), cuts):
+        u[np.ix_(block, block)] = random_unitary(len(block), rng)
+    return u
+
+
+@st.composite
+def live_push_cases(draw):
+    """(registry, live, columns, t): a creator set on random live modes,
+    possibly none, its rows sparse, and a sparse random unitary, or a
+    stack of them, on some modes, possibly none of them live."""
+    reg = ModeRegistry(("a", "b", "c")[: draw(st.integers(1, 3))], bins=draw(st.integers(1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live = np.array(sorted(draw(st.sets(st.integers(0, reg.size - 1)))), dtype=np.intp)
+    shape = (len(live), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    columns = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    columns[rng.uniform(size=shape) < 0.3] = 0
+    modes = tuple(draw(st.lists(st.sampled_from(reg.modes), min_size=1, unique=True)))
+    blocks = draw(st.integers(1, len(modes)))
+    if draw(st.booleans()):  # a stack, of the block's width or over width-1 columns
+        points = draw(st.integers(1, 3)) if shape[2] == 1 else shape[2]
+        matrix = np.stack([_sparse_unitary(len(modes), rng, blocks) for _ in range(points)])
+    else:
+        matrix = _sparse_unitary(len(modes), rng, blocks)
+    return reg, live, columns, ModeTransform(modes, matrix)
+
+
+def _dense_push(reg, live, columns, t) -> np.ndarray:
+    """The creator set's full (modes, photons, width) columns after t, one
+    dense product per point over all of t's modes."""
+    width = max(columns.shape[2], len(t.matrix) if t.matrix.ndim == 3 else 1)
+    full = np.zeros((reg.size, columns.shape[1], width), dtype=complex)
+    full[live] = columns
+    idxs = [reg.index(m) for m in t.modes]
+    image = full[idxs]
+    for k in range(width):
+        image[:, :, k] = (t.matrix[k] if t.matrix.ndim == 3 else t.matrix) @ full[idxs, :, k]
+    full[idxs] = image
+    return full
+
+
+_TWO_ARMS = ModeRegistry(("a", "b"), bins=1)
+
+
+def _stack_that_reaches_further_later():
+    """A case whose one live mode a stack's first matrix keeps to itself
+    and its second mixes with another mode."""
+    u = random_unitary(2, np.random.default_rng(2))
+    first, second = np.eye(3, dtype=complex), np.eye(3, dtype=complex)
+    first[1:, 1:], second[:2, :2] = u, u
+    t = ModeTransform(_TWO_ARMS.modes[:3], np.stack([first, second]))
+    return _TWO_ARMS, np.array([0]), np.ones((1, 1, 2), dtype=complex), t
+
+
+class TestLiveRowPush:
+    """push_creators multiplies only the block of t from the live modes to
+    the rows it reaches; it must give the dense product on every mode."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(live_push_cases())
+    @example((_TWO_ARMS, np.array([], dtype=np.intp), np.zeros((0, 2, 1), dtype=complex),
+              ModeTransform(_TWO_ARMS.modes[:2], random_unitary(2, np.random.default_rng(1)))))
+    @example((_TWO_ARMS, np.array([2, 3]), np.ones((2, 1, 3), dtype=complex),
+              ModeTransform(_TWO_ARMS.modes[:2], np.stack([random_unitary(2, np.random.default_rng(k)) for k in range(3)]))))
+    @example(_stack_that_reaches_further_later())
+    def test_live_rows_equal_the_dense_product(self, case):
+        reg, live, columns, t = case
+        got_live, got = push_creators(reg, (live, columns), t)
+        want = _dense_push(reg, live, columns, t)
+        assert np.array_equal(got_live, np.unique(got_live))
+        assert set(np.flatnonzero(want.any(axis=(1, 2))).tolist()) <= set(got_live.tolist())
+        full = np.zeros_like(want)
+        full[got_live] = got
+        scale = np.abs(columns).max(initial=1.0)
+        assert np.abs(full - want).max(initial=0.0) <= 1e-15 * scale
 
 
 class TestGridProperties:

@@ -835,6 +835,38 @@ class TestHeraldPruning:
         assert [(len(state.occupations), len(full.occupations)) for state, full in states] == [rows]
 
 
+class TestLiveRows:
+    """A block's creators are pushed and multiplied out only on their live
+    modes; multiplied out over every registry mode instead, with the
+    other rows 0, they give the same state, bit for bit."""
+
+    @pytest.mark.parametrize("heralded", [True, False])
+    @pytest.mark.parametrize("run_block", [
+        lambda: run_preset("fusion-delay-scan", overrides={"delta_range": "-10:10:1"}, shots=0),
+        lambda: scan(ExperimentConfig.from_dict(_herald_scan_config()), FUSION_OVERLAPS, "0.43:0.94:0.02"),
+    ], ids=["delay", "polarizer-variant"])
+    def test_multiply_out_on_live_rows_equals_the_full_width_call(self, monkeypatch, run_block, heralded):
+        calls = []
+        multiply_out = circuit_module.multiply_out
+
+        def recording(registry, branches, n, heralds=None):
+            calls.append((registry, branches, n, heralds if heralded else None))
+            return multiply_out(registry, branches, n, heralds)
+
+        monkeypatch.setattr(circuit_module, "multiply_out", recording)
+        run_block()
+        [(registry, branches, n, heralds)] = calls
+        full = []
+        for weight, (live, columns) in branches:
+            assert len(live) < registry.size
+            wide = np.zeros((registry.size,) + columns.shape[1:], dtype=complex)
+            wide[live] = columns
+            full.append((weight, (np.arange(registry.size), wide)))
+        got, want = multiply_out(registry, branches, n, heralds), multiply_out(registry, full, n, heralds)
+        assert np.array_equal(got.occupations, want.occupations)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
 def _group_counts_by_loop(state, groups: dict, order) -> dict:
     """{photon count per detector group, in order: its probability}, a
     loop over outcome_distribution's patterns, each added to its count's
